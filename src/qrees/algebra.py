@@ -76,9 +76,6 @@ class QReesAlgebra:
             self.field, self.variables, tuple((f, a / b) for f, a in self.generators)
         )
 
-    def with_generator(self, f: Polynomial, a) -> QReesAlgebra:
-        return QReesAlgebra(self.field, self.variables, self.generators + ((f, as_weight(a)),))
-
     # -- level ideals --------------------------------------------------------
 
     def level_ideal(self, a) -> Ideal:

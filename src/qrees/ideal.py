@@ -7,9 +7,9 @@ makes ideal equality and the closed-set comparisons deterministic.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import PreconditionError
 from .field import Element, FieldSpec
@@ -42,21 +42,17 @@ class MonomialOrder:
     def key(self, exponents: Exponents):
         parts = []
         for block in self.blocks:
-            parts.append(sum(exponents[i] for i in block))
-            parts.append(tuple(-exponents[i] for i in reversed(block)))
+            part = [exponents[i] for i in block]
+            parts.append(sum(part))
+            parts.append(tuple([-x for x in reversed(part)]))
         return tuple(parts)
 
 
 def leading_term(p: Polynomial, order: MonomialOrder) -> tuple[Exponents, Element]:
-    best: Exponents | None = None
-    best_key = None
-    for e in p.terms:
-        k = order.key(e)
-        if best is None or k > best_key:
-            best, best_key = e, k
-    if best is None:
+    if not p.terms:
         raise ValueError("zero polynomial has no leading term")
-    return best, p.terms[best]
+    e = max(p.terms, key=order.key)
+    return e, p.terms[e]
 
 
 def _divides(a: Exponents, b: Exponents) -> bool:
@@ -71,54 +67,105 @@ def _exp_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def normal_form(p: Polynomial, basis: list[Polynomial], order: MonomialOrder) -> Polynomial:
-    """Remainder of p under multivariate division by basis."""
+def _sub_scaled(
+    terms: dict[Exponents, Element],
+    coeff: Element,
+    shift: Exponents,
+    g: Polynomial,
+    p: int,
+) -> None:
+    """terms -= coeff * x^shift * g in place over F_p (Q when p == 0);
+    cancelled terms are removed."""
+    for ge, gc in g.terms.items():
+        e = tuple([a + b for a, b in zip(ge, shift)])
+        v = terms.get(e, 0) - coeff * gc
+        if p:
+            v %= p
+        if v:
+            terms[e] = v
+        else:
+            terms.pop(e, None)
+
+
+def normal_form(
+    p: Polynomial,
+    basis: list[Polynomial],
+    order: MonomialOrder,
+    leads: list[tuple[Exponents, Element]] | None = None,
+) -> Polynomial:
+    """Remainder of p under multivariate division by basis.
+
+    `leads` may carry the leading terms of the basis when the caller already
+    has them.
+    """
     field = p.field
-    leads = [leading_term(g, order) for g in basis]
-    remainder = Polynomial.zero(field, p.variables)
-    work = p
-    while not work.is_zero():
-        e, c = leading_term(work, order)
+    if leads is None:
+        leads = [leading_term(g, order) for g in basis]
+    char = field.characteristic
+    # The max below rescans all of `work` on every step, so each exponent's
+    # order key is computed once per call.
+    keys: dict[Exponents, tuple] = {}
+
+    def key(e: Exponents) -> tuple:
+        k = keys.get(e)
+        if k is None:
+            k = keys[e] = order.key(e)
+        return k
+
+    remainder: dict[Exponents, Element] = {}
+    work = dict(p.terms)
+    while work:
+        e = max(work, key=key)
+        c = work[e]
         for g, (ge, gc) in zip(basis, leads):
             if _divides(ge, e):
-                factor = Polynomial.monomial(field, p.variables, _exp_sub(e, ge), field.div(c, gc))
-                work = work - factor * g
+                _sub_scaled(work, field.div(c, gc), _exp_sub(e, ge), g, char)
                 break
         else:
-            lead = Polynomial.monomial(field, p.variables, e, c)
-            remainder = remainder + lead
-            work = work - lead
-    return remainder
+            remainder[e] = work.pop(e)
+    return Polynomial(field, p.variables, remainder)
 
 
-def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+def _spoly(
+    f: Polynomial,
+    g: Polynomial,
+    f_lead: tuple[Exponents, Element],
+    g_lead: tuple[Exponents, Element],
+) -> Polynomial:
     field = f.field
-    fe, fc = leading_term(f, order)
-    ge, gc = leading_term(g, order)
+    (fe, fc), (ge, gc) = f_lead, g_lead
     lcm = _exp_lcm(fe, ge)
-    mf = Polynomial.monomial(field, f.variables, _exp_sub(lcm, fe), field.div(field.one(), fc))
-    mg = Polynomial.monomial(field, f.variables, _exp_sub(lcm, ge), field.div(field.one(), gc))
-    return mf * f - mg * g
+    terms: dict[Exponents, Element] = {}
+    _sub_scaled(terms, field.neg(field.inv(fc)), _exp_sub(lcm, fe), f, field.characteristic)
+    _sub_scaled(terms, field.inv(gc), _exp_sub(lcm, ge), g, field.characteristic)
+    return Polynomial(field, f.variables, terms)
+
+
+def _unit(p: Polynomial) -> list[Polynomial]:
+    return [Polynomial.constant(p.field, p.variables, 1)]
 
 
 def groebner_basis(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    """Reduced Groebner basis, monic generators sorted by ascending leading term."""
-    field = gens[0].field if gens else None
+    """Reduced Groebner basis, monic generators sorted by ascending leading term.
+
+    An ideal that contains a unit returns ``[1]`` as soon as a nonzero constant
+    shows up, among the generators or as an S-pair remainder.
+    """
     basis = [g for g in gens if not g.is_zero()]
     if not basis:
         return []
-    assert field is not None
+    for g in basis:
+        if g.is_constant():
+            return _unit(g)
 
-    def sugar(p: Polynomial) -> int:
-        return p.total_degree()
-
-    sugars = [sugar(g) for g in basis]
+    leads = [leading_term(g, order) for g in basis]
+    sugars = [g.total_degree() for g in basis]
     pairs: list[tuple[tuple, int, int]] = []
 
     def push_pairs(j: int) -> None:
-        ge, _ = leading_term(basis[j], order)
+        ge = leads[j][0]
         for i in range(j):
-            fe, _ = leading_term(basis[i], order)
+            fe = leads[i][0]
             lcm = _exp_lcm(fe, ge)
             # Buchberger's coprimality criterion: disjoint leads reduce to zero.
             if lcm == tuple(a + b for a, b in zip(fe, ge)):
@@ -128,28 +175,32 @@ def groebner_basis(gens: list[Polynomial], order: MonomialOrder) -> list[Polynom
                 sugars[i] + deg - sum(fe),
                 sugars[j] + deg - sum(ge),
             )
-            pairs.append(((pair_sugar, order.key(lcm), i, j), i, j))
+            heapq.heappush(pairs, ((pair_sugar, order.key(lcm), i, j), i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
 
     while pairs:
-        pairs.sort(key=lambda t: t[0])
-        key, i, j = pairs.pop(0)
-        s = _spoly(basis[i], basis[j], order)
-        r = normal_form(s, basis, order)
+        key, i, j = heapq.heappop(pairs)
+        s = _spoly(basis[i], basis[j], leads[i], leads[j])
+        r = normal_form(s, basis, order, leads)
         if r.is_zero():
             continue
+        if r.is_constant():
+            return _unit(r)
         basis.append(r)
+        leads.append(leading_term(r, order))
         sugars.append(key[0])
         push_pairs(len(basis) - 1)
 
-    return _interreduce(basis, order)
+    return _interreduce(basis, leads, order)
 
 
-def _interreduce(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+def _interreduce(
+    basis: list[Polynomial], leads: list[tuple[Exponents, Element]], order: MonomialOrder
+) -> list[Polynomial]:
     field = basis[0].field
-    work = [g for g in basis if not g.is_zero()]
+    work, work_leads = list(basis), list(leads)
     changed = True
     while changed:
         changed = False
@@ -157,20 +208,22 @@ def _interreduce(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomi
             others = work[:i] + work[i + 1 :]
             if not others:
                 continue
-            r = normal_form(work[i], others, order)
+            r = normal_form(work[i], others, order, work_leads[:i] + work_leads[i + 1 :])
             if r != work[i]:
                 changed = True
                 if r.is_zero():
                     work.pop(i)
+                    work_leads.pop(i)
                 else:
                     work[i] = r
+                    work_leads[i] = leading_term(r, order)
                 break
-    monic = []
-    for g in work:
-        _, c = leading_term(g, order)
-        monic.append(g.scale(field.div(field.one(), c)))
-    monic.sort(key=lambda g: order.key(leading_term(g, order)[0]))
-    return monic
+    monic = [
+        (order.key(e), g.scale(field.div(field.one(), c)))
+        for g, (e, c) in zip(work, work_leads)
+    ]
+    monic.sort(key=lambda t: t[0])
+    return [g for _, g in monic]
 
 
 class Ideal:
@@ -313,6 +366,3 @@ def coordinate_ideal(field: FieldSpec, variables: tuple[str, ...], vanishing: tu
     gens = [Polynomial.variable(field, variables, v) for v in vanishing]
     return Ideal(field, variables, gens)
 
-
-def fraction_or_int(x: Element) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)

@@ -70,6 +70,14 @@ def test_unit_and_zero_ideal_predicates() -> None:
     assert Ideal.zero(QQ, XY).is_zero_ideal()
     assert I("x", "1 - x").is_unit()
     assert not I("x", "y").is_unit()
+    # groebner_basis answers exactly [1] in the input's ring: for a constant
+    # generator (2, not 3, which vanishes in F_3), for a constant that only an
+    # S-pair remainder reveals, and with a zero generator mixed in.
+    for field in (QQ, FieldSpec(3)):
+        for texts in (("2", "x"), ("x*y - 1", "x"), ("0", "x*y - 1", "x")):
+            gens = [parse_polynomial(t, field, XY) for t in texts]
+            gb = groebner_basis(gens, MonomialOrder.grevlex(XY))
+            assert gb == [Polynomial.constant(field, XY, 1)], (field, texts)
 
 
 def test_contains_respects_combinations() -> None:
