@@ -18,11 +18,6 @@ Weight = Fraction
 Generator = tuple[Polynomial, Weight]
 
 
-def as_weight(value) -> Fraction:
-    w = Fraction(value)
-    return w
-
-
 @dataclass(frozen=True)
 class QReesAlgebra:
     """Generators (f_i, a_i) with f_i nonzero and a_i a positive rational.
@@ -38,7 +33,7 @@ class QReesAlgebra:
     def __post_init__(self) -> None:
         kept = []
         for f, a in self.generators:
-            a = as_weight(a)
+            a = Fraction(a)
             if a <= 0:
                 raise PreconditionError(f"generator weight must be positive, got {a}")
             if f.variables != self.variables:
@@ -56,10 +51,8 @@ class QReesAlgebra:
         return tuple(a for _, a in self.generators)
 
     def denominator(self) -> int:
-        n = 1
-        for a in self.weights():
-            n = n * a.denominator // math.gcd(n, a.denominator)
-        return n
+        """lcm of the weight denominators (1 for the zero algebra)."""
+        return math.lcm(*(a.denominator for a in self.weights()))
 
     def odot(self, other: QReesAlgebra) -> QReesAlgebra:
         """Join: the smallest algebra containing both generator sets."""
@@ -110,6 +103,19 @@ class QReesAlgebra:
 
     # -- orders ---------------------------------------------------------------
 
+    def min_order(self, order) -> Fraction | Infinity:
+        """min over generators of order(f_i)/a_i, skipping infinite orders;
+        INFINITY for the zero algebra."""
+        best: Fraction | Infinity = INFINITY
+        for f, a in self.generators:
+            o = order(f)
+            if isinstance(o, Infinity):
+                continue
+            v = Fraction(o) / a
+            if v < best:
+                best = v
+        return best
+
     def ord_at_point(self, point) -> Fraction | Infinity:
         """Order of the algebra at a rational point: min ord_p(f_i)/a_i.
 
@@ -121,28 +127,22 @@ class QReesAlgebra:
             if len(point) != len(self.variables):
                 raise PreconditionError("point has the wrong number of coordinates")
             point = dict(zip(self.variables, point))
-        best: Fraction | Infinity = INFINITY
-        for f, a in self.generators:
-            o = f.order_at_point(point)
-            if isinstance(o, Infinity):
-                continue
-            v = Fraction(o) / a
-            if v < best:
-                best = v
-        return best
+        return self.min_order(lambda f: f.order_at_point(point))
 
     def ord_at_origin(self) -> Fraction | Infinity:
-        if self.is_zero():
-            return INFINITY
-        best: Fraction | Infinity = INFINITY
-        for f, a in self.generators:
-            o = f.order()
-            if isinstance(o, Infinity):
-                continue
-            v = Fraction(o) / a
-            if v < best:
-                best = v
-        return best
+        return self.min_order(Polynomial.order)
+
+    def shift(self, shifts: dict[str, Polynomial]) -> QReesAlgebra:
+        """Substitute v -> v + shifts[v] in every generator; a shift may live
+        in any ring whose variables belong to this one."""
+        ring = self.variables
+        mapping = {
+            v: Polynomial.variable(self.field, ring, v) + s.in_ring(ring)
+            for v, s in shifts.items()
+        }
+        return QReesAlgebra(
+            self.field, ring, tuple((f.substitute(mapping), a) for f, a in self.generators)
+        )
 
     def order_ge_ideal(self, omega) -> Ideal:
         """Ideal cutting out the locus where the algebra has order >= omega,
@@ -164,9 +164,6 @@ class QReesAlgebra:
 
     def sing_ideal(self) -> Ideal:
         return self.order_ge_ideal(Fraction(1))
-
-    def sing_locus(self) -> ClosedSet:
-        return ClosedSet([self.sing_ideal()])
 
     def max_order_stratum(self) -> tuple[Fraction, ClosedSet]:
         """Largest omega whose order-at-least-omega locus is nonempty, with it."""
@@ -198,10 +195,7 @@ class QReesAlgebra:
     def to_integer_grading(self) -> tuple[QReesAlgebra, int]:
         """Clear weight denominators: weights become a_i * N, N = lcm of them."""
         n = self.denominator()
-        return (
-            QReesAlgebra(self.field, self.variables, tuple((f, a * n) for f, a in self.generators)),
-            n,
-        )
+        return self.scale(Fraction(1, n)), n
 
     def monotone_closure(self) -> QReesAlgebra:
         """For integer weights, add (f, m) for every 1 <= m < n below each (f, n)."""
@@ -225,12 +219,12 @@ def _multi_indices(k: int, bound: int):
     """All exponent tuples of length k with |alpha| <= bound, by ascending total
     degree and lexicographically descending within one degree."""
     for m in range(bound + 1):
-        batch = [alpha for alpha in _compositions(k, m)]
-        batch.sort(reverse=True)
-        yield from batch
+        yield from _compositions(k, m)
 
 
 def _compositions(k: int, total: int):
+    """Exponent tuples of length k summing to total, lexicographically
+    descending."""
     if k == 1:
         yield (total,)
         return
@@ -262,7 +256,7 @@ def parse_generator_list(
             raise ProblemParseError(f"generator {piece!r} lacks ': WEIGHT'")
         poly_text, weight_text = piece.rsplit(":", 1)
         poly = parse_polynomial(poly_text.strip(), field, variables)
-        gens.append((poly, as_weight(Fraction(weight_text.strip()))))
+        gens.append((poly, Fraction(weight_text.strip())))
     return QReesAlgebra(field, variables, tuple(gens))
 
 

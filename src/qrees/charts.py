@@ -6,13 +6,12 @@ and the search for a triangular maximal-contact variable."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import QReesAlgebra
 from .errors import ChartSplitRequired, PreconditionError, UnsupportedCharacteristic
 from .field import FieldSpec
-from .ideal import Ideal
 from .poly import INFINITY, Infinity, Polynomial, format_polynomial
 from .saturation import diff_saturate
 
@@ -154,14 +153,7 @@ def ell_value(alg: QReesAlgebra, var: str) -> Fraction | Infinity:
     """Normalized multiplicity of the algebra along V(var): min nu_var(f_i)/a_i."""
     if var not in alg.variables:
         raise PreconditionError(f"{var} is not a chart variable")
-    if alg.is_zero():
-        return INFINITY
-    best: Fraction | Infinity = INFINITY
-    for f, a in alg.generators:
-        v = Fraction(f.divisor_valuation(var)) / a
-        if v < best:
-            best = v
-    return best
+    return alg.min_order(lambda f: f.divisor_valuation(var))
 
 
 def divide_by_divisor(alg: QReesAlgebra, var: str, ell) -> QReesAlgebra:

@@ -9,7 +9,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import QReesAlgebra, format_algebra
+from .algebra import QReesAlgebra
 from .charts import (
     blowup_chart,
     coefficient_algebra,
@@ -20,11 +20,10 @@ from .charts import (
 from .errors import ProblemParseError, QreesError
 from .ideal import Ideal
 from .invariant import InvariantValue
-from .poly import INFINITY, Infinity, format_polynomial, parse_polynomial
+from .poly import Infinity, format_polynomial, parse_polynomial
 from .problem import Problem, parse_problem
-from .resolve import resolve
+from .resolve import resolve, root_chart
 from .saturation import (
-    CAP_REACHED,
     diff_saturate,
     equivalence_check,
     is_integral_member,
@@ -200,14 +199,7 @@ def cmd_eliminate(args) -> int:
 
 def cmd_blowup(args) -> int:
     problem, alg = load(args)
-    from .charts import Chart
-
-    parent = Chart(
-        id="0",
-        field=problem.field,
-        variables=problem.variables,
-        divisors=problem.divisors,
-    )
+    _, parent, _ = root_chart(problem.field, problem.variables, alg, problem.divisors)
     center = tuple(v.strip() for v in args.center.split(","))
     child = blowup_chart(parent, center, args.chart_var, created=1)
     payload = {
@@ -356,12 +348,7 @@ def cmd_resolve(args) -> int:
 def render_text(trace: dict) -> str:
     lines = [f"status: {trace['status']}"]
     for record in trace["steps"]:
-        fc = InvariantValue(
-            tuple(
-                (Fraction(omega), n) for omega, n in record["fc"]["levels"]
-            ),
-            _terminator_from_json(record["fc"]["terminator"]),
-        )
+        fc = InvariantValue.from_json(record["fc"])
         center = ", ".join(record["center"])
         lines.append(
             f"step {record['step']}: blow up chart {record['chart']} "
@@ -373,17 +360,6 @@ def render_text(trace: dict) -> str:
     for leaf in trace["leaves"]:
         lines.append(f"  {leaf['chart']}: sing {leaf['sing']}")
     return "\n".join(lines)
-
-
-def _terminator_from_json(term):
-    from .invariant import MonomialData
-
-    if isinstance(term, dict):
-        data = term["monomial"]
-        return MonomialData(
-            data["p"], Fraction(data["s"]), tuple(data["indices"])
-        )
-    return term
 
 
 def render_dot(trace: dict) -> str:

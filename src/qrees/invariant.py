@@ -35,9 +35,6 @@ class MonomialData:
         return (-self.p, self.s, tuple(-i for i in self.indices) + (1,))
 
 
-Terminator = object  # one of the string constants above, or MonomialData
-
-
 @total_ordering
 @dataclass(frozen=True)
 class InvariantValue:
@@ -95,6 +92,15 @@ class InvariantValue:
             "levels": [[str(omega), n] for omega, n in self.levels],
             "terminator": term,
         }
+
+    @classmethod
+    def from_json(cls, doc: dict) -> InvariantValue:
+        """Inverse of to_json."""
+        term = doc["terminator"]
+        if isinstance(term, dict):
+            m = term["monomial"]
+            term = MonomialData(m["p"], Fraction(m["s"]), tuple(m["indices"]))
+        return cls(tuple((Fraction(omega), n) for omega, n in doc["levels"]), term)
 
 
 def non_singular_value() -> InvariantValue:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import ProblemParseError
 from .field import Element, FieldSpec
@@ -123,9 +122,6 @@ class Polynomial:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         return next(iter(self.terms.values()))
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def total_degree(self) -> int:
         """Maximal term degree; -1 for the zero polynomial."""

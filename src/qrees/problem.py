@@ -17,7 +17,7 @@ line go to a default algebra named J.  Divisors attach to the chart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import QReesAlgebra

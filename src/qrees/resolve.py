@@ -70,23 +70,35 @@ class Leaf:
     divisor_report: tuple[tuple[str, int, Fraction | None], ...]
 
 
-def initial_tower(
+def root_chart(
+    field: FieldSpec,
     variables: tuple[str, ...],
     algebra: QReesAlgebra,
     divisors: tuple[DivisorRecord, ...],
-    start_step: int,
-) -> tuple[LevelState, ...]:
-    return (
-        LevelState(
-            variables=variables,
-            algebra=algebra,
-            divisors=divisors,
-            epoch=start_step,
-            run_value=None,
-            run_start=start_step,
-            contact_var=None,
-        ),
+) -> tuple[int, Chart, tuple[LevelState, ...]]:
+    """The chart "0" before any blowup, with its one-level tower, starting at
+    the newest divisor's creation step.  Every divisor must be a distinct
+    chart variable."""
+    divisors = tuple(divisors)
+    seen_vars = set()
+    for d in divisors:
+        if d.var not in variables:
+            raise PreconditionError(f"divisor variable {d.var} is not a chart variable")
+        if d.var in seen_vars:
+            raise PreconditionError(f"divisor variable {d.var} declared twice")
+        seen_vars.add(d.var)
+    start = max([0] + [d.created for d in divisors])
+    chart = Chart(id="0", field=field, variables=variables, divisors=divisors)
+    level = LevelState(
+        variables=variables,
+        algebra=algebra,
+        divisors=divisors,
+        epoch=start,
+        run_value=None,
+        run_start=start,
+        contact_var=None,
     )
+    return start, chart, (level,)
 
 
 # ---------------------------------------------------------------------------
@@ -103,20 +115,16 @@ def analyze_chart(
     levels = list(tower)
     top = levels[0]
 
-    divisor_report = _divisor_report(top)
-
     if at_point:
         o = top.algebra.ord_at_origin()
-        if isinstance(o, Infinity):
-            pass  # the zero algebra is singular everywhere; fall through
-        elif o < 1:
-            return Leaf(chart, tuple(levels), non_singular_value(), None, divisor_report)
+        # the zero algebra (infinite order) is singular everywhere
+        singular = isinstance(o, Infinity) or o >= 1
         incoming = coordinate_ideal(field, top.variables, top.variables)
     else:
-        sing = top.algebra.sing_ideal()
-        if sing.is_unit():
-            return Leaf(chart, tuple(levels), non_singular_value(), None, divisor_report)
-        incoming = sing
+        incoming = top.algebra.sing_ideal()
+        singular = not incoming.is_unit()
+    if not singular:
+        return Leaf(chart, tuple(levels), non_singular_value(), None, _divisor_report(top))
 
     out_levels: list[tuple[Fraction, int]] = []
     center_accum: list[str] = []
@@ -130,15 +138,7 @@ def analyze_chart(
             terminator, bottom_vars = _analyze_line(
                 levels, k, incoming, out_levels, changes, step
             )
-            center = _assemble_center(chart, center_accum + bottom_vars)
-            value = InvariantValue(tuple(out_levels), terminator)
-            return Leaf(
-                _chart_with_changes(chart, changes),
-                tuple(levels),
-                value,
-                center,
-                _divisor_report(levels[0]),
-            )
+            break
 
         strippable = [d for d in world.divisors if d.created >= 1]
         residual, ells = non_monomial_part(world.algebra, [d.var for d in strippable])
@@ -156,16 +156,8 @@ def analyze_chart(
         out_levels.append((omega, len(winners)))
 
         if omega == 0:
-            terminator, center_vars = _monomial_center(world, winners, ell_of, stratum)
-            center = _assemble_center(chart, center_accum + center_vars)
-            value = InvariantValue(tuple(out_levels), terminator)
-            return Leaf(
-                _chart_with_changes(chart, changes),
-                tuple(levels),
-                value,
-                center,
-                _divisor_report(levels[0]),
-            )
+            terminator, bottom_vars = _monomial_center(world, winners, ell_of, stratum)
+            break
 
         if k + 1 < len(levels):
             # the run continues: reuse the stored lower level
@@ -189,7 +181,8 @@ def analyze_chart(
             ),
         )
         contact_input = scaled.odot(join)
-        frozen = frozenset(d.var for d in world.divisors)
+        # a shift rewrites levels 0..k, so every divisor of the chart is frozen
+        frozen = frozenset(d.var for d in levels[0].divisors)
         choice = find_maximal_contact(
             diff_saturate(contact_input), frozen, local=at_point
         )
@@ -197,7 +190,7 @@ def analyze_chart(
         if choice.shift is not None:
             stratum = _apply_shift(levels, k, changes, v, choice.shift, stratum)
             world = levels[k]
-            contact_input = _shift_algebra(contact_input, v, choice.shift)
+            contact_input = contact_input.shift({v: choice.shift})
 
         levels[k] = replace(world, contact_var=v)
         center_accum.append(v)
@@ -206,16 +199,8 @@ def analyze_chart(
 
         if coeff.is_zero():
             # infinite order below: the stratum itself is the center
-            bottom_vars = _coordinate_stratum_vars(down)
-            center = _assemble_center(chart, center_accum + bottom_vars)
-            value = InvariantValue(tuple(out_levels), ZERO_COEFF)
-            return Leaf(
-                _chart_with_changes(chart, changes),
-                tuple(levels),
-                value,
-                center,
-                _divisor_report(levels[0]),
-            )
+            terminator, bottom_vars = ZERO_COEFF, _coordinate_stratum_vars(down)
+            break
 
         sub_divisors = tuple(
             d for d in world.divisors if d.created > world.run_start and d.var != v
@@ -233,6 +218,14 @@ def analyze_chart(
         )
         incoming = down
         k += 1
+
+    return Leaf(
+        _chart_with_changes(chart, changes),
+        tuple(levels),
+        InvariantValue(tuple(out_levels), terminator),
+        _assemble_center(chart, center_accum + bottom_vars),
+        _divisor_report(levels[0]),
+    )
 
 
 def _coordinate_stratum_vars(down: Ideal) -> list[str]:
@@ -353,8 +346,9 @@ def _monomial_center(
     fallback = []
     for size in range(1, len(world.variables) + 1):
         for subset in combinations(world.variables, size):
-            s = _order_along(world.algebra, frozenset(subset))
-            if s is not None and s >= 1:
+            # order along the coordinate subspace; infinite only for the zero algebra
+            s = world.algebra.min_order(lambda f: f.order_in_vars(subset))
+            if not isinstance(s, Infinity) and s >= 1:
                 indices = tuple(
                     sorted(created_of[v] for v in subset if v in created_of)
                 )
@@ -369,20 +363,6 @@ def _monomial_center(
     size, neg_s, indices, subset = fallback[0]
     data = MonomialData(size, -neg_s, indices)
     return data, list(subset)
-
-
-def _order_along(alg: QReesAlgebra, subset: frozenset[str]) -> Fraction | None:
-    """min over generators of (order along the coordinate subspace)/weight."""
-    if alg.is_zero():
-        return None
-    positions = [i for i, v in enumerate(alg.variables) if v in subset]
-    best: Fraction | None = None
-    for f, a in alg.generators:
-        o = min(sum(e[i] for i in positions) for e in f.terms)
-        value = Fraction(o) / a
-        if best is None or value < best:
-            best = value
-    return best
 
 
 def _analyze_line(
@@ -417,8 +397,9 @@ def _analyze_line(
     if not lead.is_constant():
         raise ChartSplitRequired("the deepest stratum is not a single rational point")
     if not rest.is_zero():
-        # the point sits at u = c with c nonzero: recenter, unless u carries a divisor
-        if any(d.var == u for d in world.divisors):
+        # the point sits at u = c with c nonzero: recenter, unless u carries a
+        # divisor on any level the shift rewrites
+        if any(d.var == u for d in levels[0].divisors):
             raise ChartSplitRequired(
                 "the deepest point left the divisor's coordinate hyperplane"
             )
@@ -480,18 +461,7 @@ def _apply_shift(
     """Triangular change of coordinates: rewrite all data on levels 0..k under
     var -> var + shift (the new coordinate is var - shift)."""
     for j in range(k + 1):
-        world = levels[j]
-        ring = world.variables
-        image = (
-            Polynomial.variable(world.algebra.field, ring, var)
-            + shift.in_ring(ring)
-        )
-        mapping = {var: image}
-        new_gens = tuple((f.substitute(mapping), a) for f, a in world.algebra.generators)
-        levels[j] = replace(
-            world,
-            algebra=QReesAlgebra(world.algebra.field, ring, new_gens),
-        )
+        levels[j] = replace(levels[j], algebra=levels[j].algebra.shift({var: shift}))
     ring = stratum.variables
     image = Polynomial.variable(stratum.field, ring, var) + shift.in_ring(ring)
     new_stratum = Ideal(
@@ -501,15 +471,6 @@ def _apply_shift(
     )
     changes.append((var, format_polynomial(image)))
     return new_stratum
-
-
-def _shift_algebra(alg: QReesAlgebra, var: str, shift: Polynomial) -> QReesAlgebra:
-    image = Polynomial.variable(alg.field, alg.variables, var) + shift.in_ring(alg.variables)
-    return QReesAlgebra(
-        alg.field,
-        alg.variables,
-        tuple((f.substitute({var: image}), a) for f, a in alg.generators),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -569,17 +530,7 @@ def resolve(
         )
     if algebra.is_zero():
         raise PreconditionError("cannot resolve the zero algebra")
-    seen_vars = set()
-    for d in divisors:
-        if d.var not in variables:
-            raise PreconditionError(f"divisor variable {d.var} is not a chart variable")
-        if d.var in seen_vars:
-            raise PreconditionError(f"divisor variable {d.var} declared twice")
-        seen_vars.add(d.var)
-
-    start = max([0] + [d.created for d in divisors])
-    root = Chart(id="0", field=field, variables=variables, divisors=tuple(divisors))
-    tower = initial_tower(variables, algebra, tuple(divisors), start)
+    start, root, tower = root_chart(field, variables, algebra, divisors)
     leaves: dict[str, Leaf] = {"0": analyze_chart(root, tower, start)}
 
     steps_json: list[dict] = []
@@ -668,17 +619,15 @@ def fc_at_point(
     point = tuple(Fraction(c) for c in point)
     if len(point) != len(variables):
         raise PreconditionError("point has the wrong number of coordinates")
-    position = {v: i for i, v in enumerate(variables)}
-    kept = tuple(d for d in divisors if point[position[d.var]] == 0)
-    offset = {v: point[i] for i, v in enumerate(variables) if point[i] != 0}
-    shifted = QReesAlgebra(
-        field,
-        variables,
-        tuple((f.taylor_shift(offset), a) for f, a in algebra.generators),
-    )
-    start = max([0] + [d.created for d in kept])
-    chart = Chart(id="0", field=field, variables=variables, divisors=kept)
-    tower = initial_tower(variables, shifted, kept, start)
+    offset = {
+        v: Polynomial.constant(field, variables, c)
+        for v, c in zip(variables, point)
+        if c != 0
+    }
+    # divisors off the point are dropped; the rest, unknown names included,
+    # go to root_chart for checking
+    kept = tuple(d for d in divisors if d.var not in offset)
+    start, chart, tower = root_chart(field, variables, algebra.shift(offset), kept)
     return analyze_chart(chart, tower, start, at_point=True).value
 
 
@@ -689,9 +638,7 @@ def max_locus_fc(
     divisors: tuple[DivisorRecord, ...] = (),
 ) -> tuple[InvariantValue, ClosedSet]:
     """The maximal invariant over the chart together with its center locus."""
-    start = max([0] + [d.created for d in divisors])
-    chart = Chart(id="0", field=field, variables=variables, divisors=tuple(divisors))
-    tower = initial_tower(variables, algebra, tuple(divisors), start)
+    start, chart, tower = root_chart(field, variables, algebra, divisors)
     leaf = analyze_chart(chart, tower, start)
     if leaf.center_vars is None:
         return leaf.value, ClosedSet([Ideal.unit(field, variables)])

@@ -8,9 +8,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import QReesAlgebra, algebra_sample_points
+from .algebra import QReesAlgebra, _compositions, algebra_sample_points
 from .errors import PreconditionError
-from .field import FieldSpec
 from .poly import INFINITY, Infinity, Polynomial
 
 CAP_REACHED = "CAP_REACHED"
@@ -27,7 +26,7 @@ def diff_saturate(alg: QReesAlgebra) -> QReesAlgebra:
         # |alpha| = m is allowed while a - m > 0
         top = math.ceil(a) - 1
         for m in range(top + 1):
-            for alpha in _indices_of_degree(k, m):
+            for alpha in _compositions(k, m):
                 d = f.hasse_derivative(alpha)
                 if d.is_zero():
                     continue
@@ -37,21 +36,6 @@ def diff_saturate(alg: QReesAlgebra) -> QReesAlgebra:
                 seen.add(key)
                 gens.append((d, a - m))
     return QReesAlgebra(alg.field, alg.variables, tuple(gens))
-
-
-def _indices_of_degree(k: int, m: int):
-    out = list(_compositions(k, m))
-    out.sort(reverse=True)
-    return out
-
-
-def _compositions(k: int, total: int):
-    if k == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(k - 1, total - head):
-            yield (head,) + rest
 
 
 def nu(alg: QReesAlgebra, f: Polynomial, cap=Fraction(32)) -> Fraction | Infinity | str:
@@ -164,11 +148,9 @@ def equivalence_check(
     if left.is_zero() != right.is_zero():
         return EquivalenceVerdict("Inequivalent", None, "exactly one side is the zero algebra")
 
-    n = 1
-    for a in left.weights() + right.weights():
-        n = n * a.denominator // math.gcd(n, a.denominator)
-    lg = QReesAlgebra(left.field, left.variables, tuple((f, a * n) for f, a in left.generators))
-    rg = QReesAlgebra(right.field, right.variables, tuple((f, a * n) for f, a in right.generators))
+    n = left.odot(right).denominator()
+    lg = left.scale(Fraction(1, n))
+    rg = right.scale(Fraction(1, n))
 
     def contained(src: QReesAlgebra, dst: QReesAlgebra) -> bool:
         for f, a in src.generators:

@@ -25,7 +25,7 @@ from qrees.charts import (
 )
 from qrees.field import QQ, FieldSpec
 from qrees.ideal import ClosedSet, Ideal
-from qrees.invariant import InvariantValue, MonomialData
+from qrees.invariant import InvariantValue
 from qrees.poly import Infinity, Polynomial, parse_polynomial
 from qrees.resolve import resolve
 from qrees.saturation import diff_saturate, is_integral_member
@@ -43,16 +43,6 @@ def A(*gens, variables=XY, field=QQ) -> QReesAlgebra:
         field,
         variables,
         tuple((P(t, variables, field), Fraction(w)) for t, w in gens),
-    )
-
-
-def value_of(fc: dict) -> InvariantValue:
-    term = fc["terminator"]
-    if isinstance(term, dict):
-        m = term["monomial"]
-        term = MonomialData(m["p"], Fraction(m["s"]), tuple(m["indices"]))
-    return InvariantValue(
-        tuple((Fraction(w), n) for w, n in fc["levels"]), term
     )
 
 
@@ -264,7 +254,7 @@ def test_criterion_5_termination_with_decreasing_maxima() -> None:
         assert trace["status"] == "resolved", name
         by_step: dict[int, list[InvariantValue]] = {}
         for s in trace["steps"]:
-            by_step.setdefault(s["step"], []).append(value_of(s["fc"]))
+            by_step.setdefault(s["step"], []).append(InvariantValue.from_json(s["fc"]))
         maxima = []
         for step in sorted(by_step):
             values = by_step[step]

@@ -1,9 +1,12 @@
-"""Byte-for-byte guard on resolution traces.
+"""Byte-for-byte guard on resolution traces and invariant queries.
 
 Each file in ``tests/golden/`` holds ``json.dumps(trace)`` of one problem
 below.  A performance or refactoring change must leave every trace identical.
 The E6 surface ``x^2 + y^3 + z^4 : 2`` is deliberately absent: its run leaks
-an internal error, and no golden should pin that.
+an internal error, and no golden should pin that.  ``queries.json`` pins the
+text of ``fc_at_point`` (at the origin and at ``(1, 0[, 0])``) and of
+``max_locus_fc`` for every characteristic-zero algebra of the acceptance
+corpus.
 
 Regenerate the files (only when a trace change is intended) with:
 
@@ -13,12 +16,15 @@ Regenerate the files (only when a trace change is intended) with:
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from qrees.errors import QreesError
 from qrees.problem import parse_problem
-from qrees.resolve import resolve
+from qrees.resolve import fc_at_point, max_locus_fc, resolve
+from test_acceptance import CORPUS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -37,6 +43,13 @@ PROBLEMS = {
     "x2-y3z2": "field Q\nchart x y z\ngen x^2 - y^3*z^2 : 2\n",
     "x2+y7": "field Q\nchart x y\ngen x^2 + y^7 : 2\n",
     "x3+y5": "field Q\nchart x y\ngen x^3 + y^5 : 3\n",
+    # coordinate changes: a contact shift x -> y^2 + x, a line shift, and a
+    # shift next to a divisor
+    "shift-contact": "field Q\nchart x y\ngen x^2 - 2*x*y^2 + y^4 + y^5 : 2\n",
+    "shift-line": "field Q\nchart x\ngen x^2 - 2*x + 1 : 2\n",
+    "shift-by-divisor": (
+        "field Q\nchart x y\ngen (x+y)^2 + y^3 : 2\ndivisor y created 1\n"
+    ),
 }
 
 
@@ -48,10 +61,44 @@ def trace_text(text: str) -> str:
     return json.dumps(trace)
 
 
+def _outcome(query) -> str:
+    try:
+        return query()
+    except QreesError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def queries_text() -> str:
+    out = []
+    for alg in CORPUS:
+        if alg.field.characteristic != 0:
+            continue
+        f, xs = alg.field, alg.variables
+        unit = (Fraction(1),) + (Fraction(0),) * (len(xs) - 1)
+
+        def maximum() -> str:
+            value, locus = max_locus_fc(f, xs, alg)
+            return f"{value} on {locus!r}"
+
+        out.append(
+            {
+                "algebra": repr(alg),
+                "origin": _outcome(lambda: str(fc_at_point(f, xs, alg))),
+                "unit": _outcome(lambda: str(fc_at_point(f, xs, alg, point=unit))),
+                "max": _outcome(maximum),
+            }
+        )
+    return json.dumps(out, indent=1)
+
+
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_trace_matches_golden(name: str) -> None:
     expected = (GOLDEN / f"{name}.json").read_text()
     assert trace_text(PROBLEMS[name]) == expected
+
+
+def test_queries_match_golden() -> None:
+    assert queries_text() == (GOLDEN / "queries.json").read_text()
 
 
 if __name__ == "__main__":
@@ -59,3 +106,5 @@ if __name__ == "__main__":
     for name, text in PROBLEMS.items():
         (GOLDEN / f"{name}.json").write_text(trace_text(text))
         print(f"wrote {name}.json")
+    (GOLDEN / "queries.json").write_text(queries_text())
+    print("wrote queries.json")

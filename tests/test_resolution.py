@@ -14,7 +14,12 @@ import pytest
 
 from qrees.algebra import QReesAlgebra
 from qrees.charts import DivisorRecord
-from qrees.errors import NotTerminated, PreconditionError, UnsupportedCharacteristic
+from qrees.errors import (
+    ChartSplitRequired,
+    NotTerminated,
+    PreconditionError,
+    UnsupportedCharacteristic,
+)
 from qrees.field import QQ, FieldSpec
 from qrees.invariant import InvariantValue, MonomialData, non_singular_value
 from qrees.poly import Polynomial, parse_polynomial
@@ -92,6 +97,14 @@ def test_invariant_json_round_trip_strings() -> None:
     assert doc["levels"] == [["1", 0], ["0", 2]]
     assert doc["terminator"]["monomial"]["p"] == 2
     assert str(v) == "[(1, 0), (0, 2)] · Monomial(p=2, s=1, created=(1, 2))"
+    for value in (
+        v,
+        non_singular_value(),
+        InvariantValue(((Fraction(1), 0), (Fraction(3, 2), 0)), "Point"),
+        InvariantValue(((Fraction(1), 0), (Fraction(1), 1)), "ZeroCoeff"),
+        InvariantValue(((Fraction(0), 1),), MonomialData(1, Fraction(5, 2), ())),
+    ):
+        assert InvariantValue.from_json(value.to_json()) == value
 
 
 # -- the hand-verified runs ---------------------------------------------------
@@ -205,6 +218,28 @@ def test_resolve_rejects_zero_algebra_and_char_p() -> None:
         resolve(F2, XY, alg)
 
 
+@pytest.mark.parametrize("query", [resolve, fc_at_point, max_locus_fc])
+@pytest.mark.parametrize(
+    "divisors",
+    [
+        (DivisorRecord("z", 1),),
+        (DivisorRecord("x", 1), DivisorRecord("x", 2)),
+    ],
+    ids=["unknown-variable", "declared-twice"],
+)
+def test_entry_points_reject_bad_divisors(query, divisors) -> None:
+    with pytest.raises(PreconditionError):
+        query(QQ, XY, A(("x^2 + y^3", 2)), divisors)
+
+
+def test_shift_never_moves_a_divisor() -> None:
+    # the singular point sits at y = 1, off the divisor y = 0; reaching it
+    # needs y -> y + 1, which would drag the divisor along
+    alg = A(("x^2 + (y - 1)^3", 2))
+    with pytest.raises(ChartSplitRequired):
+        resolve(QQ, XY, alg, (DivisorRecord("y", 1),))
+
+
 def test_resolve_nonsingular_input_is_immediate() -> None:
     trace = resolve(QQ, XY, A(("x", 2)))
     assert trace["steps"] == []
@@ -224,19 +259,7 @@ def test_strictly_decreasing_maxima() -> None:
     for s in trace["steps"]:
         if not seen or s["step"] > seen[-1][0]:
             seen.append((s["step"], s["fc"]))
-    values = [
-        InvariantValue(
-            tuple((Fraction(w), n) for w, n in fc["levels"]),
-            fc["terminator"]
-            if not isinstance(fc["terminator"], dict)
-            else MonomialData(
-                fc["terminator"]["monomial"]["p"],
-                Fraction(fc["terminator"]["monomial"]["s"]),
-                tuple(fc["terminator"]["monomial"]["indices"]),
-            ),
-        )
-        for _, fc in seen
-    ]
+    values = [InvariantValue.from_json(fc) for _, fc in seen]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
