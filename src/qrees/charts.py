@@ -107,43 +107,59 @@ def transform_algebra(
 
     Passing a smaller world restricts the substitution to the variables of an
     embedded coordinate subspace; the chart variable must belong to it.
+
+    The blowup map v -> v * chart_var is monomial, so both steps are one
+    rewrite of each exponent: chart_var's exponent gains the degree in the
+    other center variables and loses ceil(a_i).  The rewrite is injective,
+    so no two terms merge.
     """
     variables = alg.variables if world is None else world
     if chart_var not in variables:
         raise PreconditionError(f"chart variable {chart_var} is absent from the world")
     if check_center and not center_inside_singular_locus(alg, center_vars, variables):
         raise PreconditionError("blowup center is not inside the singular locus")
-    mapping = {}
-    c = Polynomial.variable(alg.field, variables, chart_var)
-    for v in center_vars:
-        if v in variables and v != chart_var:
-            mapping[v] = Polynomial.variable(alg.field, variables, v) * c
+    ring = alg.variables
+    # a chart variable outside the ring divides no generator
+    t = ring.index(chart_var) if chart_var in ring else None
+    moved = [
+        i for i, v in enumerate(ring) if v in center_vars and v in variables and v != chart_var
+    ]
     gens = []
     for f, a in alg.generators:
-        g = f.substitute(mapping) if mapping else f
-        try:
-            g = g.divide_by_variable_power(chart_var, math.ceil(a))
-        except ValueError as exc:
-            raise PreconditionError(
-                f"transform of ({format_polynomial(f)} : {a}) is not divisible by "
-                f"{chart_var}^{math.ceil(a)}; the center misses the singular locus"
-            ) from exc
-        gens.append((g, a))
-    return QReesAlgebra(alg.field, alg.variables, tuple(gens))
+        k = math.ceil(a)
+        terms = {}
+        for e, c in f.terms.items():
+            s = -k if t is None else e[t] + sum(e[i] for i in moved) - k
+            if s < 0:
+                raise PreconditionError(
+                    f"transform of ({format_polynomial(f)} : {a}) is not divisible by "
+                    f"{chart_var}^{k}; the center misses the singular locus"
+                )
+            terms[e[:t] + (s,) + e[t + 1 :]] = c
+        gens.append((Polynomial(alg.field, ring, terms), a))
+    return QReesAlgebra(alg.field, ring, tuple(gens))
 
 
 def center_inside_singular_locus(
     alg: QReesAlgebra, center_vars: tuple[str, ...], world: tuple[str, ...]
 ) -> bool:
-    """V(center) lies in {ord >= 1} iff every singular-locus generator vanishes
-    after setting the center variables (those present in the world) to zero."""
-    zeros = {v: Polynomial.zero(alg.field, alg.variables) for v in center_vars if v in world}
-    if not zeros:
+    """Does V(C) lie in {ord >= 1}, for C the center variables in both the
+    world and the ring?  It does iff every generator (f, a) has order at
+    least ceil(a) along C, in every characteristic.
+
+    {ord >= 1} is cut out by the Hasse derivatives D^alpha f with
+    |alpha| < ceil(a).  If every term of f has C-degree at least ceil(a),
+    each D^alpha f keeps a center variable in every term and vanishes on
+    V(C).  If some term e0 has C-degree s < ceil(a), take alpha = e0|_C:
+    D^alpha f restricted to C = 0 keeps the term e0 - alpha with coefficient
+    C(e0, alpha) = 1 (no other term lands there), so it is nonzero even
+    modulo p.
+    """
+    ring = alg.variables
+    c = tuple(v for v in center_vars if v in world and v in ring)
+    if not c:
         return True
-    for g in alg.sing_ideal().generators:
-        if not g.substitute(zeros).is_zero():
-            return False
-    return True
+    return all(f.order_in_vars(c) >= math.ceil(a) for f, a in alg.generators)
 
 
 # -- divisorial content ------------------------------------------------------

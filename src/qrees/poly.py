@@ -75,7 +75,8 @@ class Polynomial:
     ) -> None:
         self.field = field
         self.variables = variables
-        self.terms = {e: c for e, c in terms.items() if c != field.zero()}
+        # Fraction(0) and the int 0 of F_p are the only falsy coefficients
+        self.terms = {e: c for e, c in terms.items() if c}
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
@@ -308,9 +309,8 @@ class Polynomial:
             else:
                 img._check_ring(self)
             images.append(img)
-        powers: list[dict[int, Polynomial]] = [
-            {0: Polynomial.constant(f, self.variables, 1)} for _ in images
-        ]
+        one = Polynomial.constant(f, self.variables, 1)
+        powers: list[dict[int, Polynomial]] = [{0: one} for _ in images]
 
         def power(i: int, k: int) -> Polynomial:
             cache = powers[i]
@@ -318,14 +318,16 @@ class Polynomial:
                 cache[k] = power(i, k - 1) * images[i]
             return cache[k]
 
-        out = Polynomial.zero(f, self.variables)
+        out: dict[Exponents, Element] = {}
         for e, c in self.terms.items():
-            term = Polynomial.constant(f, self.variables, 1).scale(c)
+            term = one
             for i, k in enumerate(e):
                 if k:
                     term = term * power(i, k)
-            out = out + term
-        return out
+            for te, tc in term.terms.items():
+                prod = f.mul(c, tc)
+                out[te] = f.add(out[te], prod) if te in out else prod
+        return Polynomial(f, self.variables, out)
 
     def evaluate(self, point: dict[str, Element]) -> Element:
         f = self.field
@@ -356,24 +358,25 @@ class Polynomial:
         return self.taylor_shift(point).order()
 
     def hasse_derivative(self, alpha: Exponents) -> Polynomial:
-        """Divided-power derivative: x^b maps to C(b, alpha) x^(b - alpha)."""
-        f = self.field
+        """Divided-power derivative: x^b maps to C(b, alpha) x^(b - alpha).
+
+        b -> b - alpha is injective, so no two terms land on one exponent."""
+        if not any(alpha):
+            return self
+        p = self.field.characteristic
         terms: dict[Exponents, Element] = {}
         for e, c in self.terms.items():
-            if any(b < a for b, a in zip(e, alpha)):
-                continue
             binom = 1
             for b, a in zip(e, alpha):
-                binom *= math.comb(b, a)
-            coeff = f.mul(c, f.coerce(binom))
-            if coeff == f.zero():
-                continue
-            ne = tuple(b - a for b, a in zip(e, alpha))
-            if ne in terms:
-                terms[ne] = f.add(terms[ne], coeff)
+                if a:
+                    if b < a:
+                        break  # x^b is killed
+                    binom *= math.comb(b, a)
             else:
-                terms[ne] = coeff
-        return Polynomial(f, self.variables, terms)
+                coeff = c if binom == 1 else c * binom if p == 0 else c * binom % p
+                if coeff:
+                    terms[tuple(b - a for b, a in zip(e, alpha))] = coeff
+        return Polynomial(self.field, self.variables, terms)
 
     # -- display -------------------------------------------------------------
 
@@ -394,6 +397,7 @@ def format_polynomial(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     parts: list[str] = []
+    rational = p.field.characteristic == 0
     for e, c in p.sorted_terms():
         factors = [
             v if k == 1 else f"{v}^{k}"
@@ -403,9 +407,9 @@ def format_polynomial(p: Polynomial) -> str:
         mono = "*".join(factors)
         if not mono:
             body = p.field.format(c)
-        elif c == p.field.one():
+        elif c == 1:
             body = mono
-        elif p.field.characteristic == 0 and c == -p.field.one():
+        elif rational and c == -1:
             body = f"-{mono}"
         else:
             body = f"{p.field.format(c)}*{mono}"

@@ -638,6 +638,8 @@ def max_locus_fc(
     divisors: tuple[DivisorRecord, ...] = (),
 ) -> tuple[InvariantValue, ClosedSet]:
     """The maximal invariant over the chart together with its center locus."""
+    if algebra.is_zero():
+        raise PreconditionError("the zero algebra has no finite invariant")
     start, chart, tower = root_chart(field, variables, algebra, divisors)
     leaf = analyze_chart(chart, tower, start)
     if leaf.center_vars is None:

@@ -26,15 +26,13 @@ def diff_saturate(alg: QReesAlgebra) -> QReesAlgebra:
         # |alpha| = m is allowed while a - m > 0
         top = math.ceil(a) - 1
         for m in range(top + 1):
+            w = a - m
             for alpha in _compositions(k, m):
                 d = f.hasse_derivative(alpha)
-                if d.is_zero():
+                if d.is_zero() or (d, w) in seen:
                     continue
-                key = (d, a - m)
-                if key in seen:
-                    continue
-                seen.add(key)
-                gens.append((d, a - m))
+                seen.add((d, w))
+                gens.append((d, w))
     return QReesAlgebra(alg.field, alg.variables, tuple(gens))
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,7 @@ from qrees.errors import (
     UnsupportedCharacteristic,
 )
 from qrees.field import QQ, FieldSpec
-from qrees.poly import Infinity, Polynomial, parse_polynomial
+from qrees.poly import Infinity, Polynomial, format_polynomial, parse_polynomial
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -239,3 +241,97 @@ def test_transform_respects_world_restriction() -> None:
     )
     # z is not in the world so only x -> x applies; x*y / x = y
     assert moved.generators[0][0] == P("y")
+
+
+# -- the blowup step against its definitions -----------------------------------
+
+
+def center_oracle(alg: QReesAlgebra, center_vars, world) -> bool:
+    """The definition: every generator of the singular ideal (Hasse
+    derivatives below each weight) vanishes once the center is set to 0."""
+    zeros = {v: Polynomial.zero(alg.field, alg.variables) for v in center_vars if v in world}
+    if not zeros:
+        return True
+    return all(g.substitute(zeros).is_zero() for g in alg.sing_ideal().generators)
+
+
+def transform_oracle(alg, center_vars, chart_var, world, check_center) -> QReesAlgebra:
+    """The definition: substitute v -> v * chart_var, then divide by
+    chart_var^ceil(a) generator by generator."""
+    variables = alg.variables if world is None else world
+    if chart_var not in variables:
+        raise PreconditionError(f"chart variable {chart_var} is absent from the world")
+    if check_center and not center_oracle(alg, center_vars, variables):
+        raise PreconditionError("blowup center is not inside the singular locus")
+    ring = alg.variables
+    c = Polynomial.variable(alg.field, ring, chart_var)
+    mapping = {
+        v: Polynomial.variable(alg.field, ring, v) * c
+        for v in center_vars
+        if v in variables and v != chart_var
+    }
+    gens = []
+    for f, a in alg.generators:
+        k = math.ceil(a)
+        try:
+            g = f.substitute(mapping).divide_by_variable_power(chart_var, k)
+        except ValueError:
+            raise PreconditionError(
+                f"transform of ({format_polynomial(f)} : {a}) is not divisible by "
+                f"{chart_var}^{k}; the center misses the singular locus"
+            ) from None
+        gens.append((g, a))
+    return QReesAlgebra(alg.field, ring, tuple(gens))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except PreconditionError as exc:
+        return (type(exc), str(exc))
+
+
+def _random_blowup(rng: random.Random):
+    field = FieldSpec(rng.choice((0, 2, 3)))
+    ring = ("x", "y", "z", "w")[: rng.choice((3, 4))]
+    center = tuple(v for v in ring if rng.random() < 0.6) or (rng.choice(ring),)
+    chart_var = rng.choice(center)
+    world = None
+    if rng.random() < 0.3:
+        world = tuple(v for v in ring if v == chart_var or rng.random() < 0.6)
+    along = [v for v in center if v in (world or ring)]
+    coeffs = (1, -1, 2, Fraction(1, 2)) if field.characteristic == 0 else (1, 2)
+    inside = rng.random() < 0.6
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        a = rng.choice((Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)))
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            e = [rng.randint(0, 3) for _ in ring]
+            # push most terms far enough into the center, so that both
+            # verdicts and both transform outcomes turn up
+            while inside and sum(e[ring.index(v)] for v in along) < math.ceil(a):
+                e[ring.index(rng.choice(along))] += 1
+            terms[tuple(e)] = field.coerce(rng.choice(coeffs))
+        gens.append((Polynomial(field, ring, terms), a))
+    alg = QReesAlgebra(field, ring, tuple(gens))
+    return alg, center, chart_var, world, rng.random() < 0.8
+
+
+def test_blowup_step_matches_definitions() -> None:
+    rng = random.Random(20101008)
+    verdicts = set()
+    for _ in range(200):
+        alg, center, chart_var, world, check = _random_blowup(rng)
+        within = world or alg.variables
+        verdict = center_inside_singular_locus(alg, center, within)
+        assert verdict == center_oracle(alg, center, within), (alg, center, world)
+        new = _outcome(
+            lambda: transform_algebra(alg, center, chart_var, world=world, check_center=check)
+        )
+        old = _outcome(lambda: transform_oracle(alg, center, chart_var, world, check))
+        assert new == old, (alg, center, chart_var, world, check)
+        verdicts.add((alg.field.characteristic, verdict, isinstance(new, tuple)))
+    # every field saw both verdicts, and some transforms failed
+    assert {(p, v) for p, v, _ in verdicts} == {(p, v) for p in (0, 2, 3) for v in (True, False)}
+    assert any(failed for _, _, failed in verdicts)

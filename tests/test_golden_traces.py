@@ -7,6 +7,10 @@ an internal error, and no golden should pin that.  ``queries.json`` pins the
 text of ``fc_at_point`` (at the origin and at ``(1, 0[, 0])``) and of
 ``max_locus_fc`` for every characteristic-zero algebra of the acceptance
 corpus.
+``chains.json`` pins one or two blowup steps (center check, transform, divisorial
+content, differential saturation, coefficient algebra) on fixed algebras over
+Q, F_2 and F_3, so the positive-characteristic side of those kernels is
+covered too.
 
 Regenerate the files (only when a trace change is intended) with:
 
@@ -21,9 +25,18 @@ from pathlib import Path
 
 import pytest
 
+from qrees.algebra import format_algebra, parse_generator_list
+from qrees.charts import (
+    center_inside_singular_locus,
+    coefficient_algebra,
+    non_monomial_part,
+    transform_algebra,
+)
 from qrees.errors import QreesError
+from qrees.field import FieldSpec
 from qrees.problem import parse_problem
 from qrees.resolve import fc_at_point, max_locus_fc, resolve
+from qrees.saturation import diff_saturate
 from test_acceptance import CORPUS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -51,6 +64,61 @@ PROBLEMS = {
         "field Q\nchart x y\ngen (x+y)^2 + y^3 : 2\ndivisor y created 1\n"
     ),
 }
+
+
+# (characteristic, ring, generators, center, chart variables blown up in turn,
+# world, coefficient-algebra variable, check_center)
+CHAINS = [
+    (0, "x y z", "x^2 + y^3 + z^5 : 2", "x y z", "z y", None, "x", True),
+    (0, "x y z", "x^2 - y^2*z : 2", "x y z", "y z", None, "x", True),
+    (0, "x y z w", "x^3 + y^4 + z^4*w : 3; x*y*z : 2", "x y z", "z y", None, "w", True),
+    (0, "x y z", "x^2*y + 1/2*z^4 : 3/2; y*z^2 : 1/2", "x y z", "z x", None, "y", True),
+    # y lies in the center but not in the world, so it is not substituted
+    (0, "x y z", "x*y - x*z^3 : 1; x^2*z : 2", "x y", "x", "x z", "z", True),
+    # a center outside the singular locus, and an indivisible transform
+    (0, "x y z", "x + y^2 : 2; z^2 : 1", "x y z", "x", None, "z", True),
+    (0, "x y z", "y^2 + z : 2", "x y", "x", None, "y", False),
+    (2, "x y z", "x^2 + y^3 + z^4 : 2", "x y z", "z y", None, "x", True),
+    (2, "x y z", "x^2*y + y^2*z + z^2*x : 2", "x y z", "y x", None, "z", True),
+    (2, "x y z w", "x^4 + y^4 + x*y*z*w : 3", "x y z w", "w x", None, "x", True),
+    (3, "x y z", "x^3 + y^3*z + z^5 : 2", "x y z", "z y", None, "x", True),
+    (3, "x y z w", "x^3 - y^2*z^2 + w^6 : 3; x*y*z : 2", "x y z w", "w y", None, "y", True),
+    # x^3 has no nonzero first or second Hasse derivative in F_3, yet the
+    # center {y = z = 0} misses its singular locus
+    (3, "x y z", "x^3 + y*z^2 : 3", "y z", "y", None, "x", True),
+]
+
+
+def chains_text() -> str:
+    out = []
+    for p, ring, gens, center, chart_vars, world, restrict, check in CHAINS:
+        field, xs = FieldSpec(p), tuple(ring.split())
+        center = tuple(center.split())
+        world = tuple(world.split()) if world else None
+        alg = parse_generator_list(gens, field, xs)
+        divisors: list[str] = []
+        steps = []
+        for t in chart_vars.split():
+            step = {
+                "center_ok": center_inside_singular_locus(alg, center, world or xs),
+            }
+            try:
+                alg = transform_algebra(
+                    alg, center, t, world=world, check_center=check
+                )
+            except QreesError as exc:
+                step["transform"] = f"{type(exc).__name__}: {exc}"
+                steps.append(step)
+                break
+            divisors = [d for d in divisors if d != t] + [t]
+            rest, ells = non_monomial_part(alg, divisors)
+            step["transform"] = format_algebra(alg)
+            step["non_monomial"] = f"{format_algebra(rest)} | {[str(e) for e in ells]}"
+            step["saturate"] = format_algebra(diff_saturate(rest))
+            step["coefficient"] = format_algebra(coefficient_algebra(rest, restrict))
+            steps.append(step)
+        out.append({"field": p, "ring": ring, "algebra": gens, "steps": steps})
+    return json.dumps(out, indent=1)
 
 
 def trace_text(text: str) -> str:
@@ -101,6 +169,10 @@ def test_queries_match_golden() -> None:
     assert queries_text() == (GOLDEN / "queries.json").read_text()
 
 
+def test_chains_match_golden() -> None:
+    assert chains_text() == (GOLDEN / "chains.json").read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, text in PROBLEMS.items():
@@ -108,3 +180,5 @@ if __name__ == "__main__":
         print(f"wrote {name}.json")
     (GOLDEN / "queries.json").write_text(queries_text())
     print("wrote queries.json")
+    (GOLDEN / "chains.json").write_text(chains_text())
+    print("wrote chains.json")

@@ -181,6 +181,18 @@ def test_hasse_derivative_char_two() -> None:
     assert p.hasse_derivative((2,)) == parse_polynomial("1", F2, ("x",))
 
 
+def test_hasse_derivative_edge_cases() -> None:
+    p = P("x^4 + 3*x^2*y^3 - y^5 + 2*x*y")
+    assert p.hasse_derivative((0, 0)) == p
+    # C(3, 1) = 3 vanishes in F_3, so x^3 leaves nothing behind
+    F3 = FieldSpec(3)
+    q = P("x^3 + x^2*y", field=F3)
+    assert q.hasse_derivative((1, 0)) == P("2*x*y", field=F3)
+    assert P("x^3", field=F3).hasse_derivative((1, 0)).is_zero()
+    # a coefficient and a binomial that are units mod p multiply mod p
+    assert P("2*x^2", field=F3).hasse_derivative((1, 0)) == P("x", field=F3)
+
+
 def test_hasse_leibniz_on_products() -> None:
     # D^alpha(fg) = sum over beta + gamma = alpha of D^beta f * D^gamma g
     f = P("x^2 + y")

@@ -232,6 +232,12 @@ def test_entry_points_reject_bad_divisors(query, divisors) -> None:
         query(QQ, XY, A(("x^2 + y^3", 2)), divisors)
 
 
+@pytest.mark.parametrize("query", [fc_at_point, max_locus_fc])
+def test_queries_reject_zero_algebra_up_front(query) -> None:
+    with pytest.raises(PreconditionError, match="^the zero algebra has no finite invariant$"):
+        query(QQ, XY, QReesAlgebra(QQ, XY, ()))
+
+
 def test_shift_never_moves_a_divisor() -> None:
     # the singular point sits at y = 1, off the divisor y = 0; reaching it
     # needs y -> y + 1, which would drag the divisor along
