@@ -27,6 +27,7 @@ from .charts import (
 )
 from .errors import (
     ChartSplitRequired,
+    InvariantNotDecreasing,
     NotTerminated,
     PreconditionError,
     ProblemParseError,
@@ -68,6 +69,7 @@ __all__ = [
     "INFINITY",
     "Ideal",
     "Infinity",
+    "InvariantNotDecreasing",
     "InvariantValue",
     "MembershipVerdict",
     "MonomialData",

@@ -42,17 +42,32 @@ class ChartSplitRequired(QreesError):
     exit_code = 4
 
 
-class NotTerminated(QreesError):
-    """The resolution loop hit its step budget with singular points left."""
-
-    exit_code = 5
+class _TracedError(QreesError):
+    """A resolution-driver error that carries the partial trace in `.trace`."""
 
     def __init__(self, message: str, trace: dict | None = None) -> None:
         super().__init__(message)
         self.trace = trace
 
 
+class NotTerminated(_TracedError):
+    """The resolution loop hit its step budget with singular points left."""
+
+    exit_code = 5
+
+
 class PreconditionError(QreesError):
     """Input violates a documented precondition (weights, divisors, point)."""
 
     exit_code = 6
+
+
+class InvariantNotDecreasing(_TracedError):
+    """The maximum of the resolution invariant failed to strictly decrease
+    from one driver step to the next.
+
+    The invariant is meant to drop at every step, so this signals a defect in
+    the driver or the invariant rather than bad input.
+    """
+
+    exit_code = 7

@@ -150,78 +150,113 @@ def groebner_basis(gens: list[Polynomial], order: MonomialOrder) -> list[Polynom
 
     An ideal that contains a unit returns ``[1]`` as soon as a nonzero constant
     shows up, among the generators or as an S-pair remainder.
+
+    Pairs are pruned by the Gebauer-Moeller update, run each time an element h
+    joins the basis (generators first, then nonzero S-pair remainders):
+
+    - among the new pairs (g, h), a pair whose lcm is properly divided by the
+      lcm of another new pair is dropped; of pairs with equal lcm one is kept,
+      and none when any of them has coprime leads (Buchberger's criterion);
+    - a queued pair (f, g) is dropped when LM(h) divides lcm(f, g) and neither
+      lcm(f, h) nor lcm(g, h) equals lcm(f, g);
+    - every element whose leading monomial LM(h) divides is retired: it forms
+      no new pairs, but its queued pairs stay and it still reduces.
+
+    S-pairs are reduced against every element found so far.  Reducing against
+    the active (non-retired) ones alone is also correct, but it lets
+    coefficients swell: a three-generator ideal over Q in an elimination order
+    took over 40 s that way instead of 0.03 s.  The active set is interreduced
+    at the end.
     """
-    basis = [g for g in gens if not g.is_zero()]
-    if not basis:
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
         return []
-    for g in basis:
+    for g in gens:
         if g.is_constant():
             return _unit(g)
 
-    leads = [leading_term(g, order) for g in basis]
-    sugars = [g.total_degree() for g in basis]
+    basis: list[Polynomial] = []
+    leads: list[tuple[Exponents, Element]] = []
+    sugars: list[int] = []
+    active: list[int] = []
+    live: dict[tuple[int, int], Exponents] = {}
     pairs: list[tuple[tuple, int, int]] = []
 
-    def push_pairs(j: int) -> None:
-        ge = leads[j][0]
-        for i in range(j):
+    def update(h: Polynomial, sugar: int) -> None:
+        j = len(basis)
+        basis.append(h)
+        leads.append(leading_term(h, order))
+        sugars.append(sugar)
+        he = leads[j][0]
+        for pair, lcm in list(live.items()):
+            if (
+                _divides(he, lcm)
+                and _exp_lcm(leads[pair[0]][0], he) != lcm
+                and _exp_lcm(leads[pair[1]][0], he) != lcm
+            ):
+                del live[pair]
+        # one candidate per lcm; None marks a class holding a coprime pair
+        chosen: dict[Exponents, int | None] = {}
+        for i in active:
             fe = leads[i][0]
-            lcm = _exp_lcm(fe, ge)
-            # Buchberger's coprimality criterion: disjoint leads reduce to zero.
-            if lcm == tuple(a + b for a, b in zip(fe, ge)):
+            lcm = _exp_lcm(fe, he)
+            coprime = lcm == tuple([a + b for a, b in zip(fe, he)])
+            if lcm not in chosen:
+                chosen[lcm] = None if coprime else i
+            elif coprime:
+                chosen[lcm] = None
+        for lcm, i in chosen.items():
+            if i is None or any(m != lcm and _divides(m, lcm) for m in chosen):
                 continue
             deg = sum(lcm)
-            pair_sugar = max(
-                sugars[i] + deg - sum(fe),
-                sugars[j] + deg - sum(ge),
-            )
+            pair_sugar = max(sugars[i] + deg - sum(leads[i][0]), sugar + deg - sum(he))
+            live[i, j] = lcm
             heapq.heappush(pairs, ((pair_sugar, order.key(lcm), i, j), i, j))
+        active[:] = [i for i in active if not _divides(he, leads[i][0])]
+        active.append(j)
 
-    for j in range(len(basis)):
-        push_pairs(j)
+    for g in gens:
+        update(g, g.total_degree())
 
     while pairs:
         key, i, j = heapq.heappop(pairs)
+        if live.pop((i, j), None) is None:
+            continue
         s = _spoly(basis[i], basis[j], leads[i], leads[j])
         r = normal_form(s, basis, order, leads)
         if r.is_zero():
             continue
         if r.is_constant():
             return _unit(r)
-        basis.append(r)
-        leads.append(leading_term(r, order))
-        sugars.append(key[0])
-        push_pairs(len(basis) - 1)
+        update(r, key[0])
 
-    return _interreduce(basis, leads, order)
+    return _interreduce([basis[k] for k in active], [leads[k] for k in active], order)
 
 
 def _interreduce(
     basis: list[Polynomial], leads: list[tuple[Exponents, Element]], order: MonomialOrder
 ) -> list[Polynomial]:
+    """Reduced basis from a Groebner basis: keep a minimal set of leads (the
+    earliest of equal leads), tail-reduce each element once against the
+    others, make it monic and sort by leading term."""
     field = basis[0].field
-    work, work_leads = list(basis), list(leads)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work)):
-            others = work[:i] + work[i + 1 :]
-            if not others:
-                continue
-            r = normal_form(work[i], others, order, work_leads[:i] + work_leads[i + 1 :])
-            if r != work[i]:
-                changed = True
-                if r.is_zero():
-                    work.pop(i)
-                    work_leads.pop(i)
-                else:
-                    work[i] = r
-                    work_leads[i] = leading_term(r, order)
-                break
-    monic = [
-        (order.key(e), g.scale(field.div(field.one(), c)))
-        for g, (e, c) in zip(work, work_leads)
+    keep = [
+        k
+        for k, (e, _) in enumerate(leads)
+        if not any(
+            _divides(f, e) and (f != e or m < k)
+            for m, (f, _) in enumerate(leads)
+            if m != k
+        )
     ]
+    monic = []
+    for k in keep:
+        g = basis[k]
+        others = [m for m in keep if m != k]
+        if others:
+            g = normal_form(g, [basis[m] for m in others], order, [leads[m] for m in others])
+        e, c = leads[k]
+        monic.append((order.key(e), g.scale(field.div(field.one(), c))))
     monic.sort(key=lambda t: t[0])
     return [g for _, g in monic]
 

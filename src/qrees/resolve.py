@@ -28,9 +28,9 @@ from .charts import (
 )
 from .errors import (
     ChartSplitRequired,
+    InvariantNotDecreasing,
     NotTerminated,
     PreconditionError,
-    QreesError,
     UnsupportedCharacteristic,
 )
 from .field import FieldSpec
@@ -522,7 +522,9 @@ def resolve(
     Each driver step blows up every leaf attaining the global maximum of the
     invariant (distinct leaves are distinct physical centers).  Successive
     maxima must strictly decrease; the loop stops when all leaves have empty
-    singular locus or raises NotTerminated at the step budget.
+    singular locus or raises NotTerminated at the step budget, and raises
+    InvariantNotDecreasing when a maximum fails to drop; both carry the
+    partial trace.
     """
     if field.characteristic != 0:
         raise UnsupportedCharacteristic(
@@ -548,9 +550,10 @@ def resolve(
             )
         current_max = max(lf.value for lf in singular.values())
         if previous_max is not None and not (current_max < previous_max):
-            raise QreesError(
+            raise InvariantNotDecreasing(
                 "invariant failed to decrease: "
-                f"{previous_max} then {current_max} at step {step}"
+                f"{previous_max} then {current_max} at step {step}",
+                trace=_trace_dict(steps_json, leaves, "not-decreasing", start),
             )
         previous_max = current_max
         blown = sorted(cid for cid, lf in singular.items() if lf.value == current_max)

@@ -1,7 +1,8 @@
 """Cross-check groebner_basis against sympy on seeded random small ideals.
 
 Reduced Groebner bases are unique for a fixed order, so the bases must agree
-as sets of monic polynomials.  sympy is a test-only dependency.
+as sets of monic polynomials.  Both grevlex and the elimination orders of
+Ideal.eliminate are checked.  sympy is a test-only dependency.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from qrees.ideal import MonomialOrder, groebner_basis
 from qrees.poly import Polynomial
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 
 XYZ = ("x", "y", "z")
 ORDER = MonomialOrder.grevlex(XYZ)
@@ -26,10 +28,10 @@ SEED = 20101008
 Terms = dict[tuple[int, ...], int]
 
 
-def _random_terms(rng: random.Random) -> Terms:
+def _random_terms(rng: random.Random, top: int = 3) -> Terms:
     terms: Terms = {}
     for _ in range(rng.randint(1, 3)):
-        exps = tuple(rng.randint(0, 3) for _ in XYZ)
+        exps = tuple(rng.randint(0, top) for _ in XYZ)
         terms[exps] = terms.get(exps, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
     return terms
 
@@ -57,24 +59,26 @@ def _cases() -> list[tuple[int, list[Terms]]]:
     return cases
 
 
-def _monic(terms: dict, p: int) -> frozenset:
-    lead = max(terms, key=ORDER.key)
+def _monic(terms: dict, p: int, order: MonomialOrder) -> frozenset:
+    lead = max(terms, key=order.key)
     if p:
         inv = pow(terms[lead] % p, -1, p)
         return frozenset((e, c * inv % p) for e, c in terms.items() if c % p)
     return frozenset((e, c / terms[lead]) for e, c in terms.items() if c)
 
 
-def _ours(gens: list[Terms], p: int) -> set:
+def _ours(gens: list[Terms], p: int, order: MonomialOrder = ORDER) -> set:
     field = FieldSpec(p)
     polys = [
         Polynomial(field, XYZ, {e: field.coerce(c) for e, c in g.items()})
         for g in gens
     ]
-    return {_monic(g.terms, p) for g in groebner_basis(polys, ORDER)}
+    return {_monic(g.terms, p, order) for g in groebner_basis(polys, order)}
 
 
-def _sympy(gens: list[Terms], p: int) -> set:
+def _sympy(gens: list[Terms], p: int, order: MonomialOrder = ORDER) -> set:
+    """sympy's basis in grevlex, or for a two-block order in the product of
+    grevlex on the first block and grevlex on the rest."""
     exprs = []
     for g in gens:
         expr = sum(c * sympy.prod(s**k for s, k in zip(SYMBOLS, e)) for e, c in g.items())
@@ -83,14 +87,19 @@ def _sympy(gens: list[Terms], p: int) -> set:
     if not exprs:
         return set()
     options = {"modulus": p} if p else {}
-    basis = sympy.groebner(exprs, *SYMBOLS, order="grevlex", **options)
+    if len(order.blocks) == 2:
+        k = len(order.blocks[0])
+        options["order"] = ProductOrder((grevlex, lambda m: m[:k]), (grevlex, lambda m: m[k:]))
+    else:
+        options["order"] = "grevlex"
+    basis = sympy.groebner(exprs, *SYMBOLS, **options)
     out = set()
     for g in basis.polys:
         terms = {
             tuple(m): (int(c) if p else Fraction(int(c.p), int(c.q)))
             for m, c in g.terms()
         }
-        out.add(_monic(terms, p))
+        out.add(_monic(terms, p, order))
     return out
 
 
@@ -99,4 +108,20 @@ def test_groebner_matches_sympy(p: int) -> None:
     cases = [gens for q, gens in _cases() if q == p]
     assert len(cases) == 50
     mismatches = [gens for gens in cases if _ours(gens, p) != _sympy(gens, p)]
+    assert not mismatches, mismatches[:3]
+
+
+@pytest.mark.parametrize("p", CHARACTERISTICS)
+def test_eliminating_groebner_matches_sympy(p: int) -> None:
+    """The orders Ideal.eliminate builds, eliminating x or x, y.  Exponents
+    stay below 3: sympy takes up to a minute on some of the ideals above."""
+    rng = random.Random(SEED + p)
+    mismatches = []
+    for n in range(24):
+        gens = [_random_terms(rng, top=2) for _ in range(rng.randint(1, 3))]
+        k = 1 + n % 2
+        order = MonomialOrder.eliminating(XYZ, XYZ[:k])
+        assert order.blocks == (tuple(range(k)), tuple(range(k, 3)))
+        if _ours(gens, p, order) != _sympy(gens, p, order):
+            mismatches.append((k, gens))
     assert not mismatches, mismatches[:3]

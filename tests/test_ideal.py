@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,8 @@ from qrees.ideal import (
     ClosedSet,
     Ideal,
     MonomialOrder,
+    _spoly,
+    _unit,
     coordinate_ideal,
     groebner_basis,
     leading_term,
@@ -169,3 +173,115 @@ def test_closed_set_with_fat_components() -> None:
     fat = ClosedSet([I("x^2", "y^3")])
     thin = ClosedSet([I("x", "y")])
     assert fat.same_as(thin)
+
+
+# -- groebner_basis against the plain Buchberger algorithm ---------------------
+
+
+def buchberger_oracle(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+    """Buchberger with only the coprime criterion, then interreduction that
+    restarts until no element changes, as groebner_basis was before the
+    Gebauer-Moeller criteria."""
+    basis = [g for g in gens if not g.is_zero()]
+    if not basis:
+        return []
+    if any(g.is_constant() for g in basis):
+        return _unit(basis[0])
+    leads = [leading_term(g, order) for g in basis]
+    sugars = [g.total_degree() for g in basis]
+    pairs: list = []
+
+    def push_pairs(j: int) -> None:
+        ge = leads[j][0]
+        for i in range(j):
+            fe = leads[i][0]
+            lcm = tuple(max(a, b) for a, b in zip(fe, ge))
+            if lcm == tuple(a + b for a, b in zip(fe, ge)):
+                continue
+            deg = sum(lcm)
+            sugar = max(sugars[i] + deg - sum(fe), sugars[j] + deg - sum(ge))
+            heapq.heappush(pairs, ((sugar, order.key(lcm), i, j), i, j))
+
+    for j in range(len(basis)):
+        push_pairs(j)
+    while pairs:
+        key, i, j = heapq.heappop(pairs)
+        r = normal_form(_spoly(basis[i], basis[j], leads[i], leads[j]), basis, order, leads)
+        if r.is_zero():
+            continue
+        if r.is_constant():
+            return _unit(r)
+        basis.append(r)
+        leads.append(leading_term(r, order))
+        sugars.append(key[0])
+        push_pairs(len(basis) - 1)
+
+    field = basis[0].field
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(basis)):
+            others = basis[:i] + basis[i + 1 :]
+            if not others:
+                continue
+            r = normal_form(basis[i], others, order, leads[:i] + leads[i + 1 :])
+            if r != basis[i]:
+                changed = True
+                if r.is_zero():
+                    basis.pop(i)
+                    leads.pop(i)
+                else:
+                    basis[i] = r
+                    leads[i] = leading_term(r, order)
+                break
+    monic = [(order.key(e), g.scale(field.div(field.one(), c))) for g, (e, c) in zip(basis, leads)]
+    monic.sort(key=lambda t: t[0])
+    return [g for _, g in monic]
+
+
+def _random_generators(rng: random.Random):
+    """1-3 random polynomials, each followed by a copy, a scalar multiple or
+    its first Hasse derivatives (whose leads often divide its lead, as in
+    order_ge_ideal)."""
+    field = FieldSpec(rng.choice((0, 2, 3, 5)))
+    ring = ("x", "y", "z", "w")[: rng.choice((3, 4))]
+    if rng.random() < 0.5:
+        order = MonomialOrder.grevlex(ring)
+    else:
+        order = MonomialOrder.eliminating(ring, ring[: rng.randint(1, len(ring) - 1)])
+    coeffs = (1, -1, 2, 3, Fraction(1, 2)) if field.characteristic == 0 else range(1, field.characteristic)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            e = [0] * len(ring)
+            for _ in range(rng.randint(1, 4)):
+                e[rng.randrange(len(ring))] += 1
+            terms[tuple(e)] = field.coerce(rng.choice(coeffs))
+        f = Polynomial(field, ring, terms)
+        gens.append(f)
+        shape = rng.random()
+        if shape < 0.2:
+            gens.append(f)
+        elif shape < 0.4:
+            gens.append(f.scale(rng.choice(coeffs)))
+        elif shape < 0.8:
+            for k in range(len(ring)):
+                gens.append(f.hasse_derivative(tuple(int(i == k) for i in range(len(ring)))))
+    rng.shuffle(gens)
+    return gens, order
+
+
+def test_groebner_matches_buchberger_oracle() -> None:
+    rng = random.Random(20101008)
+    seen = set()
+    for _ in range(200):
+        gens, order = _random_generators(rng)
+        ours = groebner_basis(list(gens), order)
+        assert ours == buchberger_oracle(list(gens), order), (gens, order)
+        field = gens[0].field.characteristic
+        seen.add((field, len(order.blocks), len(ours) > 1))
+    # every field and both orders gave bases of more than one element
+    assert {(p, b) for p, b, many in seen if many} == {
+        (p, b) for p in (0, 2, 3, 5) for b in (1, 2)
+    }

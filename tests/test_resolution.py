@@ -7,6 +7,8 @@ assertions fails the driver is wrong, not the test.
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import json
 from fractions import Fraction
 
@@ -14,8 +16,10 @@ import pytest
 
 from qrees.algebra import QReesAlgebra
 from qrees.charts import DivisorRecord
+import qrees
 from qrees.errors import (
     ChartSplitRequired,
+    InvariantNotDecreasing,
     NotTerminated,
     PreconditionError,
     UnsupportedCharacteristic,
@@ -257,6 +261,33 @@ def test_max_steps_budget() -> None:
         resolve(QQ, XYZ, A(("x^2 - y^2*z", 2), variables=XYZ), max_steps=2)
     assert info.value.trace is not None
     assert info.value.trace["status"] == "not-terminated"
+
+
+def test_invariant_not_decreasing_is_typed(monkeypatch) -> None:
+    """Every chart after the root is made to repeat the root's invariant, so
+    the second step's maximum equals the first: the driver raises the typed
+    error with the trace of the first step."""
+    driver = importlib.import_module("qrees.resolve")
+    analyze = driver.analyze_chart
+    roots = []
+
+    def repeat_root(chart, tower, step):
+        leaf = analyze(chart, tower, step)
+        if not roots:
+            roots.append(leaf)
+            return leaf
+        return dataclasses.replace(leaf, value=roots[0].value)
+
+    monkeypatch.setattr(driver, "analyze_chart", repeat_root)
+    with pytest.raises(InvariantNotDecreasing, match="failed to decrease") as info:
+        resolve(QQ, XY, A(("x^2 + y^3", 2)))
+    assert qrees.InvariantNotDecreasing is InvariantNotDecreasing
+    assert info.value.exit_code == 7
+    trace = info.value.trace
+    assert trace["status"] == "not-decreasing"
+    assert [s["chart"] for s in trace["steps"]] == ["0"]
+    root_fc = roots[0].value.to_json()
+    assert trace["leaves"] and all(lf["fc"] == root_fc for lf in trace["leaves"])
 
 
 def test_strictly_decreasing_maxima() -> None:
