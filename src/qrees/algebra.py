@@ -154,12 +154,7 @@ class QReesAlgebra:
         for f, a in self.generators:
             bound = math.ceil(a * omega) - 1
             for alpha in _multi_indices(len(self.variables), bound):
-                d = f.hasse_derivative(alpha)
-                if not d.is_zero():
-                    gens.append(d)
-        if not gens:
-            # no generator constrains anything: order is infinite everywhere
-            return Ideal.zero(self.field, self.variables)
+                gens.append(f.hasse_derivative(alpha))
         return Ideal(self.field, self.variables, gens)
 
     def sing_ideal(self) -> Ideal:

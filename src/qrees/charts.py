@@ -217,12 +217,9 @@ def coefficient_algebra(alg: QReesAlgebra, var: str) -> QReesAlgebra:
         raise PreconditionError(f"{var} is not a chart variable")
     saturated = diff_saturate(alg)
     sub = tuple(v for v in alg.variables if v != var)
-    gens = []
-    for f, a in saturated.generators:
-        g = f.restrict_zero(var)
-        if not g.is_zero():
-            gens.append((g, a))
-    return QReesAlgebra(alg.field, sub, tuple(gens))
+    return QReesAlgebra(
+        alg.field, sub, tuple((f.restrict_zero(var), a) for f, a in saturated.generators)
+    )
 
 
 def elimination_algebra(alg: QReesAlgebra, var: str) -> QReesAlgebra:

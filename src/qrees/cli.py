@@ -117,6 +117,11 @@ def parse_element(problem: Problem, text: str):
     return parse_polynomial(text, problem.field, problem.variables)
 
 
+def value_text(value) -> str:
+    """An order or grid value as printed: INFINITY, CAP_REACHED or the number."""
+    return "INFINITY" if isinstance(value, Infinity) else str(value)
+
+
 def emit_algebra(alg: QReesAlgebra, as_json: bool) -> int:
     if as_json:
         payload = {
@@ -157,8 +162,7 @@ def cmd_ord(args) -> int:
     problem, alg = load(args)
     if args.point is not None:
         point = parse_point(args.point, len(problem.variables))
-        value = alg.ord_at_point(point)
-        text = "INFINITY" if isinstance(value, Infinity) else str(value)
+        text = value_text(alg.ord_at_point(point))
         if args.json:
             print(json.dumps({"order": text}, indent=2))
         else:
@@ -227,9 +231,7 @@ def cmd_transform(args) -> int:
 def cmd_nonmonomial(args) -> int:
     problem, alg = load(args)
     residual, ells = non_monomial_part(alg, [d.var for d in problem.divisors])
-    ell_text = [
-        "INFINITY" if isinstance(e, Infinity) else str(e) for e in ells
-    ]
+    ell_text = [value_text(e) for e in ells]
     if args.json:
         payload = {
             "generators": [
@@ -252,11 +254,7 @@ def cmd_nonmonomial(args) -> int:
 def cmd_nu(args) -> int:
     problem, alg = load(args)
     value = nu(alg, parse_element(problem, args.element), Fraction(args.cap))
-    text = (
-        "INFINITY"
-        if isinstance(value, Infinity)
-        else value if isinstance(value, str) else str(value)
-    )
+    text = value_text(value)
     if args.json:
         print(json.dumps({"nu": text}, indent=2))
     else:
@@ -269,11 +267,7 @@ def cmd_nubar(args) -> int:
     value = nu_bar_estimate(
         alg, parse_element(problem, args.element), args.nmax, Fraction(args.cap)
     )
-    text = (
-        "INFINITY"
-        if isinstance(value, Infinity)
-        else value if isinstance(value, str) else str(value)
-    )
+    text = value_text(value)
     if args.json:
         print(json.dumps({"nu_bar": text}, indent=2))
     else:

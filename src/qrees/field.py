@@ -67,10 +67,6 @@ class FieldSpec:
         s = a + b
         return s if self.characteristic == 0 else s % self.characteristic
 
-    def sub(self, a: Element, b: Element) -> Element:
-        s = a - b
-        return s if self.characteristic == 0 else s % self.characteristic
-
     def mul(self, a: Element, b: Element) -> Element:
         s = a * b
         return s if self.characteristic == 0 else s % self.characteristic

@@ -322,8 +322,8 @@ class Ideal:
         ring = self.variables + (fresh,)
         t = Polynomial.variable(self.field, ring, fresh)
         one = Polynomial.constant(self.field, ring, self.field.one())
-        gens = [g.extend_to(ring) for g in self.generators]
-        gens.append(one - t * p.extend_to(ring))
+        gens = [g.in_ring(ring) for g in self.generators]
+        gens.append(one - t * p.in_ring(ring))
         return Ideal(self.field, ring, gens).is_unit()
 
     def eliminate(self, drop: tuple[str, ...]) -> Ideal:

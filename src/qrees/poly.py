@@ -250,17 +250,6 @@ class Polynomial:
                 terms[ne] = c
         return Polynomial(f, new_vars, terms)
 
-    def extend_to(self, variables: tuple[str, ...]) -> Polynomial:
-        """Reinterpret in a larger (or reordered) ring containing all my vars."""
-        index = [variables.index(v) for v in self.variables]
-        terms: dict[Exponents, Element] = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(variables)
-            for old_i, new_i in enumerate(index):
-                ne[new_i] = e[old_i]
-            terms[tuple(ne)] = c
-        return Polynomial(self.field, variables, terms)
-
     def in_ring(self, variables: tuple[str, ...]) -> Polynomial:
         """Move to another ring by variable name; dropped names must be unused."""
         position = {v: i for i, v in enumerate(variables)}
@@ -485,6 +474,9 @@ class _Parser:
                 den = self.take()
                 if not den.isdigit() or int(den) == 0:
                     raise ProblemParseError("'/' must be followed by a nonzero integer")
+                p = self.field.characteristic
+                if p and int(den) % p == 0:
+                    raise ProblemParseError(f"denominator {den} vanishes modulo {p}")
                 out = out.scale(Fraction(1, int(den)))
             elif tok is not None and (tok.isdigit() or tok.isidentifier() or tok == "("):
                 out = out * self.parse_factor()

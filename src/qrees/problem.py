@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .algebra import QReesAlgebra
 from .charts import DivisorRecord
-from .errors import ProblemParseError
+from .errors import PreconditionError, ProblemParseError
 from .field import FieldSpec
 from .poly import Polynomial, parse_polynomial
 
@@ -80,7 +80,10 @@ def parse_problem(text: str) -> Problem:
                     p = int(words[2])
                 except ValueError as exc:
                     raise ProblemParseError(f"bad characteristic {words[2]!r}", lineno) from exc
-                field = FieldSpec(p)
+                try:
+                    field = FieldSpec(p)
+                except PreconditionError as exc:
+                    raise ProblemParseError(str(exc), lineno) from exc
             else:
                 raise ProblemParseError(
                     "field must be 'field Q' or 'field F <prime>'", lineno

@@ -140,10 +140,7 @@ def analyze_chart(
             )
             break
 
-        strippable = [d for d in world.divisors if d.created >= 1]
-        residual, ells = non_monomial_part(world.algebra, [d.var for d in strippable])
-        ell_of = {d.var: e for d, e in zip(strippable, ells)}
-
+        residual, ell_of = _strip_divisors(world)
         omega, stratum = residual.max_order_within(incoming)
 
         if world.run_value != omega:
@@ -247,10 +244,15 @@ def _coordinate_stratum_vars(down: Ideal) -> list[str]:
     return found
 
 
+def _strip_divisors(world: LevelState) -> tuple[QReesAlgebra, dict]:
+    """Divide out the divisors made by blowups: (residual, multiplicity by var)."""
+    strippable = [d for d in world.divisors if d.created >= 1]
+    residual, ells = non_monomial_part(world.algebra, [d.var for d in strippable])
+    return residual, {d.var: e for d, e in zip(strippable, ells)}
+
+
 def _divisor_report(top: LevelState) -> tuple[tuple[str, int, Fraction | None], ...]:
-    strippable = [d for d in top.divisors if d.created >= 1]
-    _, ells = non_monomial_part(top.algebra, [d.var for d in strippable])
-    ell_of = {d.var: e for d, e in zip(strippable, ells)}
+    _, ell_of = _strip_divisors(top)
     report = []
     for d in top.divisors:
         e = ell_of.get(d.var)
@@ -278,12 +280,7 @@ def _assemble_center(chart: Chart, vars_used: list[str]) -> tuple[str, ...]:
 
 def _push_down(stratum: Ideal, var: str) -> Ideal:
     sub = tuple(v for v in stratum.variables if v != var)
-    gens = []
-    for g in stratum.generators:
-        r = g.restrict_zero(var)
-        if not r.is_zero():
-            gens.append(r)
-    return Ideal(stratum.field, sub, gens)
+    return Ideal(stratum.field, sub, [g.restrict_zero(var) for g in stratum.generators])
 
 
 def _divisor_phase(
@@ -377,7 +374,6 @@ def _analyze_line(
     (or the whole line) as the deepest stratum."""
     world = levels[k]
     u = world.variables[0]
-    field = world.algebra.field
     omega, stratum = world.algebra.max_order_within(incoming)
     levels[k] = replace(world, run_value=omega, run_start=step)
     out_levels.append((omega, 0))
@@ -385,69 +381,32 @@ def _analyze_line(
     basis = stratum.basis()
     if not basis:
         return POINT, []  # the whole line is the stratum
-    g = basis[0]
-    if field.characteristic == 0:
-        g = _squarefree_univariate(g, u)
-    if g.degree_in(u) != 1:
-        raise ChartSplitRequired(
-            "the deepest stratum is not a single rational point"
-        )
-    lead = g.coefficient_in_var(u, 1)
-    rest = g.coefficient_in_var(u, 0)
-    if not lead.is_constant():
-        raise ChartSplitRequired("the deepest stratum is not a single rational point")
-    if not rest.is_zero():
-        # the point sits at u = c with c nonzero: recenter, unless u carries a
+    root = _line_point(basis[0], u)
+    if not root.is_zero():
+        # the point sits at u = r with r nonzero: recenter, unless u carries a
         # divisor on any level the shift rewrites
         if any(d.var == u for d in levels[0].divisors):
             raise ChartSplitRequired(
                 "the deepest point left the divisor's coordinate hyperplane"
             )
-        root = rest.scale(field.div(field.neg(field.one()), lead.constant_value()))
         _apply_shift(levels, k, changes, u, root, stratum)
     return POINT, [u]
 
 
-def _squarefree_univariate(g: Polynomial, u: str) -> Polynomial:
-    """Reduce a univariate polynomial to its square-free part (char 0)."""
-    deg = g.degree_in(u)
-    if deg <= 1:
-        return g
-    derivative = g.hasse_derivative(tuple(1 if v == u else 0 for v in g.variables))
-    gcd = _poly_gcd_univariate(g, derivative, u)
-    if gcd.degree_in(u) == 0:
-        return g
-    quotient, rem = _poly_divmod_univariate(g, gcd, u)
-    assert rem.is_zero()
-    return quotient
+def _line_point(g: Polynomial, u: str) -> Polynomial:
+    """The constant r with V(g) = {u = r}, for g monic in the line's ring.
 
-
-def _poly_gcd_univariate(a: Polynomial, b: Polynomial, u: str) -> Polynomial:
-    while not b.is_zero():
-        _, r = _poly_divmod_univariate(a, b, u)
-        a, b = b, r
-    return a
-
-
-def _poly_divmod_univariate(a: Polynomial, b: Polynomial, u: str) -> tuple[Polynomial, Polynomial]:
-    field = a.field
-    ring = a.variables
-    if b.is_zero():
-        raise ZeroDivisionError("univariate division by zero")
-    quotient = Polynomial.zero(field, ring)
-    remainder = a
-    db = b.degree_in(u)
-    lead_b = b.coefficient_in_var(u, db).constant_value()
-    while not remainder.is_zero() and remainder.degree_in(u) >= db:
-        dr = remainder.degree_in(u)
-        lead_r = remainder.coefficient_in_var(u, dr).constant_value()
-        c = field.div(lead_r, lead_b)
-        mono = Polynomial.monomial(
-            field, ring, tuple(dr - db if v == u else 0 for v in ring), c
-        )
-        quotient = quotient + mono
-        remainder = remainder - mono * b
-    return quotient, remainder
+    g = u^n + b*u^(n-1) + ... is a single rational point exactly when
+    g == (u - r)^n with r = -b/n.  In positive characteristic only n == 1 is
+    read, since n may vanish there.  Otherwise raise ChartSplitRequired."""
+    field, ring = g.field, g.variables
+    n = g.degree_in(u)
+    if n >= 1 and (field.characteristic == 0 or n == 1):
+        b = g.coefficient_in_var(u, n - 1).constant_value()
+        root = Polynomial.constant(field, ring, -Fraction(b, n))
+        if g == (Polynomial.variable(field, ring, u) - root) ** n:
+            return root
+    raise ChartSplitRequired("the deepest stratum is not a single rational point")
 
 
 def _apply_shift(

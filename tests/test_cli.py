@@ -172,6 +172,31 @@ def test_parse_error_exit_code(tmp_path, capsys) -> None:
     assert "line 3" in err
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("field F 4\nchart x y\ngen x^2 : 2\n", 1),
+        ("field F 3\nchart x y\ngen x^2 + 1/3*y : 2\n", 3),
+    ],
+    ids=["non-prime-field", "denominator-divisible-by-p"],
+)
+def test_field_errors_exit_code(tmp_path, capsys, text: str, line: int) -> None:
+    path = tmp_path / "bad.qr"
+    path.write_text(text)
+    code = main(["resolve", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: line {line}: ")
+
+
+def test_element_denominator_divisible_by_p_exit_code(tmp_path, capsys) -> None:
+    path = tmp_path / "char3.qr"
+    path.write_text("field F 3\nchart x y\ngen x^2 + y^3 : 2\n")
+    code = main(["nu", str(path), "--element", "1/3*x"])
+    assert code == 2
+    assert "denominator 3 vanishes modulo 3" in capsys.readouterr().err
+
+
 def test_characteristic_error_exit_code(tmp_path, capsys) -> None:
     path = tmp_path / "char2.qr"
     path.write_text(CHAR2)

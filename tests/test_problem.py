@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from qrees.charts import DivisorRecord
-from qrees.errors import ProblemParseError
+from qrees.errors import PreconditionError, ProblemParseError
+from qrees.field import FieldSpec
+from qrees.poly import parse_polynomial
 from qrees.problem import parse_problem
 
 GOOD = """\
@@ -59,6 +61,36 @@ def test_error_reports_line_number() -> None:
     with pytest.raises(ProblemParseError) as info:
         parse_problem(bad)
     assert "line 3" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "field F 4\nchart x y\ngen x^2 : 2\n",
+            "line 1: characteristic must be 0 or a prime, got 4",
+        ),
+        (
+            "field F 3\nchart x y\n\ngen x^2 + 1/3*y : 2\n",
+            "line 4: denominator 3 vanishes modulo 3",
+        ),
+    ],
+    ids=["non-prime-field", "denominator-divisible-by-p"],
+)
+def test_field_errors_report_line_number(text: str, message: str) -> None:
+    with pytest.raises(ProblemParseError) as info:
+        parse_problem(text)
+    assert str(info.value) == message
+
+
+def test_polynomial_denominator_must_be_invertible_mod_p() -> None:
+    F3 = FieldSpec(3)
+    with pytest.raises(ProblemParseError, match="^denominator 6 vanishes modulo 3$"):
+        parse_polynomial("x/6", F3, ("x",))
+    assert parse_polynomial("1/2*x", F3, ("x",)) == parse_polynomial("2*x", F3, ("x",))
+    # the library's own field constructor keeps its precondition error
+    with pytest.raises(PreconditionError):
+        FieldSpec(4)
 
 
 def test_gen_before_chart_rejected() -> None:

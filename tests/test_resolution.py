@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from qrees.errors import (
     UnsupportedCharacteristic,
 )
 from qrees.field import QQ, FieldSpec
+from qrees.ideal import Ideal
 from qrees.invariant import InvariantValue, MonomialData, non_singular_value
 from qrees.poly import Polynomial, parse_polynomial
 from qrees.resolve import fc_at_point, max_locus_fc, resolve
@@ -193,6 +195,112 @@ def test_line_with_triple_point() -> None:
         (2, "0.1x.2x", "1,0", "Point", ("x",)),
     ]
     assert trace["leaves"][0]["sing"] == "empty"
+
+
+# -- the point on a line ------------------------------------------------------
+#
+# Test-only oracle: the earlier reading of a line's deepest stratum, which took
+# the square-free part of the generator (characteristic zero only) by Euclid's
+# algorithm and then asked for degree one.
+
+
+def _squarefree_univariate(g: Polynomial, u: str) -> Polynomial:
+    """Reduce a univariate polynomial to its square-free part (char 0)."""
+    deg = g.degree_in(u)
+    if deg <= 1:
+        return g
+    derivative = g.hasse_derivative(tuple(1 if v == u else 0 for v in g.variables))
+    gcd = _poly_gcd_univariate(g, derivative, u)
+    if gcd.degree_in(u) == 0:
+        return g
+    quotient, rem = _poly_divmod_univariate(g, gcd, u)
+    assert rem.is_zero()
+    return quotient
+
+
+def _poly_gcd_univariate(a: Polynomial, b: Polynomial, u: str) -> Polynomial:
+    while not b.is_zero():
+        _, r = _poly_divmod_univariate(a, b, u)
+        a, b = b, r
+    return a
+
+
+def _poly_divmod_univariate(
+    a: Polynomial, b: Polynomial, u: str
+) -> tuple[Polynomial, Polynomial]:
+    field = a.field
+    ring = a.variables
+    if b.is_zero():
+        raise ZeroDivisionError("univariate division by zero")
+    quotient = Polynomial.zero(field, ring)
+    remainder = a
+    db = b.degree_in(u)
+    lead_b = b.coefficient_in_var(u, db).constant_value()
+    while not remainder.is_zero() and remainder.degree_in(u) >= db:
+        dr = remainder.degree_in(u)
+        lead_r = remainder.coefficient_in_var(u, dr).constant_value()
+        c = field.div(lead_r, lead_b)
+        mono = Polynomial.monomial(
+            field, ring, tuple(dr - db if v == u else 0 for v in ring), c
+        )
+        quotient = quotient + mono
+        remainder = remainder - mono * b
+    return quotient, remainder
+
+
+def _oracle_point(g: Polynomial, u: str) -> Polynomial | None:
+    """The root as a constant polynomial, or None for "not a rational point"."""
+    field = g.field
+    if field.characteristic == 0:
+        g = _squarefree_univariate(g, u)
+    if g.degree_in(u) != 1:
+        return None
+    lead = g.coefficient_in_var(u, 1).constant_value()
+    return g.coefficient_in_var(u, 0).scale(field.div(field.neg(field.one()), lead))
+
+
+def _read_point(g: Polynomial, u: str) -> Polynomial | None:
+    """The driver's reading of the stratum (g) on the line, through its
+    reduced basis as in the driver."""
+    driver = importlib.import_module("qrees.resolve")
+    monic = Ideal(g.field, g.variables, [g]).basis()[0]
+    try:
+        return driver._line_point(monic, u)
+    except ChartSplitRequired as exc:
+        assert str(exc) == "the deepest stratum is not a single rational point"
+        return None
+
+
+def test_line_point_matches_squarefree_oracle() -> None:
+    ring = ("u",)
+    u = Polynomial.variable(QQ, ring, "u")
+    roots = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
+    irreducible = [None, None, P("u^2 + 1", ring), P("u^2 - 2", ring)]
+    rng = random.Random(6)
+    read = 0
+    for _ in range(300):
+        g = Polynomial.constant(QQ, ring, rng.choice([1, -1, 2, -3, Fraction(1, 2)]))
+        for r in rng.sample(roots, rng.choice([0, 1, 1, 1, 2, 3])):
+            g = g * (u - Polynomial.constant(QQ, ring, r)) ** rng.randint(1, 4)
+        extra = rng.choice(irreducible)
+        if extra is not None:
+            g = g * extra
+        expected = _oracle_point(g, "u")
+        assert _read_point(g, "u") == expected, g
+        read += expected is not None
+    assert 50 < read < 250  # both verdicts are well exercised
+
+    # positive characteristic reads only degree one
+    for p in (3, 5):
+        field = FieldSpec(p)
+        v = Polynomial.variable(field, ring, "u")
+        for r in range(p):
+            line = v - Polynomial.constant(field, ring, r)
+            assert _read_point(line, "u") == Polynomial.constant(field, ring, r)
+            assert _oracle_point(line, "u") == Polynomial.constant(field, ring, r)
+            for n in (2, p):
+                assert _read_point(line**n, "u") is None
+                assert _oracle_point(line**n, "u") is None
 
 
 def test_hyperplane_gives_zero_coefficient_terminator() -> None:
