@@ -8,6 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import PreconditionError, ProblemParseError
 from .field import FieldSpec
@@ -41,6 +42,19 @@ class QReesAlgebra:
             if not f.is_zero():
                 kept.append((f, a))
         object.__setattr__(self, "generators", tuple(kept))
+
+    @classmethod
+    def _trusted(
+        cls, field: FieldSpec, variables: tuple[str, ...], generators: tuple[Generator, ...]
+    ) -> QReesAlgebra:
+        """Build without __post_init__'s checks.  The caller guarantees that
+        every polynomial is nonzero and lives in `variables`, and that every
+        weight is a positive Fraction."""
+        alg = object.__new__(cls)
+        object.__setattr__(alg, "field", field)
+        object.__setattr__(alg, "variables", variables)
+        object.__setattr__(alg, "generators", generators)
+        return alg
 
     # -- basic structure ---------------------------------------------------
 
@@ -152,10 +166,37 @@ class QReesAlgebra:
             return Ideal.zero(self.field, self.variables)
         gens: list[Polynomial] = []
         for f, a in self.generators:
-            bound = math.ceil(a * omega) - 1
-            for alpha in _multi_indices(len(self.variables), bound):
-                gens.append(f.hasse_derivative(alpha))
+            caps = f.degrees()
+            for m in range(min(math.ceil(a * omega), sum(caps) + 1)):
+                for alpha in _compositions(m, caps):
+                    gens.append(f.hasse_derivative(alpha))
         return Ideal(self.field, self.variables, gens)
+
+    @cached_property
+    def _saturation(self) -> QReesAlgebra:
+        """The closure under Hasse derivatives behind saturation.diff_saturate,
+        computed on first use and kept for the lifetime of this instance.
+
+        D^alpha f enters at weight a - |alpha| while that stays positive, in
+        the order of the generators, then |alpha|, then alpha descending.  Only
+        alpha <= deg(f) componentwise is formed: any other D^alpha f is zero.
+        A derivative equal to one already kept at the same weight is dropped.
+        """
+        gens: list[Generator] = []
+        # kept derivatives by weight: one weight lookup per |alpha|, not one
+        # Fraction hash per derivative
+        seen: dict[Fraction, set[Polynomial]] = {}
+        for f, a in self.generators:
+            caps = f.degrees()
+            for m in range(min(math.ceil(a), sum(caps) + 1)):
+                w = a - m
+                kept = seen.setdefault(w, set())
+                for alpha in _compositions(m, caps):
+                    d = f.hasse_derivative(alpha)
+                    if not d.is_zero() and d not in kept:
+                        kept.add(d)
+                        gens.append((d, w))
+        return QReesAlgebra._trusted(self.field, self.variables, tuple(gens))
 
     def sing_ideal(self) -> Ideal:
         return self.order_ge_ideal(Fraction(1))
@@ -210,21 +251,21 @@ class QReesAlgebra:
         return f"QReesAlgebra({inner})"
 
 
-def _multi_indices(k: int, bound: int):
-    """All exponent tuples of length k with |alpha| <= bound, by ascending total
-    degree and lexicographically descending within one degree."""
-    for m in range(bound + 1):
-        yield from _compositions(k, m)
-
-
-def _compositions(k: int, total: int):
-    """Exponent tuples of length k summing to total, lexicographically
-    descending."""
-    if k == 1:
-        yield (total,)
+def _compositions(total: int, caps: tuple[int, ...]):
+    """Exponent tuples alpha with |alpha| = total and alpha_i <= caps[i],
+    lexicographically descending.  Each head runs only over values that leave
+    the tail able to reach the total, so no branch comes up empty."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
         return
-    for head in range(total, -1, -1):
-        for rest in _compositions(k - 1, total - head):
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    tail = caps[1:]
+    for head in range(min(total, caps[0]), max(0, total - sum(tail)) - 1, -1):
+        for rest in _compositions(total - head, tail):
             yield (head,) + rest
 
 

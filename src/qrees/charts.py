@@ -137,7 +137,7 @@ def transform_algebra(
                 )
             terms[e[:t] + (s,) + e[t + 1 :]] = c
         gens.append((Polynomial(alg.field, ring, terms), a))
-    return QReesAlgebra(alg.field, ring, tuple(gens))
+    return QReesAlgebra._trusted(alg.field, ring, tuple(gens))
 
 
 def center_inside_singular_locus(
@@ -186,7 +186,7 @@ def divide_by_divisor(alg: QReesAlgebra, var: str, ell) -> QReesAlgebra:
     gens = []
     for f, a in alg.generators:
         gens.append((f.divide_by_variable_power(var, math.ceil(a * ell)), a))
-    return QReesAlgebra(alg.field, alg.variables, tuple(gens))
+    return QReesAlgebra._trusted(alg.field, alg.variables, tuple(gens))
 
 
 def non_monomial_part(
@@ -212,14 +212,17 @@ def non_monomial_part(
 
 def coefficient_algebra(alg: QReesAlgebra, var: str) -> QReesAlgebra:
     """Restriction of the differential saturation to the hypersurface V(var),
-    living in the ring without var."""
+    living in the ring without var.  It restricts the saturation kept on alg,
+    so a caller that saturated alg already pays for the restriction only."""
     if var not in alg.variables:
         raise PreconditionError(f"{var} is not a chart variable")
-    saturated = diff_saturate(alg)
     sub = tuple(v for v in alg.variables if v != var)
-    return QReesAlgebra(
-        alg.field, sub, tuple((f.restrict_zero(var), a) for f, a in saturated.generators)
-    )
+    gens = []
+    for f, a in diff_saturate(alg).generators:
+        g = f.restrict_zero(var)
+        if not g.is_zero():
+            gens.append((g, a))
+    return QReesAlgebra._trusted(alg.field, sub, tuple(gens))
 
 
 def elimination_algebra(alg: QReesAlgebra, var: str) -> QReesAlgebra:

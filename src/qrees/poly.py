@@ -136,6 +136,13 @@ class Polynomial:
             return INFINITY
         return min(sum(e) for e in self.terms)
 
+    def degrees(self) -> Exponents:
+        """Degree in each variable (the componentwise max of the exponents);
+        all zero for the zero polynomial."""
+        if not self.terms:
+            return (0,) * len(self.variables)
+        return tuple(map(max, zip(*self.terms)))
+
     def degree_in(self, var: str) -> int:
         i = self.variables.index(var)
         if not self.terms:
@@ -226,10 +233,10 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
+        # the support alone: equal polynomials share it, and hashing it never
+        # hashes a coefficient
         if self._hash is None:
-            self._hash = hash(
-                (self.field, self.variables, frozenset(self.terms.items()))
-            )
+            self._hash = hash((self.variables, frozenset(self.terms)))
         return self._hash
 
     # -- ring moves ----------------------------------------------------------
@@ -370,10 +377,9 @@ class Polynomial:
     # -- display -------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponents, Element]]:
-        """Terms ordered leading-first under grevlex."""
-        return sorted(
-            self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True
-        )
+        """Terms ordered leading-first under grevlex: the reverse of ascending
+        grevlex_key, written as one ascending key (exponents never tie)."""
+        return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), t[0][::-1]))
 
     def __str__(self) -> str:
         return format_polynomial(self)

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import QReesAlgebra, _compositions, algebra_sample_points
+from .algebra import QReesAlgebra, algebra_sample_points
 from .errors import PreconditionError
 from .poly import INFINITY, Infinity, Polynomial
 
@@ -18,22 +18,15 @@ CAP_REACHED = "CAP_REACHED"
 def diff_saturate(alg: QReesAlgebra) -> QReesAlgebra:
     """Close under Hasse derivatives: D^alpha f_i enters at weight a_i - |alpha|
     whenever that weight stays positive.  Hasse (divided-power) derivatives keep
-    this correct in positive characteristic."""
-    gens = []
-    seen = set()
-    k = len(alg.variables)
-    for f, a in alg.generators:
-        # |alpha| = m is allowed while a - m > 0
-        top = math.ceil(a) - 1
-        for m in range(top + 1):
-            w = a - m
-            for alpha in _compositions(k, m):
-                d = f.hasse_derivative(alpha)
-                if d.is_zero() or (d, w) in seen:
-                    continue
-                seen.add((d, w))
-                gens.append((d, w))
-    return QReesAlgebra(alg.field, alg.variables, tuple(gens))
+    this correct in positive characteristic.
+
+    The result is computed once per algebra instance and kept on it, so a
+    second call on the same instance returns the same object.  The memo lives
+    and dies with that instance and takes no part in its equality, hash or
+    repr; a new instance, even an equal one, such as the result of shift,
+    scale, odot or dataclasses.replace, is saturated afresh.
+    """
+    return alg._saturation
 
 
 def nu(alg: QReesAlgebra, f: Polynomial, cap=Fraction(32)) -> Fraction | Infinity | str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -213,6 +214,37 @@ def test_grevlex_key_classic_order() -> None:
     monos = [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]
     ranked = sorted(monos, key=grevlex_key)
     assert ranked == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+
+def test_sorted_terms_is_descending_grevlex() -> None:
+    rng = random.Random(7)
+    for k in (1, 2, 3, 4):
+        variables = ("x", "y", "z", "w")[:k]
+        for _ in range(50):
+            terms = {
+                tuple(rng.randint(0, 4) for _ in variables): Fraction(rng.randint(1, 5))
+                for _ in range(rng.randint(1, 8))
+            }
+            p = Polynomial(QQ, variables, terms)
+            expected = sorted(p.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+            assert p.sorted_terms() == expected
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(2), FieldSpec(3), FieldSpec(5)])
+def test_equal_polynomials_hash_equal(field: FieldSpec) -> None:
+    p = P("x^2*y - 2*x + 3*y^3", XY, field)
+    # the same terms, inserted in the opposite order and with unreduced
+    # coefficients
+    q = Polynomial(
+        field,
+        XY,
+        {e: field.coerce(c + field.characteristic) for e, c in reversed(list(p.terms.items()))},
+    )
+    r = (P("x^2*y + 3*y^3 + 1", XY, field) - P("2*x + 1", XY, field)) * P("1", XY, field)
+    for other in (q, r):
+        assert other == p
+        assert hash(other) == hash(p)
+    assert len({p, q, r}) == 1
 
 
 def test_coefficient_in_var() -> None:

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from qrees.algebra import QReesAlgebra, algebra_sample_points, format_algebra
+from qrees.charts import (
+    coefficient_algebra,
+    divide_by_divisor,
+    ell_value,
+    non_monomial_part,
+    transform_algebra,
+)
 from qrees.field import QQ, FieldSpec
 from qrees.poly import Infinity, Polynomial, parse_polynomial
 from qrees.saturation import (
@@ -63,6 +73,193 @@ def test_diff_saturate_drops_zero_derivatives_and_duplicates() -> None:
     extra = [(f, w) for f, w in sat.generators if w == 1]
     assert len(extra) == 1
     assert extra[0][0] == parse_polynomial("y^2", F2, XYZ)
+
+
+def oracle_compositions(k: int, total: int):
+    """Every exponent tuple of length k summing to total, lexicographically
+    descending, with no degree bound."""
+    if k == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -1):
+        for rest in oracle_compositions(k - 1, total - head):
+            yield (head,) + rest
+
+
+def oracle_diff_saturate(alg: QReesAlgebra) -> QReesAlgebra:
+    """Form every D^alpha f with |alpha| < ceil(a), keep the nonzero ones not
+    already kept at the same weight, and build through the validating
+    constructor."""
+    gens = []
+    seen = set()
+    for f, a in alg.generators:
+        for m in range(math.ceil(a)):
+            w = a - m
+            for alpha in oracle_compositions(len(alg.variables), m):
+                d = f.hasse_derivative(alpha)
+                if d.is_zero() or (d, w) in seen:
+                    continue
+                seen.add((d, w))
+                gens.append((d, w))
+    return QReesAlgebra(alg.field, alg.variables, tuple(gens))
+
+
+def oracle_coefficient_algebra(alg: QReesAlgebra, var: str) -> QReesAlgebra:
+    sub = tuple(v for v in alg.variables if v != var)
+    return QReesAlgebra(
+        alg.field,
+        sub,
+        tuple((f.restrict_zero(var), a) for f, a in oracle_diff_saturate(alg).generators),
+    )
+
+
+F2 = FieldSpec(2)
+F3 = FieldSpec(3)
+SEEDED_WEIGHTS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(4))
+
+
+def random_polynomial(rng: random.Random, field: FieldSpec, variables) -> Polynomial:
+    coeffs = (1, -1, 2, Fraction(1, 2)) if field.is_rational else range(1, field.characteristic)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(0, 3) for _ in variables)
+        terms[exps] = field.coerce(rng.choice(coeffs))
+    return Polynomial(field, variables, terms)
+
+
+def seeded_algebras() -> list[QReesAlgebra]:
+    """200 algebras over Q, F_2 and F_3 in 3-4 variables, with repeated
+    generators, scalar multiples and inputs like x + y whose derivatives
+    coincide."""
+    rng = random.Random(20101008)
+    out = []
+    for i in range(200):
+        field = (QQ, F2, F3)[i % 3]
+        variables = ("x", "y", "z", "w")[: rng.randint(3, 4)]
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            gens.append((random_polynomial(rng, field, variables), rng.choice(SEEDED_WEIGHTS)))
+        kind = i % 4
+        if kind == 1:
+            gens.append(rng.choice(gens))
+        elif kind == 2:
+            f, a = rng.choice(gens)
+            # over F_2 the only nonzero multiple is f itself
+            gens.append((f.scale(1 if field.characteristic == 2 else rng.choice((2, -1))), a))
+        elif kind == 3:
+            u, v = rng.sample(variables, 2)
+            line = Polynomial.variable(field, variables, u) + Polynomial.variable(field, variables, v)
+            gens.append((line, rng.choice(SEEDED_WEIGHTS[2:])))
+        out.append(QReesAlgebra(field, variables, tuple(gens)))
+    return out
+
+
+SEEDED = seeded_algebras()
+
+
+@pytest.mark.parametrize("index", range(0, len(SEEDED), 20))
+def test_diff_saturate_matches_oracle(index: int) -> None:
+    """Generator lists agree exactly, order and repeats included, with the
+    saturation and the restriction built by forming every derivative."""
+    for alg in SEEDED[index : index + 20]:
+        assert diff_saturate(alg) == oracle_diff_saturate(alg), format_algebra(alg)
+        for var in alg.variables:
+            assert coefficient_algebra(alg, var) == oracle_coefficient_algebra(alg, var)
+
+
+def test_diff_saturate_keeps_equal_derivatives_once_per_weight() -> None:
+    """D_x and D_y of x + y are both 1: one copy at weight 1.  A repeated
+    generator adds nothing; a scalar multiple is a different polynomial."""
+    assert diff_saturate(A(("x + y", 2))).generators == ((P("x + y"), 2), (P("1"), 1))
+    repeated = A(("x^2 + y^3", 2), ("x^2 + y^3", 2))
+    assert diff_saturate(repeated).generators == diff_saturate(A(("x^2 + y^3", 2))).generators
+    doubled = A(("x^2 + y^3", 2), ("2*x^2 + 2*y^3", 2))
+    assert len(diff_saturate(doubled).generators) == 6
+
+
+def test_diff_saturate_keeps_polynomials_with_one_support() -> None:
+    """x + y and x + 2*y share their support, so they may share a hash, but
+    they are different generators."""
+    sat = diff_saturate(A(("x + y", 1), ("x + 2*y", 1)))
+    assert [f for f, _ in sat.generators] == [P("x + y"), P("x + 2*y")]
+
+
+def test_saturation_in_the_ring_without_variables() -> None:
+    """coefficient_algebra of a one-variable algebra lives in the ring ();
+    its constants are their own saturation and have order zero."""
+    line = parse_polynomial("x + 2", QQ, ("x",))
+    coeff = coefficient_algebra(QReesAlgebra(QQ, ("x",), ((line, Fraction(2)),)), "x")
+    two, one = Polynomial.constant(QQ, (), 2), Polynomial.constant(QQ, (), 1)
+    assert coeff.generators == ((two, 2), (one, 1))
+    assert diff_saturate(coeff).generators == coeff.generators
+    assert coeff.sing_ideal().is_unit()
+
+
+def test_diff_saturate_memo_lives_on_the_instance() -> None:
+    alg = A(("x^3 + x*y^2", 3), ("y^2", 2))
+    before = (hash(alg), repr(alg))
+    sat = diff_saturate(alg)
+    assert diff_saturate(alg) is sat
+    # the memo is not part of the value
+    assert (hash(alg), repr(alg)) == before
+    twin = A(("x^3 + x*y^2", 3), ("y^2", 2))
+    assert twin == alg and hash(twin) == hash(alg)
+    # equal algebras built anew start cold
+    fresh = (
+        twin,
+        alg.scale(1),
+        alg.odot(QReesAlgebra(QQ, XY, ())),
+        alg.shift({}),
+        replace(alg),
+    )
+    for other in fresh:
+        assert other == alg
+        assert diff_saturate(other) is not sat
+        assert diff_saturate(other).generators == sat.generators
+
+
+def test_coefficient_algebra_after_shift_matches_oracle() -> None:
+    alg = A(("x^2 + y^3", 2), ("x*y - y^2", 2))
+    # saturate alg first: its shifts must not see that result
+    coefficient_algebra(alg, "x")
+    for shift in ({"x": P("y")}, {"y": P("x^2")}, {"x": P("1")}):
+        moved = alg.shift(shift)
+        assert coefficient_algebra(moved, "x") == oracle_coefficient_algebra(moved, "x")
+        assert diff_saturate(moved) == oracle_diff_saturate(moved)
+
+
+def revalidated(alg: QReesAlgebra) -> QReesAlgebra:
+    return QReesAlgebra(alg.field, alg.variables, alg.generators)
+
+
+def assert_valid(alg: QReesAlgebra) -> None:
+    """What the validating constructor would have made of the same pieces."""
+    assert alg == revalidated(alg)
+    assert all(type(a) is Fraction and a > 0 for _, a in alg.generators)
+
+
+@pytest.mark.parametrize("index", range(0, len(SEEDED), 50))
+def test_internal_constructions_are_valid(index: int) -> None:
+    for alg in SEEDED[index : index + 50]:
+        x = alg.variables[0]
+        assert_valid(diff_saturate(alg))
+        for var in alg.variables:
+            assert_valid(coefficient_algebra(alg, var))
+            ell = ell_value(alg, var)
+            if not isinstance(ell, Infinity):
+                assert_valid(divide_by_divisor(alg, var, ell))
+        rest, _ = non_monomial_part(alg, alg.variables)
+        assert_valid(rest)
+        # x^ceil(a) times each generator is divisible after blowing up the origin
+        lifted = QReesAlgebra(
+            alg.field,
+            alg.variables,
+            tuple(
+                (f * Polynomial.variable(alg.field, alg.variables, x) ** math.ceil(a), a)
+                for f, a in alg.generators
+            ),
+        )
+        assert_valid(transform_algebra(lifted, alg.variables, x, check_center=False))
 
 
 def test_saturation_preserves_order_at_singular_points() -> None:
