@@ -14,7 +14,6 @@ from .charts import (
     ContactChoice,
     DivisorRecord,
     blowup_chart,
-    blowup_substitution,
     center_inside_singular_locus,
     coefficient_algebra,
     divide_by_divisor,
@@ -85,7 +84,6 @@ __all__ = [
     "UnsupportedCharacteristic",
     "algebra_sample_points",
     "blowup_chart",
-    "blowup_substitution",
     "center_inside_singular_locus",
     "coefficient_algebra",
     "coordinate_ideal",

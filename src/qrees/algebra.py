@@ -13,7 +13,14 @@ from functools import cached_property
 from .errors import PreconditionError, ProblemParseError
 from .field import FieldSpec
 from .ideal import ClosedSet, Ideal
-from .poly import INFINITY, Infinity, Polynomial, format_polynomial, parse_polynomial
+from .poly import (
+    INFINITY,
+    Infinity,
+    Polynomial,
+    format_polynomial,
+    parse_polynomial,
+    parse_rational,
+)
 
 Weight = Fraction
 Generator = tuple[Polynomial, Weight]
@@ -292,7 +299,7 @@ def parse_generator_list(
             raise ProblemParseError(f"generator {piece!r} lacks ': WEIGHT'")
         poly_text, weight_text = piece.rsplit(":", 1)
         poly = parse_polynomial(poly_text.strip(), field, variables)
-        gens.append((poly, Fraction(weight_text.strip())))
+        gens.append((poly, parse_rational(weight_text.strip(), "weight")))
     return QReesAlgebra(field, variables, tuple(gens))
 
 

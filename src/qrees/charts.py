@@ -12,7 +12,7 @@ from fractions import Fraction
 from .algebra import QReesAlgebra
 from .errors import ChartSplitRequired, PreconditionError, UnsupportedCharacteristic
 from .field import FieldSpec
-from .poly import INFINITY, Infinity, Polynomial, format_polynomial
+from .poly import INFINITY, Infinity, Polynomial
 from .saturation import diff_saturate
 
 
@@ -54,21 +54,13 @@ def validate_center(chart_vars: tuple[str, ...], center_vars: tuple[str, ...], c
         raise PreconditionError(f"chart variable {chart_var} must lie in the center")
 
 
-def blowup_substitution(
-    field: FieldSpec,
-    variables: tuple[str, ...],
-    center_vars: tuple[str, ...],
-    chart_var: str,
-) -> dict[str, Polynomial]:
-    """Map from the chart_var-chart of the blowup back to the parent:
-    v -> v * chart_var for the other center variables."""
-    validate_center(variables, center_vars, chart_var)
-    c = Polynomial.variable(field, variables, chart_var)
-    mapping: dict[str, Polynomial] = {}
-    for v in variables:
-        if v in center_vars and v != chart_var:
-            mapping[v] = Polynomial.variable(field, variables, v) * c
-    return mapping
+def _carry_divisors(
+    divisors: tuple[DivisorRecord, ...], chart_var: str, created: int
+) -> tuple[DivisorRecord, ...]:
+    """Divisor records in the chart_var-chart: the others carried by strict
+    transform, chart_var's old record replaced by the new exceptional one."""
+    kept = tuple(d for d in divisors if d.var != chart_var)
+    return kept + (DivisorRecord(chart_var, created),)
 
 
 def blowup_chart(
@@ -77,8 +69,6 @@ def blowup_chart(
     """The chart_var-chart of blowing up V(center_vars), with divisor records
     carried by strict transform and the new exceptional appended."""
     validate_center(parent.variables, center_vars, chart_var)
-    divisors = tuple(d for d in parent.divisors if d.var != chart_var)
-    divisors = divisors + (DivisorRecord(chart_var, created),)
     subst = tuple(
         (v, f"{v}*{chart_var}")
         for v in parent.variables
@@ -90,62 +80,47 @@ def blowup_chart(
         variables=parent.variables,
         parent=parent.id,
         substitution=subst,
-        divisors=divisors,
+        divisors=_carry_divisors(parent.divisors, chart_var, created),
     )
 
 
 def transform_algebra(
-    alg: QReesAlgebra,
-    center_vars: tuple[str, ...],
-    chart_var: str,
-    *,
-    world: tuple[str, ...] | None = None,
-    check_center: bool = True,
+    alg: QReesAlgebra, center_vars: tuple[str, ...], chart_var: str
 ) -> QReesAlgebra:
     """Controlled transform in the chart_var-chart: substitute the blowup map
     and divide each generator by chart_var^ceil(a_i).
 
-    Passing a smaller world restricts the substitution to the variables of an
-    embedded coordinate subspace; the chart variable must belong to it.
-
-    The blowup map v -> v * chart_var is monomial, so both steps are one
-    rewrite of each exponent: chart_var's exponent gains the degree in the
-    other center variables and loses ceil(a_i).  The rewrite is injective,
-    so no two terms merge.
+    The ring may be a coordinate subspace of the chart, so center variables
+    outside it are ignored; the chart variable must lie in both.  The
+    blowup map v -> v * chart_var is monomial, so both steps are one rewrite
+    of each exponent: chart_var's exponent becomes the term's degree in the
+    center minus ceil(a_i).  That is never negative once the center lies in
+    the singular locus, and the rewrite is injective, so no two terms merge.
     """
-    variables = alg.variables if world is None else world
-    if chart_var not in variables:
-        raise PreconditionError(f"chart variable {chart_var} is absent from the world")
-    if check_center and not center_inside_singular_locus(alg, center_vars, variables):
-        raise PreconditionError("blowup center is not inside the singular locus")
     ring = alg.variables
-    # a chart variable outside the ring divides no generator
-    t = ring.index(chart_var) if chart_var in ring else None
-    moved = [
-        i for i, v in enumerate(ring) if v in center_vars and v in variables and v != chart_var
-    ]
+    if chart_var not in ring:
+        raise PreconditionError(f"chart variable {chart_var} is not in the ring")
+    if chart_var not in center_vars:
+        raise PreconditionError(f"chart variable {chart_var} must lie in the center")
+    if not center_inside_singular_locus(alg, center_vars):
+        raise PreconditionError("blowup center is not inside the singular locus")
+    t = ring.index(chart_var)
+    moved = [i for i, v in enumerate(ring) if v in center_vars and v != chart_var]
     gens = []
     for f, a in alg.generators:
         k = math.ceil(a)
-        terms = {}
-        for e, c in f.terms.items():
-            s = -k if t is None else e[t] + sum(e[i] for i in moved) - k
-            if s < 0:
-                raise PreconditionError(
-                    f"transform of ({format_polynomial(f)} : {a}) is not divisible by "
-                    f"{chart_var}^{k}; the center misses the singular locus"
-                )
-            terms[e[:t] + (s,) + e[t + 1 :]] = c
+        terms = {
+            e[:t] + (e[t] + sum(e[i] for i in moved) - k,) + e[t + 1 :]: c
+            for e, c in f.terms.items()
+        }
         gens.append((Polynomial(alg.field, ring, terms), a))
     return QReesAlgebra._trusted(alg.field, ring, tuple(gens))
 
 
-def center_inside_singular_locus(
-    alg: QReesAlgebra, center_vars: tuple[str, ...], world: tuple[str, ...]
-) -> bool:
-    """Does V(C) lie in {ord >= 1}, for C the center variables in both the
-    world and the ring?  It does iff every generator (f, a) has order at
-    least ceil(a) along C, in every characteristic.
+def center_inside_singular_locus(alg: QReesAlgebra, center_vars: tuple[str, ...]) -> bool:
+    """Does V(C) lie in {ord >= 1}, for C the center variables in the ring?
+    It does iff every generator (f, a) has order at least ceil(a) along C,
+    in every characteristic.
 
     {ord >= 1} is cut out by the Hasse derivatives D^alpha f with
     |alpha| < ceil(a).  If every term of f has C-degree at least ceil(a),
@@ -155,8 +130,7 @@ def center_inside_singular_locus(
     C(e0, alpha) = 1 (no other term lands there), so it is nonzero even
     modulo p.
     """
-    ring = alg.variables
-    c = tuple(v for v in center_vars if v in world and v in ring)
+    c = tuple(v for v in center_vars if v in alg.variables)
     if not c:
         return True
     return all(f.order_in_vars(c) >= math.ceil(a) for f, a in alg.generators)

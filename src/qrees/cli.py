@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import QReesAlgebra
 from .charts import (
@@ -16,11 +15,12 @@ from .charts import (
     elimination_algebra,
     non_monomial_part,
     transform_algebra,
+    validate_center,
 )
 from .errors import ProblemParseError, QreesError
 from .ideal import Ideal
 from .invariant import InvariantValue
-from .poly import Infinity, format_polynomial, parse_polynomial
+from .poly import Infinity, format_polynomial, parse_polynomial, parse_rational
 from .problem import Problem, parse_problem
 from .resolve import resolve, root_chart
 from .saturation import (
@@ -185,10 +185,7 @@ def parse_point(text: str, expected: int) -> tuple:
         raise ProblemParseError(
             f"point needs {expected} coordinates, got {len(parts)}"
         )
-    try:
-        return tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ProblemParseError(f"bad point {text!r}") from exc
+    return tuple(parse_rational(p, "coordinate") for p in parts)
 
 
 def cmd_coeff(args) -> int:
@@ -223,8 +220,9 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    _, alg = load(args)
+    problem, alg = load(args)
     center = tuple(v.strip() for v in args.center.split(","))
+    validate_center(problem.variables, center, args.chart_var)
     return emit_algebra(transform_algebra(alg, center, args.chart_var), args.json)
 
 
@@ -253,7 +251,8 @@ def cmd_nonmonomial(args) -> int:
 
 def cmd_nu(args) -> int:
     problem, alg = load(args)
-    value = nu(alg, parse_element(problem, args.element), Fraction(args.cap))
+    cap = parse_rational(args.cap, "cap")
+    value = nu(alg, parse_element(problem, args.element), cap)
     text = value_text(value)
     if args.json:
         print(json.dumps({"nu": text}, indent=2))
@@ -264,9 +263,8 @@ def cmd_nu(args) -> int:
 
 def cmd_nubar(args) -> int:
     problem, alg = load(args)
-    value = nu_bar_estimate(
-        alg, parse_element(problem, args.element), args.nmax, Fraction(args.cap)
-    )
+    cap = parse_rational(args.cap, "cap")
+    value = nu_bar_estimate(alg, parse_element(problem, args.element), args.nmax, cap)
     text = value_text(value)
     if args.json:
         print(json.dumps({"nu_bar": text}, indent=2))
@@ -280,9 +278,9 @@ def cmd_member(args) -> int:
     verdict = is_integral_member(
         alg,
         parse_element(problem, args.element),
-        Fraction(args.weight),
+        parse_rational(args.weight, "weight"),
         args.nmax,
-        Fraction(args.cap),
+        parse_rational(args.cap, "cap"),
     )
     payload = {
         "status": verdict.status,
@@ -302,7 +300,8 @@ def cmd_member(args) -> int:
 def cmd_equiv(args) -> int:
     problem, alg = load(args)
     other = problem.algebra(args.other)
-    verdict = equivalence_check(alg, other, args.nmax, Fraction(args.cap))
+    cap = parse_rational(args.cap, "cap")
+    verdict = equivalence_check(alg, other, args.nmax, cap)
     payload = {
         "status": verdict.status,
         "witness_point": None

@@ -515,6 +515,14 @@ class _Parser:
         return base
 
 
+def parse_rational(text: str, what: str, line: int | None = None) -> Fraction:
+    """Parse an integer, decimal or p/q; name the value in the error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ProblemParseError(f"bad {what} {text!r}", line) from exc
+
+
 def parse_polynomial(
     text: str, field: FieldSpec, variables: tuple[str, ...]
 ) -> Polynomial:

@@ -24,7 +24,7 @@ from .algebra import QReesAlgebra
 from .charts import DivisorRecord
 from .errors import PreconditionError, ProblemParseError
 from .field import FieldSpec
-from .poly import Polynomial, parse_polynomial
+from .poly import Polynomial, parse_polynomial, parse_rational
 
 
 @dataclass
@@ -46,10 +46,7 @@ class Problem:
 
 
 def parse_weight(text: str, line: int) -> Fraction:
-    try:
-        w = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ProblemParseError(f"bad weight {text!r}", line) from exc
+    w = parse_rational(text, "weight", line)
     if w <= 0:
         raise ProblemParseError(f"weight must be positive, got {w}", line)
     return w

@@ -20,6 +20,7 @@ from .algebra import QReesAlgebra
 from .charts import (
     Chart,
     DivisorRecord,
+    _carry_divisors,
     blowup_chart,
     coefficient_algebra,
     find_maximal_contact,
@@ -48,9 +49,8 @@ from .saturation import diff_saturate
 
 @dataclass(frozen=True)
 class LevelState:
-    """One floor of a chart's tower, in its own world coordinates."""
+    """One floor of a chart's tower; its world coordinates are its algebra's ring."""
 
-    variables: tuple[str, ...]
     algebra: QReesAlgebra
     divisors: tuple[DivisorRecord, ...]
     epoch: int  # step at which this level was (re)built
@@ -67,7 +67,6 @@ class Leaf:
     tower: tuple[LevelState, ...]
     value: InvariantValue
     center_vars: tuple[str, ...] | None  # None exactly when non-singular
-    divisor_report: tuple[tuple[str, int, Fraction | None], ...]
 
 
 def root_chart(
@@ -77,8 +76,16 @@ def root_chart(
     divisors: tuple[DivisorRecord, ...],
 ) -> tuple[int, Chart, tuple[LevelState, ...]]:
     """The chart "0" before any blowup, with its one-level tower, starting at
-    the newest divisor's creation step.  Every divisor must be a distinct
-    chart variable."""
+    the newest divisor's creation step.  The algebra must live on the
+    chart's field and variables, and every divisor must be a distinct chart
+    variable."""
+    if algebra.field != field:
+        raise PreconditionError("algebra field differs from the chart field")
+    if algebra.variables != variables:
+        raise PreconditionError(
+            f"algebra ring ({', '.join(algebra.variables)}) differs from the "
+            f"chart variables ({', '.join(variables)})"
+        )
     divisors = tuple(divisors)
     seen_vars = set()
     for d in divisors:
@@ -90,7 +97,6 @@ def root_chart(
     start = max([0] + [d.created for d in divisors])
     chart = Chart(id="0", field=field, variables=variables, divisors=divisors)
     level = LevelState(
-        variables=variables,
         algebra=algebra,
         divisors=divisors,
         epoch=start,
@@ -119,12 +125,12 @@ def analyze_chart(
         o = top.algebra.ord_at_origin()
         # the zero algebra (infinite order) is singular everywhere
         singular = isinstance(o, Infinity) or o >= 1
-        incoming = coordinate_ideal(field, top.variables, top.variables)
+        incoming = coordinate_ideal(field, top.algebra.variables, top.algebra.variables)
     else:
         incoming = top.algebra.sing_ideal()
         singular = not incoming.is_unit()
     if not singular:
-        return Leaf(chart, tuple(levels), non_singular_value(), None, _divisor_report(top))
+        return Leaf(chart, tuple(levels), non_singular_value(), None)
 
     out_levels: list[tuple[Fraction, int]] = []
     center_accum: list[str] = []
@@ -133,8 +139,9 @@ def analyze_chart(
 
     while True:
         world = levels[k]
+        ring = world.algebra.variables
 
-        if len(world.variables) == 1:
+        if len(ring) == 1:
             terminator, bottom_vars = _analyze_line(
                 levels, k, incoming, out_levels, changes, step
             )
@@ -149,7 +156,7 @@ def analyze_chart(
             del levels[k + 1 :]
 
         old = [d for d in world.divisors if d.created <= world.run_start]
-        winners, stratum = _divisor_phase(field, world.variables, stratum, old)
+        winners, stratum = _divisor_phase(field, ring, stratum, old)
         out_levels.append((omega, len(winners)))
 
         if omega == 0:
@@ -171,9 +178,9 @@ def analyze_chart(
             scaled = scaled.odot(world.algebra)
         join = QReesAlgebra(
             field,
-            world.variables,
+            ring,
             tuple(
-                (Polynomial.variable(field, world.variables, d.var), Fraction(1))
+                (Polynomial.variable(field, ring, d.var), Fraction(1))
                 for d in winners
             ),
         )
@@ -204,7 +211,6 @@ def analyze_chart(
         )
         levels.append(
             LevelState(
-                variables=coeff.variables,
                 algebra=coeff,
                 divisors=sub_divisors,
                 epoch=step,
@@ -221,7 +227,6 @@ def analyze_chart(
         tuple(levels),
         InvariantValue(tuple(out_levels), terminator),
         _assemble_center(chart, center_accum + bottom_vars),
-        _divisor_report(levels[0]),
     )
 
 
@@ -251,13 +256,15 @@ def _strip_divisors(world: LevelState) -> tuple[QReesAlgebra, dict]:
     return residual, {d.var: e for d, e in zip(strippable, ells)}
 
 
-def _divisor_report(top: LevelState) -> tuple[tuple[str, int, Fraction | None], ...]:
+def _divisor_report(top: LevelState) -> list[dict]:
+    """The trace's divisor entries; ell is None when infinite or not stripped."""
     _, ell_of = _strip_divisors(top)
     report = []
     for d in top.divisors:
         e = ell_of.get(d.var)
-        report.append((d.var, d.created, None if isinstance(e, Infinity) else e))
-    return tuple(report)
+        ell = None if e is None or isinstance(e, Infinity) else str(e)
+        report.append({"var": d.var, "created": d.created, "ell": ell})
+    return report
 
 
 def _chart_with_changes(chart: Chart, changes: list[tuple[str, str]]) -> Chart:
@@ -341,8 +348,8 @@ def _monomial_center(
     # of the (unstripped) stored algebra has enough order along it
     created_of = {d.var: d.created for d in world.divisors}
     fallback = []
-    for size in range(1, len(world.variables) + 1):
-        for subset in combinations(world.variables, size):
+    for size in range(1, len(world.algebra.variables) + 1):
+        for subset in combinations(world.algebra.variables, size):
             # order along the coordinate subspace; infinite only for the zero algebra
             s = world.algebra.min_order(lambda f: f.order_in_vars(subset))
             if not isinstance(s, Infinity) and s >= 1:
@@ -373,7 +380,7 @@ def _analyze_line(
     """Dimension-one worlds: plain order, no divisor bookkeeping, and a point
     (or the whole line) as the deepest stratum."""
     world = levels[k]
-    u = world.variables[0]
+    u = world.algebra.variables[0]
     omega, stratum = world.algebra.max_order_within(incoming)
     levels[k] = replace(world, run_value=omega, run_start=step)
     out_levels.append((omega, 0))
@@ -450,17 +457,13 @@ def blow_leaf(leaf: Leaf, step: int) -> list[tuple[Chart, tuple[LevelState, ...]
                 # divisor in this chart: it vanishes from the picture
                 new_levels[idx - 1] = replace(new_levels[idx - 1], contact_var=None)
                 break
-            transformed = transform_algebra(
-                level.algebra,
-                center,
-                chart_var,
-                world=level.variables,
-                check_center=(idx == 0),
+            new_levels.append(
+                replace(
+                    level,
+                    algebra=transform_algebra(level.algebra, center, chart_var),
+                    divisors=_carry_divisors(level.divisors, chart_var, step + 1),
+                )
             )
-            divisors = tuple(d for d in level.divisors if d.var != chart_var) + (
-                DivisorRecord(chart_var, step + 1),
-            )
-            new_levels.append(replace(level, algebra=transformed, divisors=divisors))
         children.append((child, tuple(new_levels)))
     return children
 
@@ -492,7 +495,7 @@ def resolve(
     if algebra.is_zero():
         raise PreconditionError("cannot resolve the zero algebra")
     start, root, tower = root_chart(field, variables, algebra, divisors)
-    leaves: dict[str, Leaf] = {"0": analyze_chart(root, tower, start)}
+    leaves: dict[str, Leaf] = {"0": _analyze_or_name(root, tower, start)}
 
     steps_json: list[dict] = []
     previous_max: InvariantValue | None = None
@@ -526,20 +529,25 @@ def resolve(
                 "changes": [[v, image] for v, image in leaf.chart.changes],
                 "center": list(leaf.center_vars or ()),
                 "fc": leaf.value.to_json(),
-                "divisors": [
-                    {"var": v, "created": c, "ell": None if e is None else str(e)}
-                    for v, c, e in leaf.divisor_report
-                ],
+                "divisors": _divisor_report(leaf.tower[0]),
                 "children": [],
             }
             for child_chart, child_tower in blow_leaf(leaf, step):
-                child_leaf = analyze_chart(child_chart, child_tower, step + 1)
+                child_leaf = _analyze_or_name(child_chart, child_tower, step + 1)
                 leaves[child_chart.id] = child_leaf
                 record["children"].append(child_chart.id)
             steps_json.append(record)
         step += 1
 
     return _trace_dict(steps_json, leaves, status, start)
+
+
+def _analyze_or_name(chart: Chart, tower: tuple[LevelState, ...], step: int) -> Leaf:
+    """analyze_chart, with a ChartSplitRequired that names the chart and step."""
+    try:
+        return analyze_chart(chart, tower, step)
+    except ChartSplitRequired as exc:
+        raise ChartSplitRequired(f"chart {chart.id} at step {step}: {exc}") from exc
 
 
 def _trace_dict(steps: list[dict], leaves: dict[str, Leaf], status: str, start: int) -> dict:
@@ -587,9 +595,10 @@ def fc_at_point(
         if c != 0
     }
     # divisors off the point are dropped; the rest, unknown names included,
-    # go to root_chart for checking
+    # go to root_chart for checking, and so does the ring before the shift
     kept = tuple(d for d in divisors if d.var not in offset)
-    start, chart, tower = root_chart(field, variables, algebra.shift(offset), kept)
+    start, chart, (top,) = root_chart(field, variables, algebra, kept)
+    tower = (replace(top, algebra=algebra.shift(offset)),)
     return analyze_chart(chart, tower, start, at_point=True).value
 
 

@@ -68,7 +68,7 @@ def test_criterion_1_characteristic_two_kernel() -> None:
         (P("x^2 + y^2*z", XYZ, F2), Fraction(2))
     }
     aux = A(("y^2", 1), variables=XYZ, field=F2)
-    transformed_a = transform_algebra(aux, XYZ, "z", check_center=False)
+    transformed_a = transform_algebra(aux, XYZ, "z")
     assert set(transformed_a.generators) == {(P("y^2*z", XYZ, F2), Fraction(1))}
 
     sing_j = ClosedSet([transformed_j.sing_ideal()])
@@ -201,9 +201,7 @@ def test_criterion_4_property_suite() -> None:
     # (d) after a blowup, the transform of the saturation sits integrally
     # inside the saturation of the transform
     for alg, center, chart_var in BLOWUP_CASES:
-        moved_sat = transform_algebra(
-            diff_saturate(alg), center, chart_var, check_center=False
-        )
+        moved_sat = transform_algebra(diff_saturate(alg), center, chart_var)
         sat_moved = diff_saturate(transform_algebra(alg, center, chart_var))
         for g, b in moved_sat.generators:
             verdict = is_integral_member(sat_moved, g, b, 4, Fraction(32))

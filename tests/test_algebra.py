@@ -13,7 +13,7 @@ from qrees.algebra import (
     format_algebra,
     parse_generator_list,
 )
-from qrees.errors import PreconditionError
+from qrees.errors import PreconditionError, ProblemParseError
 from qrees.field import QQ
 from qrees.ideal import Ideal
 from qrees.poly import INFINITY, Infinity, Polynomial, parse_polynomial
@@ -239,6 +239,12 @@ def test_parse_generator_list() -> None:
     assert len(alg.generators) == 2
     assert alg.generators[1][1] == Fraction(1, 2)
     assert parse_generator_list("0", QQ, XY).is_zero()
+
+
+@pytest.mark.parametrize("weight", ["abc", "1/0", ""])
+def test_parse_generator_list_rejects_bad_weight(weight: str) -> None:
+    with pytest.raises(ProblemParseError, match="bad weight"):
+        parse_generator_list(f"x : {weight}", QQ, XY)
 
 
 def test_format_round_trip() -> None:

@@ -114,6 +114,19 @@ def test_blowup_and_transform(umbrella, capsys) -> None:
     assert out.strip() == "-y^2*z + x^2 : 2"
 
 
+@pytest.mark.parametrize(
+    "center, chart_var, message",
+    [
+        ("x,w", "x", "center variable w is not a chart variable"),
+        ("x,y", "z", "chart variable z must lie in the center"),
+    ],
+    ids=["center-outside-chart", "chart-var-outside-center"],
+)
+def test_transform_validates_center(umbrella, capsys, center, chart_var, message) -> None:
+    code = main(["transform", umbrella, "--center", center, "--chart-var", chart_var])
+    assert (code, capsys.readouterr().err.strip()) == (6, f"error: {message}")
+
+
 def test_nonmonomial_command(tmp_path, capsys) -> None:
     path = tmp_path / "monomial.qr"
     path.write_text(MONOMIAL)
@@ -135,6 +148,21 @@ def test_nu_and_member(umbrella, capsys) -> None:
     )
     assert code == 0
     assert out.strip() == "Member"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("nu", "--element", "x", "--cap", "abc"), "bad cap 'abc'"),
+        (("member", "--element", "x", "--weight", "1/0"), "bad weight '1/0'"),
+        (("ord", "--point", "0,1/0,0"), "bad coordinate '1/0'"),
+    ],
+    ids=["cap", "weight", "point"],
+)
+def test_bad_rational_options_exit_2(umbrella, capsys, argv, message) -> None:
+    command, *options = argv
+    code = main([command, umbrella, *options])
+    assert (code, capsys.readouterr().err.strip()) == (2, f"error: {message}")
 
 
 def test_equiv_command(tmp_path, capsys) -> None:

@@ -13,7 +13,6 @@ from qrees.charts import (
     Chart,
     DivisorRecord,
     blowup_chart,
-    blowup_substitution,
     center_inside_singular_locus,
     coefficient_algebra,
     divide_by_divisor,
@@ -30,7 +29,7 @@ from qrees.errors import (
     UnsupportedCharacteristic,
 )
 from qrees.field import QQ, FieldSpec
-from qrees.poly import Infinity, Polynomial, format_polynomial, parse_polynomial
+from qrees.poly import Infinity, Polynomial, parse_polynomial
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -46,12 +45,6 @@ def A(*gens: tuple[str, object], variables: tuple[str, ...] = XY) -> QReesAlgebr
         variables,
         tuple((P(t, variables), Fraction(w)) for t, w in gens),
     )
-
-
-def test_blowup_substitution_maps_center_vars() -> None:
-    sub = blowup_substitution(QQ, XYZ, ("x", "y"), "x")
-    assert sub["y"] == P("x*y", XYZ)
-    assert "x" not in sub or sub["x"] == P("x", XYZ)
 
 
 def test_blowup_chart_ids_and_divisors() -> None:
@@ -83,7 +76,7 @@ def test_transform_cusp_in_each_chart() -> None:
 
 def test_transform_divides_by_ceiling_of_weight() -> None:
     alg = A(("x^3", Fraction(3, 2)))
-    moved = transform_algebra(alg, ("x", "y"), "y", check_center=False)
+    moved = transform_algebra(alg, ("x", "y"), "y")
     # substitution x -> x*y gives x^3 y^3; ceil(3/2) = 2 powers come off
     assert moved.generators[0][0] == P("x^3*y")
 
@@ -100,7 +93,23 @@ def test_transform_rejects_center_outside_singular_locus() -> None:
 def test_transform_rejects_indivisible_without_center() -> None:
     alg = A(("y", 1))
     with pytest.raises(PreconditionError):
-        transform_algebra(alg, ("x",), "x", check_center=False)
+        transform_algebra(alg, ("x",), "x")
+
+
+def test_transform_rejects_chart_variable_outside_center_or_ring() -> None:
+    cusp = A(("x^2 + y^3", 2), variables=XYZ)
+    # z is a chart variable but not a center variable: not a blowup chart
+    with pytest.raises(PreconditionError, match="must lie in the center"):
+        transform_algebra(cusp, ("x", "y"), "z")
+    # a center variable outside the ring cannot be the chart variable
+    with pytest.raises(PreconditionError, match="not in the ring"):
+        transform_algebra(A(("x^2 + y^3", 2)), ("x", "y", "z"), "z")
+
+
+def test_transform_ignores_center_variables_outside_the_ring() -> None:
+    # the ring is the line {z = 0} of a chart blown up along V(x, z)
+    moved = transform_algebra(A(("x*y", 1)), ("x", "z"), "x")
+    assert moved.generators[0][0] == P("y")
 
 
 def test_validate_center() -> None:
@@ -117,12 +126,10 @@ def test_validate_center() -> None:
 
 def test_center_inside_singular_locus() -> None:
     cusp = A(("x^2 + y^3", 2))
-    assert center_inside_singular_locus(cusp, ("x", "y"), XY)
+    assert center_inside_singular_locus(cusp, ("x", "y"))
     near_miss = A(("x + y", 1))
-    assert center_inside_singular_locus(near_miss, ("x", "y"), XY)
-    assert not center_inside_singular_locus(
-        A(("1 + x", 2), ("y", 1)), ("x", "y"), XY
-    )
+    assert center_inside_singular_locus(near_miss, ("x", "y"))
+    assert not center_inside_singular_locus(A(("1 + x", 2), ("y", 1)), ("x", "y"))
 
 
 def test_ell_value_is_normalized_valuation() -> None:
@@ -232,55 +239,36 @@ def test_find_maximal_contact_positive_characteristic() -> None:
         find_maximal_contact(alg)
 
 
-def test_transform_respects_world_restriction() -> None:
-    """Substitution restricted to the intersection of the center with a lower
-    world: variables outside the world stay put."""
-    lower = A(("x*y", 1))
-    moved = transform_algebra(
-        lower, ("x", "z"), "x", world=XY, check_center=False
-    )
-    # z is not in the world so only x -> x applies; x*y / x = y
-    assert moved.generators[0][0] == P("y")
-
-
 # -- the blowup step against its definitions -----------------------------------
 
 
-def center_oracle(alg: QReesAlgebra, center_vars, world) -> bool:
+def center_oracle(alg: QReesAlgebra, center_vars) -> bool:
     """The definition: every generator of the singular ideal (Hasse
     derivatives below each weight) vanishes once the center is set to 0."""
-    zeros = {v: Polynomial.zero(alg.field, alg.variables) for v in center_vars if v in world}
+    ring = alg.variables
+    zeros = {v: Polynomial.zero(alg.field, ring) for v in center_vars if v in ring}
     if not zeros:
         return True
     return all(g.substitute(zeros).is_zero() for g in alg.sing_ideal().generators)
 
 
-def transform_oracle(alg, center_vars, chart_var, world, check_center) -> QReesAlgebra:
+def transform_oracle(alg, center_vars, chart_var) -> QReesAlgebra:
     """The definition: substitute v -> v * chart_var, then divide by
-    chart_var^ceil(a) generator by generator."""
-    variables = alg.variables if world is None else world
-    if chart_var not in variables:
-        raise PreconditionError(f"chart variable {chart_var} is absent from the world")
-    if check_center and not center_oracle(alg, center_vars, variables):
+    chart_var^ceil(a) generator by generator.  Once the center lies in the
+    singular locus every division is exact."""
+    if not center_oracle(alg, center_vars):
         raise PreconditionError("blowup center is not inside the singular locus")
     ring = alg.variables
     c = Polynomial.variable(alg.field, ring, chart_var)
     mapping = {
         v: Polynomial.variable(alg.field, ring, v) * c
         for v in center_vars
-        if v in variables and v != chart_var
+        if v in ring and v != chart_var
     }
-    gens = []
-    for f, a in alg.generators:
-        k = math.ceil(a)
-        try:
-            g = f.substitute(mapping).divide_by_variable_power(chart_var, k)
-        except ValueError:
-            raise PreconditionError(
-                f"transform of ({format_polynomial(f)} : {a}) is not divisible by "
-                f"{chart_var}^{k}; the center misses the singular locus"
-            ) from None
-        gens.append((g, a))
+    gens = [
+        (f.substitute(mapping).divide_by_variable_power(chart_var, math.ceil(a)), a)
+        for f, a in alg.generators
+    ]
     return QReesAlgebra(alg.field, ring, tuple(gens))
 
 
@@ -296,10 +284,6 @@ def _random_blowup(rng: random.Random):
     ring = ("x", "y", "z", "w")[: rng.choice((3, 4))]
     center = tuple(v for v in ring if rng.random() < 0.6) or (rng.choice(ring),)
     chart_var = rng.choice(center)
-    world = None
-    if rng.random() < 0.3:
-        world = tuple(v for v in ring if v == chart_var or rng.random() < 0.6)
-    along = [v for v in center if v in (world or ring)]
     coeffs = (1, -1, 2, Fraction(1, 2)) if field.characteristic == 0 else (1, 2)
     inside = rng.random() < 0.6
     gens = []
@@ -310,27 +294,24 @@ def _random_blowup(rng: random.Random):
             e = [rng.randint(0, 3) for _ in ring]
             # push most terms far enough into the center, so that both
             # verdicts and both transform outcomes turn up
-            while inside and sum(e[ring.index(v)] for v in along) < math.ceil(a):
-                e[ring.index(rng.choice(along))] += 1
+            while inside and sum(e[ring.index(v)] for v in center) < math.ceil(a):
+                e[ring.index(rng.choice(center))] += 1
             terms[tuple(e)] = field.coerce(rng.choice(coeffs))
         gens.append((Polynomial(field, ring, terms), a))
     alg = QReesAlgebra(field, ring, tuple(gens))
-    return alg, center, chart_var, world, rng.random() < 0.8
+    return alg, center, chart_var
 
 
 def test_blowup_step_matches_definitions() -> None:
     rng = random.Random(20101008)
     verdicts = set()
     for _ in range(200):
-        alg, center, chart_var, world, check = _random_blowup(rng)
-        within = world or alg.variables
-        verdict = center_inside_singular_locus(alg, center, within)
-        assert verdict == center_oracle(alg, center, within), (alg, center, world)
-        new = _outcome(
-            lambda: transform_algebra(alg, center, chart_var, world=world, check_center=check)
-        )
-        old = _outcome(lambda: transform_oracle(alg, center, chart_var, world, check))
-        assert new == old, (alg, center, chart_var, world, check)
+        alg, center, chart_var = _random_blowup(rng)
+        verdict = center_inside_singular_locus(alg, center)
+        assert verdict == center_oracle(alg, center), (alg, center)
+        new = _outcome(lambda: transform_algebra(alg, center, chart_var))
+        old = _outcome(lambda: transform_oracle(alg, center, chart_var))
+        assert new == old, (alg, center, chart_var)
         verdicts.add((alg.field.characteristic, verdict, isinstance(new, tuple)))
     # every field saw both verdicts, and some transforms failed
     assert {(p, v) for p, v, _ in verdicts} == {(p, v) for p in (0, 2, 3) for v in (True, False)}

@@ -75,45 +75,38 @@ STEP_BUDGET = {"repeated-root-line": 4}
 
 
 # (characteristic, ring, generators, center, chart variables blown up in turn,
-# world, coefficient-algebra variable, check_center)
+# coefficient-algebra variable)
 CHAINS = [
-    (0, "x y z", "x^2 + y^3 + z^5 : 2", "x y z", "z y", None, "x", True),
-    (0, "x y z", "x^2 - y^2*z : 2", "x y z", "y z", None, "x", True),
-    (0, "x y z w", "x^3 + y^4 + z^4*w : 3; x*y*z : 2", "x y z", "z y", None, "w", True),
-    (0, "x y z", "x^2*y + 1/2*z^4 : 3/2; y*z^2 : 1/2", "x y z", "z x", None, "y", True),
-    # y lies in the center but not in the world, so it is not substituted
-    (0, "x y z", "x*y - x*z^3 : 1; x^2*z : 2", "x y", "x", "x z", "z", True),
-    # a center outside the singular locus, and an indivisible transform
-    (0, "x y z", "x + y^2 : 2; z^2 : 1", "x y z", "x", None, "z", True),
-    (0, "x y z", "y^2 + z : 2", "x y", "x", None, "y", False),
-    (2, "x y z", "x^2 + y^3 + z^4 : 2", "x y z", "z y", None, "x", True),
-    (2, "x y z", "x^2*y + y^2*z + z^2*x : 2", "x y z", "y x", None, "z", True),
-    (2, "x y z w", "x^4 + y^4 + x*y*z*w : 3", "x y z w", "w x", None, "x", True),
-    (3, "x y z", "x^3 + y^3*z + z^5 : 2", "x y z", "z y", None, "x", True),
-    (3, "x y z w", "x^3 - y^2*z^2 + w^6 : 3; x*y*z : 2", "x y z w", "w y", None, "y", True),
+    (0, "x y z", "x^2 + y^3 + z^5 : 2", "x y z", "z y", "x"),
+    (0, "x y z", "x^2 - y^2*z : 2", "x y z", "y z", "x"),
+    (0, "x y z w", "x^3 + y^4 + z^4*w : 3; x*y*z : 2", "x y z", "z y", "w"),
+    (0, "x y z", "x^2*y + 1/2*z^4 : 3/2; y*z^2 : 1/2", "x y z", "z x", "y"),
+    # two centers outside the singular locus
+    (0, "x y z", "x + y^2 : 2; z^2 : 1", "x y z", "x", "z"),
+    (0, "x y z", "y^2 + z : 2", "x y", "x", "y"),
+    (2, "x y z", "x^2 + y^3 + z^4 : 2", "x y z", "z y", "x"),
+    (2, "x y z", "x^2*y + y^2*z + z^2*x : 2", "x y z", "y x", "z"),
+    (2, "x y z w", "x^4 + y^4 + x*y*z*w : 3", "x y z w", "w x", "x"),
+    (3, "x y z", "x^3 + y^3*z + z^5 : 2", "x y z", "z y", "x"),
+    (3, "x y z w", "x^3 - y^2*z^2 + w^6 : 3; x*y*z : 2", "x y z w", "w y", "y"),
     # x^3 has no nonzero first or second Hasse derivative in F_3, yet the
     # center {y = z = 0} misses its singular locus
-    (3, "x y z", "x^3 + y*z^2 : 3", "y z", "y", None, "x", True),
+    (3, "x y z", "x^3 + y*z^2 : 3", "y z", "y", "x"),
 ]
 
 
 def chains_text() -> str:
     out = []
-    for p, ring, gens, center, chart_vars, world, restrict, check in CHAINS:
+    for p, ring, gens, center, chart_vars, restrict in CHAINS:
         field, xs = FieldSpec(p), tuple(ring.split())
         center = tuple(center.split())
-        world = tuple(world.split()) if world else None
         alg = parse_generator_list(gens, field, xs)
         divisors: list[str] = []
         steps = []
         for t in chart_vars.split():
-            step = {
-                "center_ok": center_inside_singular_locus(alg, center, world or xs),
-            }
+            step = {"center_ok": center_inside_singular_locus(alg, center)}
             try:
-                alg = transform_algebra(
-                    alg, center, t, world=world, check_center=check
-                )
+                alg = transform_algebra(alg, center, t)
             except QreesError as exc:
                 step["transform"] = f"{type(exc).__name__}: {exc}"
                 steps.append(step)

@@ -350,6 +350,36 @@ def test_queries_reject_zero_algebra_up_front(query) -> None:
         query(QQ, XY, QReesAlgebra(QQ, XY, ()))
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        resolve,
+        fc_at_point,
+        # the shift z -> z + 1 cannot even be written on the algebra's ring
+        lambda *args: fc_at_point(*args, point=(0, 0, 1)),
+        max_locus_fc,
+    ],
+    ids=["resolve", "fc_at_point", "fc_at_point-shifted", "max_locus_fc"],
+)
+def test_entry_points_reject_algebra_on_another_ring(query) -> None:
+    with pytest.raises(PreconditionError, match="differs from the chart variables"):
+        query(QQ, XYZ, A(("x^2 + y^3", 2)))
+
+
+@pytest.mark.parametrize("query", [resolve, fc_at_point, max_locus_fc])
+def test_entry_points_reject_algebra_over_another_field(query) -> None:
+    F3 = FieldSpec(3)
+    over_f3 = QReesAlgebra(F3, XY, ((parse_polynomial("x^2 + y^3", F3, XY), Fraction(2)),))
+    with pytest.raises(PreconditionError, match="differs from the chart field"):
+        query(QQ, XY, over_f3)
+
+
+def test_chart_split_names_chart_and_step() -> None:
+    alg = A(("x^2 + y^3 + z^5", 2), variables=XYZ)
+    with pytest.raises(ChartSplitRequired, match=r"^chart 0\.1z\.2y\.3z\.4y at step 4: "):
+        resolve(QQ, XYZ, alg)
+
+
 def test_shift_never_moves_a_divisor() -> None:
     # the singular point sits at y = 1, off the divisor y = 0; reaching it
     # needs y -> y + 1, which would drag the divisor along

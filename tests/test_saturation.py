@@ -259,7 +259,7 @@ def test_internal_constructions_are_valid(index: int) -> None:
                 for f, a in alg.generators
             ),
         )
-        assert_valid(transform_algebra(lifted, alg.variables, x, check_center=False))
+        assert_valid(transform_algebra(lifted, alg.variables, x))
 
 
 def test_saturation_preserves_order_at_singular_points() -> None:
