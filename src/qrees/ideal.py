@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add, le, sub
 
 from .errors import PreconditionError
 from .field import Element, FieldSpec
@@ -56,97 +59,191 @@ def leading_term(p: Polynomial, order: MonomialOrder) -> tuple[Exponents, Elemen
 
 
 def _divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _exp_sub(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exp_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-def _sub_scaled(
-    terms: dict[Exponents, Element],
-    coeff: Element,
+def _ring(field: FieldSpec, variables: tuple[str, ...]) -> str:
+    name = "Q" if field.is_rational else f"F_{field.characteristic}"
+    return f"{name}[{', '.join(variables)}]"
+
+
+# -- the integer core ------------------------------------------------------------
+#
+# Groebner computations run on dicts from exponents to ints.  Over Q an element
+# is kept as its primitive integer multiple with a positive leading
+# coefficient; over F_p it is kept monic, with residues in [0, p).  A reducer
+# is an element split as (lead, lead coefficient, tail).
+
+_Reducer = tuple[Exponents, int, list[tuple[Exponents, int]]]
+
+
+class _Keys(dict):
+    """Order keys by exponent tuple, each computed on first use; one instance
+    serves one groebner_basis or normal_form call."""
+
+    def __init__(self, order: MonomialOrder) -> None:
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, e: Exponents) -> tuple:
+        k = self[e] = self.order.key(e)
+        return k
+
+
+def _clear(p: Polynomial) -> tuple[dict[Exponents, int], int]:
+    """(n*p as ints, n): over Q n is the lcm of the denominators, over F_p
+    n = 1 and the ints are the residues."""
+    char = p.field.characteristic
+    if char:
+        return {e: c % char for e, c in p.terms.items()}, 1
+    n = math.lcm(*[c.denominator for c in p.terms.values()])
+    return {e: c.numerator * (n // c.denominator) for e, c in p.terms.items()}, n
+
+
+def _normalize(terms: dict[Exponents, int], lead: Exponents, p: int) -> dict[Exponents, int]:
+    """The primitive multiple with a positive leading coefficient over Q, the
+    monic multiple over F_p."""
+    if p:
+        inv = pow(terms[lead], -1, p)
+        return terms if inv == 1 else {e: c * inv % p for e, c in terms.items()}
+    d = math.gcd(*terms.values())
+    if terms[lead] < 0:
+        d = -d
+    return terms if d == 1 else {e: c // d for e, c in terms.items()}
+
+
+def _reducer(terms: dict[Exponents, int], lead: Exponents) -> _Reducer:
+    return lead, terms[lead], [(e, c) for e, c in terms.items() if e != lead]
+
+
+def _subtract(
+    terms: dict[Exponents, int],
+    b: int,
     shift: Exponents,
-    g: Polynomial,
+    tail: list[tuple[Exponents, int]],
     p: int,
 ) -> None:
-    """terms -= coeff * x^shift * g in place over F_p (Q when p == 0);
+    """terms <- terms - b * x^shift * tail in place, mod p when p > 0;
     cancelled terms are removed."""
-    for ge, gc in g.terms.items():
-        e = tuple([a + b for a, b in zip(ge, shift)])
-        v = terms.get(e, 0) - coeff * gc
+    for te, tc in tail:
+        t = tuple(map(add, te, shift))
+        v = terms.get(t, 0) - b * tc
         if p:
             v %= p
         if v:
-            terms[e] = v
+            terms[t] = v
         else:
-            terms.pop(e, None)
+            del terms[t]
 
 
-def normal_form(
-    p: Polynomial,
-    basis: list[Polynomial],
-    order: MonomialOrder,
-    leads: list[tuple[Exponents, Element]] | None = None,
-) -> Polynomial:
-    """Remainder of p under multivariate division by basis.
+def _reduce(
+    work: dict[Exponents, int], reducers: list[_Reducer], keys: _Keys, p: int
+) -> tuple[dict[Exponents, int], int]:
+    """Remainder of `work` (consumed) under division by `reducers`, whose
+    leading coefficients are positive over Q and 1 over F_p.
 
-    `leads` may carry the leading terms of the basis when the caller already
-    has them.
+    Each step is terms <- a*terms - b*x^s*g, which cancels the largest term
+    c*x^e against a reducer g with leading term lc(g)*x^(e - s).  Over Q,
+    a = lc(g)/d and b = c/d with d = gcd(c, lc(g)); over F_p, a = 1 and b = c.
+    Returns the remainder, its terms in descending order, and the product m
+    of the multipliers a: the remainder is m times the one division over the
+    field gives.
     """
-    field = p.field
-    if leads is None:
-        leads = [leading_term(g, order) for g in basis]
-    char = field.characteristic
-    # The max below rescans all of `work` on every step, so each exponent's
-    # order key is computed once per call.
-    keys: dict[Exponents, tuple] = {}
-
-    def key(e: Exponents) -> tuple:
-        k = keys.get(e)
-        if k is None:
-            k = keys[e] = order.key(e)
-        return k
-
-    remainder: dict[Exponents, Element] = {}
-    work = dict(p.terms)
+    remainder: dict[Exponents, int] = {}
+    m = 1
+    key = keys.__getitem__
     while work:
         e = max(work, key=key)
-        c = work[e]
-        for g, (ge, gc) in zip(basis, leads):
-            if _divides(ge, e):
-                _sub_scaled(work, field.div(c, gc), _exp_sub(e, ge), g, char)
+        c = work.pop(e)
+        for ge, gc, tail in reducers:
+            if all(map(le, ge, e)):
                 break
         else:
-            remainder[e] = work.pop(e)
-    return Polynomial(field, p.variables, remainder)
+            remainder[e] = c
+            continue
+        if not p:
+            d = math.gcd(c, gc)
+            a = gc // d
+            if a != 1:
+                for t in work:
+                    work[t] *= a
+                for t in remainder:
+                    remainder[t] *= a
+                m *= a
+            c //= d
+        _subtract(work, c, tuple(map(sub, e, ge)), tail, p)
+    return remainder, m
 
 
-def _spoly(
-    f: Polynomial,
-    g: Polynomial,
-    f_lead: tuple[Exponents, Element],
-    g_lead: tuple[Exponents, Element],
-) -> Polynomial:
-    field = f.field
-    (fe, fc), (ge, gc) = f_lead, g_lead
+def _spoly(f: _Reducer, g: _Reducer, p: int) -> dict[Exponents, int]:
+    """a*x^u*f - b*x^v*g with the leading terms cancelled: over Q,
+    (a, b) = (lc(g), lc(f)) / gcd(lc(f), lc(g)); over F_p, a = b = 1."""
+    (fe, fc, ftail), (ge, gc, gtail) = f, g
     lcm = _exp_lcm(fe, ge)
-    terms: dict[Exponents, Element] = {}
-    _sub_scaled(terms, field.neg(field.inv(fc)), _exp_sub(lcm, fe), f, field.characteristic)
-    _sub_scaled(terms, field.inv(gc), _exp_sub(lcm, ge), g, field.characteristic)
-    return Polynomial(field, f.variables, terms)
+    a = b = 1
+    if not p:
+        d = math.gcd(fc, gc)
+        a, b = gc // d, fc // d
+    u = tuple(map(sub, lcm, fe))
+    terms = {tuple(map(add, e, u)): a * c for e, c in ftail}
+    _subtract(terms, b, tuple(map(sub, lcm, ge)), gtail, p)
+    return terms
+
+
+def normal_form(p: Polynomial, basis: list[Polynomial], order: MonomialOrder) -> Polynomial:
+    """Remainder of p under multivariate division by basis.
+
+    The division runs on integer coefficients (see `_reduce`): over Q each
+    basis element is taken as its primitive integer multiple and p with its
+    denominators cleared, and the remainder is scaled back at the end, so it
+    is exactly the one that division with Fraction coefficients gives.  Over
+    F_p the basis is made monic and coefficients are residues in [0, p).
+    """
+    keys = _Keys(order)
+    char = p.field.characteristic
+    reducers = []
+    for g in basis:
+        lead = leading_term(g, order)[0]
+        reducers.append(_reducer(_normalize(_clear(g)[0], lead, char), lead))
+    work, n = _clear(p)
+    remainder, m = _reduce(work, reducers, keys, char)
+    if not char:
+        n *= m
+        remainder = {e: Fraction(c, n) for e, c in remainder.items()}
+    return Polynomial(p.field, p.variables, remainder)
 
 
 def _unit(p: Polynomial) -> list[Polynomial]:
     return [Polynomial.constant(p.field, p.variables, 1)]
 
 
+def _check_rings(gens: list[Polynomial], order: MonomialOrder) -> None:
+    if not gens:
+        return
+    field = gens[0].field
+    for g in gens:
+        if g.variables != order.variables or g.field != field:
+            raise PreconditionError(
+                f"groebner_basis: generator {format_polynomial(g)} lives in "
+                f"{_ring(g.field, g.variables)}, not in {_ring(field, order.variables)}"
+            )
+
+
 def groebner_basis(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
     """Reduced Groebner basis, monic generators sorted by ascending leading term.
+
+    Every generator must live in the order's ring and over one field.  The
+    output's coefficients are Fractions over Q and ints in [0, p) over F_p.
+    Inside, elements are integer polynomials (see `_reduce`): over Q each
+    generator and each S-pair remainder is kept primitive, and reduction is
+    pseudo-division by gcd cofactors; over F_p each is kept monic.  Both
+    produce nonzero multiples of the field computation's elements, so every
+    decision below, which reads only leading monomials, is the same.  Only
+    the final interreduction converts back to field elements.
 
     An ideal that contains a unit returns ``[1]`` as soon as a nonzero constant
     shows up, among the generators or as an S-pair remainder.
@@ -168,6 +265,7 @@ def groebner_basis(gens: list[Polynomial], order: MonomialOrder) -> list[Polynom
     took over 40 s that way instead of 0.03 s.  The active set is interreduced
     at the end.
     """
+    _check_rings(gens, order)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
@@ -175,32 +273,34 @@ def groebner_basis(gens: list[Polynomial], order: MonomialOrder) -> list[Polynom
         if g.is_constant():
             return _unit(g)
 
-    basis: list[Polynomial] = []
-    leads: list[tuple[Exponents, Element]] = []
+    char = gens[0].field.characteristic
+    keys = _Keys(order)
+    elements: list[dict[Exponents, int]] = []
+    reducers: list[_Reducer] = []
     sugars: list[int] = []
     active: list[int] = []
     live: dict[tuple[int, int], Exponents] = {}
     pairs: list[tuple[tuple, int, int]] = []
 
-    def update(h: Polynomial, sugar: int) -> None:
-        j = len(basis)
-        basis.append(h)
-        leads.append(leading_term(h, order))
+    def update(h: dict[Exponents, int], he: Exponents, sugar: int) -> None:
+        j = len(elements)
+        h = _normalize(h, he, char)
+        elements.append(h)
+        reducers.append(_reducer(h, he))
         sugars.append(sugar)
-        he = leads[j][0]
         for pair, lcm in list(live.items()):
             if (
                 _divides(he, lcm)
-                and _exp_lcm(leads[pair[0]][0], he) != lcm
-                and _exp_lcm(leads[pair[1]][0], he) != lcm
+                and _exp_lcm(reducers[pair[0]][0], he) != lcm
+                and _exp_lcm(reducers[pair[1]][0], he) != lcm
             ):
                 del live[pair]
         # one candidate per lcm; None marks a class holding a coprime pair
         chosen: dict[Exponents, int | None] = {}
         for i in active:
-            fe = leads[i][0]
+            fe = reducers[i][0]
             lcm = _exp_lcm(fe, he)
-            coprime = lcm == tuple([a + b for a, b in zip(fe, he)])
+            coprime = lcm == tuple(map(add, fe, he))
             if lcm not in chosen:
                 chosen[lcm] = None if coprime else i
             elif coprime:
@@ -209,54 +309,58 @@ def groebner_basis(gens: list[Polynomial], order: MonomialOrder) -> list[Polynom
             if i is None or any(m != lcm and _divides(m, lcm) for m in chosen):
                 continue
             deg = sum(lcm)
-            pair_sugar = max(sugars[i] + deg - sum(leads[i][0]), sugar + deg - sum(he))
+            pair_sugar = max(sugars[i] + deg - sum(reducers[i][0]), sugar + deg - sum(he))
             live[i, j] = lcm
-            heapq.heappush(pairs, ((pair_sugar, order.key(lcm), i, j), i, j))
-        active[:] = [i for i in active if not _divides(he, leads[i][0])]
+            heapq.heappush(pairs, ((pair_sugar, keys[lcm], i, j), i, j))
+        active[:] = [i for i in active if not _divides(he, reducers[i][0])]
         active.append(j)
 
     for g in gens:
-        update(g, g.total_degree())
+        h = _clear(g)[0]
+        update(h, max(h, key=keys.__getitem__), g.total_degree())
 
     while pairs:
         key, i, j = heapq.heappop(pairs)
         if live.pop((i, j), None) is None:
             continue
-        s = _spoly(basis[i], basis[j], leads[i], leads[j])
-        r = normal_form(s, basis, order, leads)
-        if r.is_zero():
+        r = _reduce(_spoly(reducers[i], reducers[j], char), reducers, keys, char)[0]
+        if not r:
             continue
-        if r.is_constant():
-            return _unit(r)
-        update(r, key[0])
+        # the remainder's terms come out in descending order
+        lead = next(iter(r))
+        if not any(lead):
+            return _unit(gens[0])
+        update(r, lead, key[0])
 
-    return _interreduce([basis[k] for k in active], [leads[k] for k in active], order)
+    return _interreduce(
+        [elements[k] for k in active], [reducers[k] for k in active], keys, gens[0]
+    )
 
 
 def _interreduce(
-    basis: list[Polynomial], leads: list[tuple[Exponents, Element]], order: MonomialOrder
+    elements: list[dict[Exponents, int]], reducers: list[_Reducer], keys: _Keys, like: Polynomial
 ) -> list[Polynomial]:
-    """Reduced basis from a Groebner basis: keep a minimal set of leads (the
-    earliest of equal leads), tail-reduce each element once against the
-    others, make it monic and sort by leading term."""
-    field = basis[0].field
+    """Reduced basis from a Groebner basis of integer elements: keep a minimal
+    set of leads (the earliest of equal leads), tail-reduce each element once
+    against the others, make it monic over the field of `like` and sort by
+    leading term."""
+    char = like.field.characteristic
+    leads = [r[0] for r in reducers]
     keep = [
         k
-        for k, (e, _) in enumerate(leads)
-        if not any(
-            _divides(f, e) and (f != e or m < k)
-            for m, (f, _) in enumerate(leads)
-            if m != k
-        )
+        for k, e in enumerate(leads)
+        if not any(_divides(f, e) and (f != e or m < k) for m, f in enumerate(leads) if m != k)
     ]
     monic = []
     for k in keep:
-        g = basis[k]
-        others = [m for m in keep if m != k]
+        terms = elements[k]
+        others = [reducers[m] for m in keep if m != k]
         if others:
-            g = normal_form(g, [basis[m] for m in others], order, [leads[m] for m in others])
-        e, c = leads[k]
-        monic.append((order.key(e), g.scale(field.div(field.one(), c))))
+            terms = _reduce(dict(terms), others, keys, char)[0]
+        if not char:  # over F_p the elements are monic already
+            lc = terms[leads[k]]
+            terms = {e: Fraction(c, lc) for e, c in terms.items()}
+        monic.append((keys[leads[k]], Polynomial(like.field, like.variables, terms)))
     monic.sort(key=lambda t: t[0])
     return [g for _, g in monic]
 
@@ -269,12 +373,28 @@ class Ideal:
         self.variables = tuple(variables)
         gens = []
         for g in generators:
-            if g.variables != self.variables:
-                g = g.in_ring(self.variables)
+            g = self._own(g)
             if not g.is_zero():
                 gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._bases: dict[MonomialOrder, list[Polynomial]] = {}
+
+    def _own(self, p: Polynomial) -> Polynomial:
+        """p moved into this ideal's ring by variable name; PreconditionError
+        when p is over another field or involves a variable outside the ring."""
+        if p.field == self.field and p.variables == self.variables:
+            return p
+        ring = _ring(self.field, self.variables)
+        if p.field != self.field:
+            raise PreconditionError(
+                f"{format_polynomial(p)} lives in {_ring(p.field, p.variables)}, not in {ring}"
+            )
+        outside = sorted(p.support_vars().difference(self.variables))
+        if outside:
+            raise PreconditionError(
+                f"{format_polynomial(p)} involves {', '.join(outside)}, outside {ring}"
+            )
+        return p.in_ring(self.variables)
 
     @staticmethod
     def zero(field: FieldSpec, variables: tuple[str, ...]) -> Ideal:
@@ -299,8 +419,7 @@ class Ideal:
         return len(b) == 1 and b[0].is_constant()
 
     def contains(self, p: Polynomial) -> bool:
-        if p.variables != self.variables:
-            p = p.in_ring(self.variables)
+        p = self._own(p)
         if p.is_zero():
             return True
         b = self.basis()
@@ -310,8 +429,7 @@ class Ideal:
 
     def radical_contains(self, p: Polynomial) -> bool:
         """Rabinowitsch trick: p vanishes on V(I) iff 1 in I + (1 - t*p)."""
-        if p.variables != self.variables:
-            p = p.in_ring(self.variables)
+        p = self._own(p)
         if p.is_zero():
             return True
         if self.contains(p):

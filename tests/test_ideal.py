@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import pytest
 
+from qrees.errors import PreconditionError
 from qrees.field import QQ, FieldSpec
 from qrees.ideal import (
     ClosedSet,
     Ideal,
     MonomialOrder,
-    _spoly,
     _unit,
     coordinate_ideal,
     groebner_basis,
@@ -178,6 +178,56 @@ def test_closed_set_with_fat_components() -> None:
 # -- groebner_basis against the plain Buchberger algorithm ---------------------
 
 
+# The Fraction reduction that groebner_basis and normal_form used before the
+# integer core, kept as an independent oracle.
+
+
+def _sub_scaled(terms, coeff, shift, g: Polynomial, p: int) -> None:
+    """terms -= coeff * x^shift * g in place over F_p (Q when p == 0);
+    cancelled terms are removed."""
+    for ge, gc in g.terms.items():
+        e = tuple([a + b for a, b in zip(ge, shift)])
+        v = terms.get(e, 0) - coeff * gc
+        if p:
+            v %= p
+        if v:
+            terms[e] = v
+        else:
+            terms.pop(e, None)
+
+
+def fraction_normal_form(p: Polynomial, basis, order: MonomialOrder, leads=None) -> Polynomial:
+    """Remainder of p under multivariate division by basis, over the field."""
+    field = p.field
+    if leads is None:
+        leads = [leading_term(g, order) for g in basis]
+    remainder = {}
+    work = dict(p.terms)
+    while work:
+        e = max(work, key=order.key)
+        c = work[e]
+        for g, (ge, gc) in zip(basis, leads):
+            if all(x <= y for x, y in zip(ge, e)):
+                shift = tuple(x - y for x, y in zip(e, ge))
+                _sub_scaled(work, field.div(c, gc), shift, g, field.characteristic)
+                break
+        else:
+            remainder[e] = work.pop(e)
+    return Polynomial(field, p.variables, remainder)
+
+
+def _spoly(f: Polynomial, g: Polynomial, f_lead, g_lead) -> Polynomial:
+    field = f.field
+    (fe, fc), (ge, gc) = f_lead, g_lead
+    lcm = tuple(max(x, y) for x, y in zip(fe, ge))
+    terms = {}
+    p = field.characteristic
+    _sub_scaled(terms, field.neg(field.inv(fc)), tuple(x - y for x, y in zip(lcm, fe)), f, p)
+    _sub_scaled(terms, field.inv(gc), tuple(x - y for x, y in zip(lcm, ge)), g, p)
+    return Polynomial(field, f.variables, terms)
+
+
+
 def buchberger_oracle(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
     """Buchberger with only the coprime criterion, then interreduction that
     restarts until no element changes, as groebner_basis was before the
@@ -206,7 +256,7 @@ def buchberger_oracle(gens: list[Polynomial], order: MonomialOrder) -> list[Poly
         push_pairs(j)
     while pairs:
         key, i, j = heapq.heappop(pairs)
-        r = normal_form(_spoly(basis[i], basis[j], leads[i], leads[j]), basis, order, leads)
+        r = fraction_normal_form(_spoly(basis[i], basis[j], leads[i], leads[j]), basis, order, leads)
         if r.is_zero():
             continue
         if r.is_constant():
@@ -224,7 +274,7 @@ def buchberger_oracle(gens: list[Polynomial], order: MonomialOrder) -> list[Poly
             others = basis[:i] + basis[i + 1 :]
             if not others:
                 continue
-            r = normal_form(basis[i], others, order, leads[:i] + leads[i + 1 :])
+            r = fraction_normal_form(basis[i], others, order, leads[:i] + leads[i + 1 :])
             if r != basis[i]:
                 changed = True
                 if r.is_zero():
@@ -285,3 +335,124 @@ def test_groebner_matches_buchberger_oracle() -> None:
     assert {(p, b) for p, b, many in seen if many} == {
         (p, b) for p in (0, 2, 3, 5) for b in (1, 2)
     }
+
+
+# -- the integer core ----------------------------------------------------------------
+
+
+def test_groebner_coefficients_are_field_elements() -> None:
+    """Fraction(2) == 2, so equality with a reference basis cannot see an int
+    escaping the integer core over Q: the types are checked directly."""
+    rng = random.Random(9)
+    for _ in range(60):
+        gens, order = _random_generators(rng)
+        p = gens[0].field.characteristic
+        for g in groebner_basis(list(gens), order):
+            for c in g.terms.values():
+                if p:
+                    assert type(c) is int and 0 < c < p, (gens, order, g)
+                else:
+                    assert type(c) is Fraction, (gens, order, g)
+
+
+def test_groebner_is_scale_invariant() -> None:
+    """Multiplying the generators by nonzero scalars leaves the reduced basis
+    unchanged, in both characteristics and both kinds of order."""
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(80):
+        gens, order = _random_generators(rng)
+        field = gens[0].field
+        if field.characteristic:
+            scalars = range(1, field.characteristic)
+        else:
+            scalars = (-1, Fraction(7, 3), Fraction(-1, 6), 10**20 + 1)
+        scaled = [g.scale(rng.choice(scalars)) for g in gens]
+        assert groebner_basis(scaled, order) == groebner_basis(list(gens), order), (gens, order)
+        seen.add((field.characteristic, len(order.blocks)))
+    assert seen == {(p, b) for p in (0, 2, 3, 5) for b in (1, 2)}
+
+
+def _random_polynomial(rng: random.Random, field: FieldSpec, ring: tuple[str, ...]) -> Polynomial:
+    coeffs = (1, -1, 2, -3, Fraction(5, 7)) if field.is_rational else range(1, field.characteristic)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = tuple(rng.randint(0, 2) for _ in ring)
+        terms[e] = field.coerce(rng.choice(coeffs))
+    return Polynomial(field, ring, terms)
+
+
+def test_contains_and_normal_form_match_fraction_division() -> None:
+    """Ideal.contains agrees with Fraction division on seeded members and
+    non-members, and normal_form returns the very remainder Fraction division
+    gives, also by a basis that is not a Groebner basis."""
+    rng = random.Random(23)
+    answers = set()
+    for _ in range(60):
+        gens, _ = _random_generators(rng)
+        field, ring = gens[0].field, gens[0].variables
+        order = MonomialOrder.grevlex(ring)
+        ideal = Ideal(field, ring, gens)
+        basis = ideal.basis()
+        member = Polynomial.zero(field, ring)
+        for g in gens:
+            member = member + _random_polynomial(rng, field, ring) * g
+        for q in (member, _random_polynomial(rng, field, ring)):
+            expected = q.is_zero() or fraction_normal_form(q, basis, order).is_zero()
+            assert ideal.contains(q) == expected, (gens, q)
+            assert normal_form(q, basis, order) == fraction_normal_form(q, basis, order)
+            divisors = [g for g in gens if not g.is_zero()]
+            assert normal_form(q, divisors, order) == fraction_normal_form(q, divisors, order)
+            answers.add(expected)
+        assert ideal.contains(member)
+    assert answers == {True, False}
+
+
+# -- ring checks ---------------------------------------------------------------------------
+
+F3 = FieldSpec(3)
+
+
+@pytest.mark.parametrize(
+    "gens, ring",
+    [
+        ([P("x^2 - y")], XYZ),
+        ([P("x^2 - y"), parse_polynomial("x", QQ, ("x",)), P("y^2")], XY),
+        ([P("x^2 - y"), parse_polynomial("x + y", F3, XY)], XY),
+    ],
+    ids=["ring-smaller-than-order", "mixed-rings", "mixed-fields"],
+)
+def test_groebner_basis_rejects_generators_from_another_ring(gens, ring) -> None:
+    with pytest.raises(PreconditionError, match=r"generator .* lives in .*\[.*\], not in .*\["):
+        groebner_basis(gens, MonomialOrder.grevlex(ring))
+
+
+def test_ideal_rejects_generators_over_another_field() -> None:
+    gens = [parse_polynomial(t, F3, XY) for t in ("x", "y")]
+    with pytest.raises(PreconditionError, match=r"F_3\[x, y\], not in Q\[x, y\]"):
+        Ideal(QQ, XY, gens).basis()
+
+
+def test_contains_rejects_element_over_another_field() -> None:
+    with pytest.raises(PreconditionError, match=r"F_3\[x, y\], not in Q\[x, y\]"):
+        I("x").contains(parse_polynomial("x + y", F3, XY))
+
+
+def test_radical_contains_rejects_element_over_another_field() -> None:
+    with pytest.raises(PreconditionError, match=r"F_3\[x, y\], not in Q\[x, y\]"):
+        I("x").radical_contains(parse_polynomial("x + y", F3, XY))
+
+
+def test_ideal_rejects_generator_outside_the_ring() -> None:
+    with pytest.raises(PreconditionError, match=r"involves z, outside Q\[x, y\]"):
+        Ideal(QQ, XY, [P("x + z", XYZ)])
+
+
+def test_contains_rejects_element_outside_the_ring() -> None:
+    with pytest.raises(PreconditionError, match=r"involves z, outside Q\[x, y\]"):
+        I("x").contains(P("z", XYZ))
+
+
+def test_radical_contains_rejects_element_outside_the_ring() -> None:
+    with pytest.raises(PreconditionError, match=r"involves z, outside Q\[x, y\]"):
+        I("x").radical_contains(P("y*z", XYZ))
