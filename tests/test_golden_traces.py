@@ -9,6 +9,9 @@ an internal error, and no golden should pin that.  ``queries.json`` pins the
 text of ``fc_at_point`` (at the origin and at ``(1, 0[, 0])``) and of
 ``max_locus_fc`` for every characteristic-zero algebra of the acceptance
 corpus.
+``cli.json`` pins stdout, stderr and the exit code of every ``qrees``
+subcommand, in text and with ``--json``, on the ``tests/test_cli.py`` problem
+files plus a unit and a zero algebra.
 ``chains.json`` pins one or two blowup steps (center check, transform, divisorial
 content, differential saturation, coefficient algebra) on fixed algebras over
 Q, F_2 and F_3, so the positive-characteristic side of those kernels is
@@ -21,13 +24,17 @@ Regenerate the files (only when a trace change is intended) with:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from qrees.algebra import format_algebra, parse_generator_list
+from qrees.cli import main
 from qrees.charts import (
     center_inside_singular_locus,
     coefficient_algebra,
@@ -40,6 +47,7 @@ from qrees.problem import parse_problem
 from qrees.resolve import fc_at_point, max_locus_fc, resolve
 from qrees.saturation import diff_saturate
 from test_acceptance import CORPUS
+from test_cli import CHAR2, MONOMIAL, PAIR, UMBRELLA
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -93,6 +101,68 @@ CHAINS = [
     # center {y = z = 0} misses its singular locus
     (3, "x y z", "x^3 + y*z^2 : 3", "y z", "y", "x"),
 ]
+
+
+CLI_FILES = {
+    "umbrella": UMBRELLA,
+    "pair": PAIR,
+    "char2": CHAR2,
+    "monomial": MONOMIAL,
+    "unit": "field Q\nchart x y\ngen 1 : 1\n",
+    "zero": "field Q\nchart x y\ngen 0 : 1\n",
+}
+
+
+def cli_commands(text: str) -> list[list[str]]:
+    """Every subcommand, with options that suit the problem's ring; the
+    equivalence check compares the first algebra with the last."""
+    problem = parse_problem(text)
+    n = len(problem.variables)
+    other = list(problem.algebras)[-1]
+    commands = [
+        ["diff"],
+        ["sing"],
+        ["ord"],
+        ["ord", "--point", ",".join(["0"] * n)],
+        ["ord", "--point", ",".join(["1"] * n)],
+        ["coeff", "--var", "x"],
+        ["eliminate", "--var", "x"],
+        ["blowup", "--center", "x,y", "--chart-var", "y"],
+        ["transform", "--center", "x,y", "--chart-var", "y"],
+        ["nonmonomial"],
+        ["nu", "--element", "x^2"],
+        ["nubar", "--element", "x^2"],
+        ["member", "--element", "x^2", "--weight", "1"],
+        ["equiv", "--other", other],
+        ["resolve"],
+    ]
+    commands += [c + ["--json"] for c in commands]
+    return commands + [
+        ["resolve", "--dot"],
+        ["resolve", "--dot", "--json"],
+        ["resolve", "--max-steps", "1"],
+    ]
+
+
+def cli_text() -> str:
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in CLI_FILES.items():
+            path = Path(tmp) / f"{name}.qr"
+            path.write_text(text)
+            for command in cli_commands(text):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main([command[0], str(path), *command[1:]])
+                out.append(
+                    {
+                        "argv": [command[0], name, *command[1:]],
+                        "exit": code,
+                        "stdout": stdout.getvalue(),
+                        "stderr": stderr.getvalue(),
+                    }
+                )
+    return json.dumps(out, indent=1)
 
 
 def chains_text() -> str:
@@ -181,6 +251,10 @@ def test_chains_match_golden() -> None:
     assert chains_text() == (GOLDEN / "chains.json").read_text()
 
 
+def test_cli_matches_golden() -> None:
+    assert cli_text() == (GOLDEN / "cli.json").read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, text in PROBLEMS.items():
@@ -190,3 +264,5 @@ if __name__ == "__main__":
     print("wrote queries.json")
     (GOLDEN / "chains.json").write_text(chains_text())
     print("wrote chains.json")
+    (GOLDEN / "cli.json").write_text(cli_text())
+    print("wrote cli.json")
