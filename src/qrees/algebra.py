@@ -18,6 +18,7 @@ from .poly import (
     Infinity,
     Polynomial,
     format_polynomial,
+    into_ring,
     parse_polynomial,
     parse_rational,
 )
@@ -44,8 +45,7 @@ class QReesAlgebra:
             a = Fraction(a)
             if a <= 0:
                 raise PreconditionError(f"generator weight must be positive, got {a}")
-            if f.variables != self.variables:
-                f = f.in_ring(self.variables)
+            f = into_ring(f, self.field, self.variables)
             if not f.is_zero():
                 kept.append((f, a))
         object.__setattr__(self, "generators", tuple(kept))
@@ -126,16 +126,18 @@ class QReesAlgebra:
 
     def min_order(self, order) -> Fraction | Infinity:
         """min over generators of order(f_i)/a_i, skipping infinite orders;
-        INFINITY for the zero algebra."""
-        best: Fraction | Infinity = INFINITY
+        INFINITY for the zero algebra.  Orders are integers, so o/a is
+        compared as the integer pair (o * den(a), num(a)) and only the least
+        becomes a Fraction."""
+        best = None
         for f, a in self.generators:
             o = order(f)
-            if isinstance(o, Infinity):
+            if o is INFINITY:
                 continue
-            v = Fraction(o) / a
-            if v < best:
-                best = v
-        return best
+            num, den = o * a.denominator, a.numerator
+            if best is None or num * best[1] < best[0] * den:
+                best = num, den
+        return INFINITY if best is None else Fraction(*best)
 
     def ord_at_point(self, point) -> Fraction | Infinity:
         """Order of the algebra at a rational point: min ord_p(f_i)/a_i.
@@ -153,17 +155,16 @@ class QReesAlgebra:
     def ord_at_origin(self) -> Fraction | Infinity:
         return self.min_order(Polynomial.order)
 
-    def shift(self, shifts: dict[str, Polynomial]) -> QReesAlgebra:
-        """Substitute v -> v + shifts[v] in every generator; a shift may live
-        in any ring whose variables belong to this one."""
-        ring = self.variables
-        mapping = {
-            v: Polynomial.variable(self.field, ring, v) + s.in_ring(ring)
-            for v, s in shifts.items()
-        }
+    def shift(self, shifts: dict) -> QReesAlgebra:
+        """Substitute v -> v + shifts[v] in every generator (Polynomial.shift)."""
         return QReesAlgebra(
-            self.field, ring, tuple((f.substitute(mapping), a) for f, a in self.generators)
+            self.field, self.variables, tuple((f.shift(shifts), a) for f, a in self.generators)
         )
+
+    def order_along(self, vars: tuple[str, ...]) -> Fraction | Infinity:
+        """Order along the coordinate subspace V(vars): min ord_vars(f_i)/a_i;
+        INFINITY for the zero algebra."""
+        return self.min_order(lambda f: f.order_in_vars(vars))
 
     def order_ge_ideal(self, omega) -> Ideal:
         """Ideal cutting out the locus where the algebra has order >= omega,
@@ -217,16 +218,16 @@ class QReesAlgebra:
 
     def max_order_within(self, inside: Ideal) -> tuple[Fraction, Ideal]:
         """Largest omega with {ord >= omega} meeting V(inside), and the ideal
-        of that intersection.  Candidate orders are m/a_i for integer m."""
+        of that intersection.  Candidate orders are m/a_i for integers m >= 1;
+        when none is met, omega is 0 and the ideal is inside itself."""
         if self.is_zero():
             raise PreconditionError("max order of the zero algebra is infinite")
-        candidates = {Fraction(0)}
-        for f, a in self.generators:
-            for m in range(f.total_degree() + 1):
-                candidates.add(Fraction(m) / a)
+        candidates = {
+            Fraction(m) / a
+            for f, a in self.generators
+            for m in range(1, f.total_degree() + 1)
+        }
         for omega in sorted(candidates, reverse=True):
-            if omega == 0:
-                return omega, inside
             gens = list(self.order_ge_ideal(omega).generators) + list(inside.generators)
             stratum = Ideal(self.field, self.variables, gens)
             if not stratum.is_unit():
@@ -303,6 +304,7 @@ def parse_generator_list(
     return QReesAlgebra(field, variables, tuple(gens))
 
 
-def algebra_sample_points(variables: tuple[str, ...], values=(0, 1, -1, 2)) -> list[tuple]:
+def algebra_sample_points(variables: tuple[str, ...]) -> list[tuple]:
     """Small deterministic grid of rational points, for order comparisons."""
-    return [tuple(Fraction(v) for v in combo) for combo in itertools.product(values, repeat=len(variables))]
+    grid = itertools.product((0, 1, -1, 2), repeat=len(variables))
+    return [tuple(Fraction(v) for v in combo) for combo in grid]

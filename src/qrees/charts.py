@@ -120,7 +120,8 @@ def transform_algebra(
 def center_inside_singular_locus(alg: QReesAlgebra, center_vars: tuple[str, ...]) -> bool:
     """Does V(C) lie in {ord >= 1}, for C the center variables in the ring?
     It does iff every generator (f, a) has order at least ceil(a) along C,
-    in every characteristic.
+    in every characteristic: since orders are integers, iff the algebra's
+    order along C is at least 1.
 
     {ord >= 1} is cut out by the Hasse derivatives D^alpha f with
     |alpha| < ceil(a).  If every term of f has C-degree at least ceil(a),
@@ -133,7 +134,7 @@ def center_inside_singular_locus(alg: QReesAlgebra, center_vars: tuple[str, ...]
     c = tuple(v for v in center_vars if v in alg.variables)
     if not c:
         return True
-    return all(f.order_in_vars(c) >= math.ceil(a) for f, a in alg.generators)
+    return alg.order_along(c) >= 1
 
 
 # -- divisorial content ------------------------------------------------------
@@ -143,7 +144,7 @@ def ell_value(alg: QReesAlgebra, var: str) -> Fraction | Infinity:
     """Normalized multiplicity of the algebra along V(var): min nu_var(f_i)/a_i."""
     if var not in alg.variables:
         raise PreconditionError(f"{var} is not a chart variable")
-    return alg.min_order(lambda f: f.divisor_valuation(var))
+    return alg.order_along((var,))
 
 
 def divide_by_divisor(alg: QReesAlgebra, var: str, ell) -> QReesAlgebra:

@@ -1,6 +1,7 @@
 """Command line front end.  Each subcommand wraps one library operation on a
-problem file; --json switches the human-readable report for a stable JSON
-document.  Errors exit with the code carried by the exception."""
+problem file and returns its result both as a JSON payload and as text
+lines; main prints one of them (--json picks the payload).  Errors exit with
+the code carried by the exception."""
 
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from .charts import (
     validate_center,
 )
 from .errors import ProblemParseError, QreesError
-from .ideal import Ideal
 from .invariant import InvariantValue
 from .poly import Infinity, format_polynomial, parse_polynomial, parse_rational
 from .problem import Problem, parse_problem
@@ -31,15 +31,27 @@ from .saturation import (
     nu_bar_estimate,
 )
 
+# a result as a JSON payload (None: text only) and as text lines
+Output = tuple[dict | None, list[str]]
+
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  Each cmd_* returns (payload, lines); this is the
+    only place a result is printed: the payload as JSON under --json, else
+    the lines, and nothing when there are none.  A None payload (resolve
+    --dot) always prints its lines."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        payload, lines = args.handler(args)
     except QreesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    if args.json and payload is not None:
+        print(json.dumps(payload, indent=2))
+    elif lines:
+        print("\n".join(lines))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,61 +134,33 @@ def value_text(value) -> str:
     return "INFINITY" if isinstance(value, Infinity) else str(value)
 
 
-def emit_algebra(alg: QReesAlgebra, as_json: bool) -> int:
-    if as_json:
-        payload = {
-            "generators": [[format_polynomial(f), str(a)] for f, a in alg.generators]
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        if alg.is_zero():
-            print("0")
-        for f, a in alg.generators:
-            print(f"{format_polynomial(f)} : {a}")
-    return 0
+def algebra_output(alg: QReesAlgebra) -> Output:
+    """The generators as JSON rows [poly, weight] and as text lines
+    'poly : weight'; the zero algebra reads 0."""
+    rows = [[format_polynomial(f), str(a)] for f, a in alg.generators]
+    return {"generators": rows}, [f"{f} : {a}" for f, a in rows] or ["0"]
 
 
-def emit_ideal(ideal: Ideal, as_json: bool) -> int:
-    gens = [format_polynomial(g) for g in ideal.basis()]
-    if as_json:
-        print(json.dumps({"generators": gens}, indent=2))
-    else:
-        if not gens:
-            print("0")
-        for g in gens:
-            print(g)
-    return 0
-
-
-def cmd_diff(args) -> int:
+def cmd_diff(args) -> Output:
     _, alg = load(args)
-    return emit_algebra(diff_saturate(alg), args.json)
+    return algebra_output(diff_saturate(alg))
 
 
-def cmd_sing(args) -> int:
+def cmd_sing(args) -> Output:
     _, alg = load(args)
-    return emit_ideal(alg.sing_ideal(), args.json)
+    gens = [format_polynomial(g) for g in alg.sing_ideal().basis()]
+    return {"generators": gens}, gens or ["0"]
 
 
-def cmd_ord(args) -> int:
+def cmd_ord(args) -> Output:
     problem, alg = load(args)
     if args.point is not None:
         point = parse_point(args.point, len(problem.variables))
         text = value_text(alg.ord_at_point(point))
-        if args.json:
-            print(json.dumps({"order": text}, indent=2))
-        else:
-            print(text)
-        return 0
+        return {"order": text}, [text]
     omega, locus = alg.max_order_stratum()
     gens = [format_polynomial(g) for g in locus.components[0].basis()]
-    if args.json:
-        print(json.dumps({"max_order": str(omega), "stratum": gens}, indent=2))
-    else:
-        print(f"max order {omega}")
-        for g in gens:
-            print(g)
-    return 0
+    return {"max_order": str(omega), "stratum": gens}, [f"max order {omega}", *gens]
 
 
 def parse_point(text: str, expected: int) -> tuple:
@@ -188,17 +172,17 @@ def parse_point(text: str, expected: int) -> tuple:
     return tuple(parse_rational(p, "coordinate") for p in parts)
 
 
-def cmd_coeff(args) -> int:
+def cmd_coeff(args) -> Output:
     _, alg = load(args)
-    return emit_algebra(coefficient_algebra(alg, args.var), args.json)
+    return algebra_output(coefficient_algebra(alg, args.var))
 
 
-def cmd_eliminate(args) -> int:
+def cmd_eliminate(args) -> Output:
     _, alg = load(args)
-    return emit_algebra(elimination_algebra(diff_saturate(alg), args.var), args.json)
+    return algebra_output(elimination_algebra(diff_saturate(alg), args.var))
 
 
-def cmd_blowup(args) -> int:
+def cmd_blowup(args) -> Output:
     problem, alg = load(args)
     _, parent, _ = root_chart(problem.field, problem.variables, alg, problem.divisors)
     center = tuple(v.strip() for v in args.center.split(","))
@@ -208,72 +192,48 @@ def cmd_blowup(args) -> int:
         "substitution": [[v, image] for v, image in child.substitution],
         "divisors": [{"var": d.var, "created": d.created} for d in child.divisors],
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"chart {child.id}")
-        for v, image in child.substitution:
-            print(f"  {v} -> {image}")
-        for d in child.divisors:
-            print(f"  divisor {d.var} created {d.created}")
-    return 0
+    lines = [f"chart {child.id}"]
+    lines += [f"  {v} -> {image}" for v, image in child.substitution]
+    lines += [f"  divisor {d.var} created {d.created}" for d in child.divisors]
+    return payload, lines
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> Output:
     problem, alg = load(args)
     center = tuple(v.strip() for v in args.center.split(","))
     validate_center(problem.variables, center, args.chart_var)
-    return emit_algebra(transform_algebra(alg, center, args.chart_var), args.json)
+    return algebra_output(transform_algebra(alg, center, args.chart_var))
 
 
-def cmd_nonmonomial(args) -> int:
+def cmd_nonmonomial(args) -> Output:
     problem, alg = load(args)
     residual, ells = non_monomial_part(alg, [d.var for d in problem.divisors])
+    payload, rows = algebra_output(residual)
     ell_text = [value_text(e) for e in ells]
-    if args.json:
-        payload = {
-            "generators": [
-                [format_polynomial(f), str(a)] for f, a in residual.generators
-            ],
-            "multiplicities": [
-                {"var": d.var, "ell": t}
-                for d, t in zip(problem.divisors, ell_text)
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for d, t in zip(problem.divisors, ell_text):
-            print(f"ell({d.var}) = {t}")
-        for f, a in residual.generators:
-            print(f"{format_polynomial(f)} : {a}")
-    return 0
+    payload["multiplicities"] = [
+        {"var": d.var, "ell": t} for d, t in zip(problem.divisors, ell_text)
+    ]
+    lines = [f"ell({d.var}) = {t}" for d, t in zip(problem.divisors, ell_text)]
+    # a zero residual adds no line, not the standalone algebra's 0
+    return payload, lines + (rows if residual.generators else [])
 
 
-def cmd_nu(args) -> int:
+def cmd_nu(args) -> Output:
     problem, alg = load(args)
     cap = parse_rational(args.cap, "cap")
-    value = nu(alg, parse_element(problem, args.element), cap)
-    text = value_text(value)
-    if args.json:
-        print(json.dumps({"nu": text}, indent=2))
-    else:
-        print(text)
-    return 0
+    text = value_text(nu(alg, parse_element(problem, args.element), cap))
+    return {"nu": text}, [text]
 
 
-def cmd_nubar(args) -> int:
+def cmd_nubar(args) -> Output:
     problem, alg = load(args)
     cap = parse_rational(args.cap, "cap")
     value = nu_bar_estimate(alg, parse_element(problem, args.element), args.nmax, cap)
     text = value_text(value)
-    if args.json:
-        print(json.dumps({"nu_bar": text}, indent=2))
-    else:
-        print(text)
-    return 0
+    return {"nu_bar": text}, [text]
 
 
-def cmd_member(args) -> int:
+def cmd_member(args) -> Output:
     problem, alg = load(args)
     verdict = is_integral_member(
         alg,
@@ -287,40 +247,29 @@ def cmd_member(args) -> int:
         "power": verdict.power,
         "weight": str(verdict.level),
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        if verdict.status == "MemberWitness":
-            print(f"{verdict.status} (power {verdict.power})")
-        else:
-            print(verdict.status)
-    return 0
+    if verdict.status == "MemberWitness":
+        return payload, [f"{verdict.status} (power {verdict.power})"]
+    return payload, [verdict.status]
 
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args) -> Output:
     problem, alg = load(args)
     other = problem.algebra(args.other)
     cap = parse_rational(args.cap, "cap")
     verdict = equivalence_check(alg, other, args.nmax, cap)
+    point = verdict.witness_point
     payload = {
         "status": verdict.status,
-        "witness_point": None
-        if verdict.witness_point is None
-        else [str(c) for c in verdict.witness_point],
+        "witness_point": None if point is None else [str(c) for c in point],
         "detail": verdict.detail,
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        if verdict.witness_point is not None:
-            coords = ", ".join(str(c) for c in verdict.witness_point)
-            print(f"{verdict.status} at ({coords}): {verdict.detail}")
-        else:
-            print(verdict.status)
-    return 0
+    if point is None:
+        return payload, [verdict.status]
+    coords = ", ".join(str(c) for c in point)
+    return payload, [f"{verdict.status} at ({coords}): {verdict.detail}"]
 
 
-def cmd_resolve(args) -> int:
+def cmd_resolve(args) -> Output:
     problem, alg = load(args)
     trace = resolve(
         problem.field,
@@ -330,15 +279,11 @@ def cmd_resolve(args) -> int:
         max_steps=args.max_steps,
     )
     if args.dot:
-        print(render_dot(trace))
-    elif args.json:
-        print(json.dumps(trace, indent=2))
-    else:
-        print(render_text(trace))
-    return 0
+        return None, render_dot(trace)
+    return trace, render_text(trace)
 
 
-def render_text(trace: dict) -> str:
+def render_text(trace: dict) -> list[str]:
     lines = [f"status: {trace['status']}"]
     for record in trace["steps"]:
         fc = InvariantValue.from_json(record["fc"])
@@ -352,10 +297,10 @@ def render_text(trace: dict) -> str:
     lines.append("final charts:")
     for leaf in trace["leaves"]:
         lines.append(f"  {leaf['chart']}: sing {leaf['sing']}")
-    return "\n".join(lines)
+    return lines
 
 
-def render_dot(trace: dict) -> str:
+def render_dot(trace: dict) -> list[str]:
     lines = ["digraph charts {"]
     seen = set()
     for record in trace["steps"]:
@@ -369,7 +314,7 @@ def render_dot(trace: dict) -> str:
         if leaf["chart"] not in seen:
             lines.append(f'  "{leaf["chart"]}";')
     lines.append("}")
-    return "\n".join(lines)
+    return lines
 
 
 if __name__ == "__main__":

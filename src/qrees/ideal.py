@@ -16,7 +16,7 @@ from operator import add, le, sub
 
 from .errors import PreconditionError
 from .field import Element, FieldSpec
-from .poly import Exponents, Polynomial, format_polynomial
+from .poly import Exponents, Polynomial, format_polynomial, into_ring, ring_name
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,6 @@ def _divides(a: Exponents, b: Exponents) -> bool:
 
 def _exp_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
-
-
-def _ring(field: FieldSpec, variables: tuple[str, ...]) -> str:
-    name = "Q" if field.is_rational else f"F_{field.characteristic}"
-    return f"{name}[{', '.join(variables)}]"
 
 
 # -- the integer core ------------------------------------------------------------
@@ -229,7 +224,7 @@ def _check_rings(gens: list[Polynomial], order: MonomialOrder) -> None:
         if g.variables != order.variables or g.field != field:
             raise PreconditionError(
                 f"groebner_basis: generator {format_polynomial(g)} lives in "
-                f"{_ring(g.field, g.variables)}, not in {_ring(field, order.variables)}"
+                f"{ring_name(g.field, g.variables)}, not in {ring_name(field, order.variables)}"
             )
 
 
@@ -373,28 +368,11 @@ class Ideal:
         self.variables = tuple(variables)
         gens = []
         for g in generators:
-            g = self._own(g)
+            g = into_ring(g, field, self.variables)
             if not g.is_zero():
                 gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._bases: dict[MonomialOrder, list[Polynomial]] = {}
-
-    def _own(self, p: Polynomial) -> Polynomial:
-        """p moved into this ideal's ring by variable name; PreconditionError
-        when p is over another field or involves a variable outside the ring."""
-        if p.field == self.field and p.variables == self.variables:
-            return p
-        ring = _ring(self.field, self.variables)
-        if p.field != self.field:
-            raise PreconditionError(
-                f"{format_polynomial(p)} lives in {_ring(p.field, p.variables)}, not in {ring}"
-            )
-        outside = sorted(p.support_vars().difference(self.variables))
-        if outside:
-            raise PreconditionError(
-                f"{format_polynomial(p)} involves {', '.join(outside)}, outside {ring}"
-            )
-        return p.in_ring(self.variables)
 
     @staticmethod
     def zero(field: FieldSpec, variables: tuple[str, ...]) -> Ideal:
@@ -419,7 +397,7 @@ class Ideal:
         return len(b) == 1 and b[0].is_constant()
 
     def contains(self, p: Polynomial) -> bool:
-        p = self._own(p)
+        p = into_ring(p, self.field, self.variables)
         if p.is_zero():
             return True
         b = self.basis()
@@ -429,7 +407,7 @@ class Ideal:
 
     def radical_contains(self, p: Polynomial) -> bool:
         """Rabinowitsch trick: p vanishes on V(I) iff 1 in I + (1 - t*p)."""
-        p = self._own(p)
+        p = into_ring(p, self.field, self.variables)
         if p.is_zero():
             return True
         if self.contains(p):

@@ -16,7 +16,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import ProblemParseError
+from .errors import PreconditionError, ProblemParseError
 from .field import Element, FieldSpec
 
 
@@ -155,9 +155,6 @@ class Polynomial:
             return INFINITY
         idx = [self.variables.index(v) for v in vars]
         return min(sum(e[i] for i in idx) for e in self.terms)
-
-    def divisor_valuation(self, var: str) -> int | Infinity:
-        return self.order_in_vars((var,))
 
     def support_vars(self) -> set[str]:
         out: set[str] = set()
@@ -338,20 +335,20 @@ class Polynomial:
             total = f.add(total, acc)
         return total
 
-    def taylor_shift(self, point: dict[str, Element]) -> Polynomial:
-        """Recentre at the given point: returns g with g(x) = f(x + point)."""
-        f = self.field
+    def shift(self, shifts: dict[str, Polynomial | Element]) -> Polynomial:
+        """Substitute v -> v + shifts[v]: returns g with g(v) = f(v + s).  Each
+        s is a field constant or a polynomial over a subring of this ring."""
+        f, ring = self.field, self.variables
         mapping = {}
-        for v, c in point.items():
-            mapping[v] = Polynomial.variable(f, self.variables, v) + (
-                Polynomial.constant(f, self.variables, c)
-            )
+        for v, s in shifts.items():
+            s = s.in_ring(ring) if isinstance(s, Polynomial) else Polynomial.constant(f, ring, s)
+            mapping[v] = Polynomial.variable(f, ring, v) + s
         return self.substitute(mapping)
 
     def order_at_point(self, point: dict[str, Element]) -> int | Infinity:
         if all(self.field.coerce(c) == self.field.zero() for c in point.values()):
             return self.order()
-        return self.taylor_shift(point).order()
+        return self.shift(point).order()
 
     def hasse_derivative(self, alpha: Exponents) -> Polynomial:
         """Divided-power derivative: x^b maps to C(b, alpha) x^(b - alpha).
@@ -386,6 +383,29 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_polynomial(self)!r})"
+
+
+def ring_name(field: FieldSpec, variables: tuple[str, ...]) -> str:
+    name = "Q" if field.is_rational else f"F_{field.characteristic}"
+    return f"{name}[{', '.join(variables)}]"
+
+
+def into_ring(p: Polynomial, field: FieldSpec, variables: tuple[str, ...]) -> Polynomial:
+    """p moved into field[variables] by variable name; PreconditionError
+    when p is over another field or involves a variable outside the ring."""
+    if p.field == field and p.variables == variables:
+        return p
+    ring = ring_name(field, variables)
+    if p.field != field:
+        raise PreconditionError(
+            f"{format_polynomial(p)} lives in {ring_name(p.field, p.variables)}, not in {ring}"
+        )
+    outside = sorted(p.support_vars().difference(variables))
+    if outside:
+        raise PreconditionError(
+            f"{format_polynomial(p)} involves {', '.join(outside)}, outside {ring}"
+        )
+    return p.in_ring(variables)
 
 
 def format_polynomial(p: Polynomial) -> str:

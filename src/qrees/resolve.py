@@ -350,8 +350,8 @@ def _monomial_center(
     fallback = []
     for size in range(1, len(world.algebra.variables) + 1):
         for subset in combinations(world.algebra.variables, size):
-            # order along the coordinate subspace; infinite only for the zero algebra
-            s = world.algebra.min_order(lambda f: f.order_in_vars(subset))
+            # infinite only for the zero algebra
+            s = world.algebra.order_along(subset)
             if not isinstance(s, Infinity) and s >= 1:
                 indices = tuple(
                     sorted(created_of[v] for v in subset if v in created_of)
@@ -428,15 +428,10 @@ def _apply_shift(
     var -> var + shift (the new coordinate is var - shift)."""
     for j in range(k + 1):
         levels[j] = replace(levels[j], algebra=levels[j].algebra.shift({var: shift}))
-    ring = stratum.variables
-    image = Polynomial.variable(stratum.field, ring, var) + shift.in_ring(ring)
-    new_stratum = Ideal(
-        stratum.field,
-        ring,
-        [g.substitute({var: image}) for g in stratum.generators],
-    )
+    field, ring = stratum.field, stratum.variables
+    image = Polynomial.variable(field, ring, var).shift({var: shift})
     changes.append((var, format_polynomial(image)))
-    return new_stratum
+    return Ideal(field, ring, [g.shift({var: shift}) for g in stratum.generators])
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +584,7 @@ def fc_at_point(
     point = tuple(Fraction(c) for c in point)
     if len(point) != len(variables):
         raise PreconditionError("point has the wrong number of coordinates")
-    offset = {
-        v: Polynomial.constant(field, variables, c)
-        for v, c in zip(variables, point)
-        if c != 0
-    }
+    offset = {v: c for v, c in zip(variables, point) if c != 0}
     # divisors off the point are dropped; the rest, unknown names included,
     # go to root_chart for checking, and so does the ring before the shift
     kept = tuple(d for d in divisors if d.var not in offset)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .algebra import QReesAlgebra, algebra_sample_points
 from .errors import PreconditionError
-from .poly import INFINITY, Infinity, Polynomial
+from .poly import INFINITY, Infinity, Polynomial, into_ring
 
 CAP_REACHED = "CAP_REACHED"
 
@@ -36,8 +36,7 @@ def nu(alg: QReesAlgebra, f: Polynomial, cap=Fraction(32)) -> Fraction | Infinit
     ideal at the cap, returns CAP_REACHED instead of a number.
     """
     cap = Fraction(cap)
-    if f.variables != alg.variables:
-        f = f.in_ring(alg.variables)
+    f = into_ring(f, alg.field, alg.variables)
     if f.is_zero():
         return INFINITY
     n = alg.denominator()
@@ -63,8 +62,7 @@ def nu(alg: QReesAlgebra, f: Polynomial, cap=Fraction(32)) -> Fraction | Infinit
 
 def nu_bar_estimate(alg: QReesAlgebra, f: Polynomial, n_max: int = 4, cap=Fraction(32)):
     """Lower bound for the saturated order: max over n <= n_max of nu(f^n)/n."""
-    if f.variables != alg.variables:
-        f = f.in_ring(alg.variables)
+    f = into_ring(f, alg.field, alg.variables)
     if f.is_zero():
         return INFINITY
     if n_max < 1:
@@ -102,8 +100,7 @@ def is_integral_member(
     cap = Fraction(cap)
     if a < 0:
         raise PreconditionError("membership weight must be nonnegative")
-    if f.variables != alg.variables:
-        f = f.in_ring(alg.variables)
+    f = into_ring(f, alg.field, alg.variables)
     if f.is_zero() or a == 0:
         return MembershipVerdict("Member", 1, a)
     for n in range(1, n_max + 1):

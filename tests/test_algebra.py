@@ -14,7 +14,7 @@ from qrees.algebra import (
     parse_generator_list,
 )
 from qrees.errors import PreconditionError, ProblemParseError
-from qrees.field import QQ
+from qrees.field import QQ, FieldSpec
 from qrees.ideal import Ideal
 from qrees.poly import INFINITY, Infinity, Polynomial, parse_polynomial
 
@@ -65,6 +65,19 @@ def test_nonpositive_weight_rejected() -> None:
         A(("x", 0))
     with pytest.raises(PreconditionError):
         A(("x", -1))
+
+
+def test_generator_outside_the_ring_rejected() -> None:
+    with pytest.raises(PreconditionError, match=r"^x \+ y involves y, outside Q\[x\]$"):
+        QReesAlgebra(QQ, ("x",), ((P("x + y"), 1),))
+
+
+def test_generator_over_another_field_rejected() -> None:
+    f = parse_polynomial("x + y", FieldSpec(3), XY)
+    with pytest.raises(
+        PreconditionError, match=r"^x \+ y lives in F_3\[x, y\], not in Q\[x, y\]$"
+    ):
+        QReesAlgebra(QQ, XY, ((f, 1),))
 
 
 def test_level_ideal_matches_brute_force() -> None:

@@ -17,6 +17,7 @@ from qrees.charts import (
     non_monomial_part,
     transform_algebra,
 )
+from qrees.errors import PreconditionError
 from qrees.field import QQ, FieldSpec
 from qrees.poly import Infinity, Polynomial, parse_polynomial
 from qrees.saturation import (
@@ -395,3 +396,18 @@ def test_nu_bar_estimate_improves_on_nu() -> None:
     f = P("x*y")
     assert nu(alg, f, Fraction(8)) == Fraction(0)
     assert nu_bar_estimate(alg, f, n_max=2, cap=Fraction(4)) == Fraction(1)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda alg, f: nu(alg, f),
+        lambda alg, f: nu_bar_estimate(alg, f),
+        lambda alg, f: is_integral_member(alg, f, 1),
+    ],
+    ids=["nu", "nu_bar_estimate", "is_integral_member"],
+)
+def test_element_outside_the_ring_rejected(query) -> None:
+    alg = A(("x", 1), variables=("x",))
+    with pytest.raises(PreconditionError, match=r"^x \+ y involves y, outside Q\[x\]$"):
+        query(alg, P("x + y"))
