@@ -167,17 +167,17 @@ class QReesAlgebra:
         return self.min_order(lambda f: f.order_in_vars(vars))
 
     def order_ge_ideal(self, omega) -> Ideal:
-        """Ideal cutting out the locus where the algebra has order >= omega,
-        via vanishing of Hasse derivatives below the threshold."""
+        """Ideal cutting out the locus where the algebra has order >= omega:
+        the Hasse derivatives D^alpha f_i with |alpha| < a_i * omega."""
         omega = Fraction(omega)
         if omega <= 0:
             return Ideal.zero(self.field, self.variables)
-        gens: list[Polynomial] = []
-        for f, a in self.generators:
-            caps = f.degrees()
-            for m in range(min(math.ceil(a * omega), sum(caps) + 1)):
-                for alpha in _compositions(m, caps):
-                    gens.append(f.hasse_derivative(alpha))
+        gens = [
+            d
+            for f, a in self.generators
+            for row in itertools.islice(_hasse_rows(f), math.ceil(a * omega))
+            for d in row
+        ]
         return Ideal(self.field, self.variables, gens)
 
     @cached_property
@@ -186,22 +186,20 @@ class QReesAlgebra:
         computed on first use and kept for the lifetime of this instance.
 
         D^alpha f enters at weight a - |alpha| while that stays positive, in
-        the order of the generators, then |alpha|, then alpha descending.  Only
-        alpha <= deg(f) componentwise is formed: any other D^alpha f is zero.
-        A derivative equal to one already kept at the same weight is dropped.
+        the order of the generators, then |alpha|, then alpha descending
+        (_hasse_rows).  A derivative equal to one already kept at the same
+        weight is dropped.
         """
         gens: list[Generator] = []
         # kept derivatives by weight: one weight lookup per |alpha|, not one
         # Fraction hash per derivative
         seen: dict[Fraction, set[Polynomial]] = {}
         for f, a in self.generators:
-            caps = f.degrees()
-            for m in range(min(math.ceil(a), sum(caps) + 1)):
+            for m, row in enumerate(itertools.islice(_hasse_rows(f), math.ceil(a))):
                 w = a - m
                 kept = seen.setdefault(w, set())
-                for alpha in _compositions(m, caps):
-                    d = f.hasse_derivative(alpha)
-                    if not d.is_zero() and d not in kept:
+                for d in row:
+                    if d not in kept:
                         kept.add(d)
                         gens.append((d, w))
         return QReesAlgebra._trusted(self.field, self.variables, tuple(gens))
@@ -218,18 +216,37 @@ class QReesAlgebra:
 
     def max_order_within(self, inside: Ideal) -> tuple[Fraction, Ideal]:
         """Largest omega with {ord >= omega} meeting V(inside), and the ideal
-        of that intersection.  Candidate orders are m/a_i for integers m >= 1;
-        when none is met, omega is 0 and the ideal is inside itself."""
+        of that intersection, order_ge_ideal(omega) + inside; when no omega > 0
+        is met, omega is 0 and the ideal is inside itself.
+
+        Candidate orders are m/a_i for integers m >= 1, scanned from the top
+        down, and only those up to B = min_i deg(f_i)/a_i are tested.  This
+        skips no answer: if omega > deg(f_i)/a_i, order_ge_ideal(omega) holds
+        every D^alpha f_i with |alpha| <= deg(f_i), among them D^e f_i for the
+        exponent e of a top-degree term c_e x^e of f_i.  A term x^b survives
+        D^e only when b >= e componentwise, and |b| <= |e| then forces b = e,
+        so D^e f_i = C(e, e) c_e = c_e, a nonzero constant in every
+        characteristic: the ideal is the unit ideal and omega is not met.  A
+        constant generator gives B = 0, so nothing is tested.  The derivatives
+        each candidate needs are a prefix of those the first one needs, so
+        they are built once per call.
+        """
         if self.is_zero():
             raise PreconditionError("max order of the zero algebra is infinite")
+        bound = min(Fraction(f.total_degree()) / a for f, a in self.generators)
         candidates = {
             Fraction(m) / a
-            for f, a in self.generators
-            for m in range(1, f.total_degree() + 1)
+            for _, a in self.generators
+            for m in range(1, math.floor(a * bound) + 1)
         }
+        # B is the first candidate when positive, so these rows serve them all
+        tables = [
+            (a, list(itertools.islice(_hasse_rows(f), math.ceil(a * bound))))
+            for f, a in self.generators
+        ]
         for omega in sorted(candidates, reverse=True):
-            gens = list(self.order_ge_ideal(omega).generators) + list(inside.generators)
-            stratum = Ideal(self.field, self.variables, gens)
+            gens = [d for a, rows in tables for row in rows[: math.ceil(a * omega)] for d in row]
+            stratum = Ideal(self.field, self.variables, gens + list(inside.generators))
             if not stratum.is_unit():
                 return omega, stratum
         return Fraction(0), inside
@@ -257,6 +274,17 @@ class QReesAlgebra:
             return "QReesAlgebra(0)"
         inner = ", ".join(f"({format_polynomial(f)} : {a})" for f, a in self.generators)
         return f"QReesAlgebra({inner})"
+
+
+def _hasse_rows(f: Polynomial):
+    """The nonzero Hasse derivatives of f by order: row m lists D^alpha f for
+    |alpha| = m, alpha descending, for m = 0, 1, ..., sum(deg(f)).  Only
+    alpha <= deg(f) componentwise is formed: any other D^alpha f is zero.
+    Each row is built when it is asked for."""
+    caps = f.degrees()
+    for m in range(sum(caps) + 1):
+        row = (f.hasse_derivative(alpha) for alpha in _compositions(m, caps))
+        yield [d for d in row if not d.is_zero()]
 
 
 def _compositions(total: int, caps: tuple[int, ...]):

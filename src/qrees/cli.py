@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import QReesAlgebra
@@ -39,7 +40,12 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand.  Each cmd_* returns (payload, lines); this is the
     only place a result is printed: the payload as JSON under --json, else
     the lines, and nothing when there are none.  A None payload (resolve
-    --dot) always prints its lines."""
+    --dot) always prints its lines.
+
+    Returns the exit status: 0, the exit_code of a QreesError, or 141 when
+    the reader of stdout closed it early (as in `qrees ... | head -n 1`),
+    the status a shell reports for a program that SIGPIPE ends; that case
+    prints nothing to stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -47,10 +53,19 @@ def main(argv: list[str] | None = None) -> int:
     except QreesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    if args.json and payload is not None:
-        print(json.dumps(payload, indent=2))
-    elif lines:
-        print("\n".join(lines))
+    try:
+        if args.json and payload is not None:
+            print(json.dumps(payload, indent=2))
+        elif lines:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so that the flush at
+        # interpreter exit does not raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0
 
 

@@ -366,7 +366,14 @@ class Polynomial:
                         break  # x^b is killed
                     binom *= math.comb(b, a)
             else:
-                coeff = c if binom == 1 else c * binom if p == 0 else c * binom % p
+                if binom == 1:
+                    coeff = c
+                elif p:
+                    coeff = c * binom % p
+                else:
+                    # the constructor, not c * binom: Fraction's operators
+                    # go through a generic dispatch that costs more
+                    coeff = Fraction(c.numerator * binom, c.denominator)
                 if coeff:
                     terms[tuple(b - a for b, a in zip(e, alpha))] = coeff
         return Polynomial(self.field, self.variables, terms)

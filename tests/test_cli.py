@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qrees
 from qrees.cli import main
 
 UMBRELLA = """\
@@ -238,3 +243,24 @@ def test_characteristic_error_exit_code(tmp_path, capsys) -> None:
 def test_unknown_algebra_exit_code(umbrella, capsys) -> None:
     code = main(["sing", umbrella, "--algebra", "missing"])
     assert code == 2
+
+
+def test_closed_stdout_exits_quietly(umbrella) -> None:
+    """A reader that closed the pipe ends the run with status 141 and an
+    empty stderr, not a BrokenPipeError traceback."""
+    path = [str(Path(qrees.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "qrees.cli", "resolve", umbrella, "--json"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.stderr == b""
+    assert done.returncode == 141
