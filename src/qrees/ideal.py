@@ -10,6 +10,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
@@ -240,6 +243,11 @@ def groebner_basis(gens: list[Polynomial], order: MonomialOrder) -> list[Polynom
     decision below, which reads only leading monomials, is the same.  Only
     the final interreduction converts back to field elements.
 
+    Repeated generators are dropped first, keeping each one's first
+    occurrence.  A copy adds nothing to the ideal, and the reduced basis of
+    an ideal is unique for the order, so the output cannot change; each copy
+    would only cost one pair update and one S-pair that reduces to zero.
+
     An ideal that contains a unit returns ``[1]`` as soon as a nonzero constant
     shows up, among the generators or as an S-pair remainder.
 
@@ -261,7 +269,7 @@ def groebner_basis(gens: list[Polynomial], order: MonomialOrder) -> list[Polynom
     at the end.
     """
     _check_rings(gens, order)
-    gens = [g for g in gens if not g.is_zero()]
+    gens = [g for g in dict.fromkeys(gens) if not g.is_zero()]
     if not gens:
         return []
     for g in gens:
@@ -360,8 +368,38 @@ def _interreduce(
     return [g for _, g in monic]
 
 
+_run_bases: ContextVar[dict | None] = ContextVar("qrees_run_bases", default=None)
+
+
+@contextmanager
+def shared_bases() -> Iterator[None]:
+    """Inside the block, `Ideal.basis` computes each Groebner basis once and
+    hands it to every ideal with the same order and generator set.
+
+    The table is keyed by ``(order, frozenset(generators))`` and lives in a
+    context variable, so threads and async tasks each see their own.  A
+    nested entry reuses the outer table.  The outermost entry drops it on
+    leaving, also when an exception leaves the block, so no basis outlives
+    the call that entered it.
+    """
+    if _run_bases.get() is not None:
+        yield
+        return
+    token = _run_bases.set({})
+    try:
+        yield
+    finally:
+        _run_bases.reset(token)
+
+
 class Ideal:
-    """An ideal of a polynomial ring, with Groebner bases cached per order."""
+    """An ideal of a polynomial ring, with Groebner bases cached per order.
+
+    Each instance keeps the bases it has computed.  Inside a `shared_bases`
+    block, ideals with the same generator set also share them through the
+    block's table: the reduced basis depends only on the ideal and the
+    order, so a shared one is the one the ideal would compute.
+    """
 
     def __init__(self, field: FieldSpec, variables: tuple[str, ...], generators) -> None:
         self.field = field
@@ -383,11 +421,26 @@ class Ideal:
         return Ideal(field, variables, [Polynomial.constant(field, variables, field.one())])
 
     def basis(self, order: MonomialOrder | None = None) -> list[Polynomial]:
+        """The reduced Groebner basis for `order` (grevlex by default).
+
+        Looked up in this ideal's own bases, then in the table of the
+        enclosing `shared_bases` block, if any, under
+        ``(order, frozenset(generators))``; only a miss in both computes it.
+        """
         if order is None:
             order = MonomialOrder.grevlex(self.variables)
-        if order not in self._bases:
-            self._bases[order] = groebner_basis(list(self.generators), order)
-        return self._bases[order]
+        found = self._bases.get(order)
+        if found is None:
+            table = _run_bases.get()
+            if table is None:
+                found = groebner_basis(list(self.generators), order)
+            else:
+                key = (order, frozenset(self.generators))
+                found = table.get(key)
+                if found is None:
+                    found = table[key] = groebner_basis(list(self.generators), order)
+            self._bases[order] = found
+        return found
 
     def is_zero_ideal(self) -> bool:
         return not self.generators

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedCharacteristic,
 )
 from .field import FieldSpec
-from .ideal import ClosedSet, Ideal, coordinate_ideal
+from .ideal import ClosedSet, Ideal, coordinate_ideal, shared_bases
 from .invariant import (
     POINT,
     ZERO_COEFF,
@@ -111,11 +111,15 @@ def root_chart(
 # per-chart analysis
 
 
+@shared_bases()
 def analyze_chart(
     chart: Chart, tower: tuple[LevelState, ...], step: int, *, at_point: bool = False
 ) -> Leaf:
     """Compute the invariant of a chart (or of its origin, with at_point=True),
     refine the maximal stratum to a coordinate center, and update tower state.
+
+    Equal ideals met during the analysis share one Groebner basis
+    (`shared_bases`); inside `resolve`, they share it across every chart.
     """
     field = chart.field
     levels = list(tower)
@@ -467,6 +471,7 @@ def blow_leaf(leaf: Leaf, step: int) -> list[tuple[Chart, tuple[LevelState, ...]
 # driver
 
 
+@shared_bases()
 def resolve(
     field: FieldSpec,
     variables: tuple[str, ...],
@@ -481,7 +486,8 @@ def resolve(
     maxima must strictly decrease; the loop stops when all leaves have empty
     singular locus or raises NotTerminated at the step budget, and raises
     InvariantNotDecreasing when a maximum fails to drop; both carry the
-    partial trace.
+    partial trace.  Equal ideals share one Groebner basis for the whole run
+    and no longer (`shared_bases`).
     """
     if field.characteristic != 0:
         raise UnsupportedCharacteristic(

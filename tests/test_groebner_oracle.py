@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import qrees.ideal
 from qrees.field import FieldSpec
 from qrees.ideal import MonomialOrder, groebner_basis
 from qrees.poly import Polynomial
@@ -67,13 +68,16 @@ def _monic(terms: dict, p: int, order: MonomialOrder) -> frozenset:
     return frozenset((e, c / terms[lead]) for e, c in terms.items() if c)
 
 
-def _ours(gens: list[Terms], p: int, order: MonomialOrder = ORDER) -> set:
+def _polys(gens: list[Terms], p: int) -> list[Polynomial]:
     field = FieldSpec(p)
-    polys = [
+    return [
         Polynomial(field, XYZ, {e: field.coerce(c) for e, c in g.items()})
         for g in gens
     ]
-    return {_monic(g.terms, p, order) for g in groebner_basis(polys, order)}
+
+
+def _ours(gens: list[Terms], p: int, order: MonomialOrder = ORDER) -> set:
+    return {_monic(g.terms, p, order) for g in groebner_basis(_polys(gens, p), order)}
 
 
 def _sympy(gens: list[Terms], p: int, order: MonomialOrder = ORDER) -> set:
@@ -109,6 +113,28 @@ def test_groebner_matches_sympy(p: int) -> None:
     assert len(cases) == 50
     mismatches = [gens for gens in cases if _ours(gens, p) != _sympy(gens, p)]
     assert not mismatches, mismatches[:3]
+
+
+@pytest.mark.parametrize("p", CHARACTERISTICS)
+def test_repeated_generators_cost_nothing(p: int, monkeypatch) -> None:
+    """Repeats are dropped before any pair is formed: the same basis from
+    the same number of S-pairs."""
+    spolys = []
+    spoly = qrees.ideal._spoly
+
+    def counted(*args):
+        spolys.append(None)
+        return spoly(*args)
+
+    monkeypatch.setattr(qrees.ideal, "_spoly", counted)
+    for gens in [gens for q, gens in _cases() if q == p]:
+        polys = _polys(gens, p)
+        spolys.clear()
+        once = groebner_basis(polys, ORDER)
+        work = len(spolys)
+        spolys.clear()
+        assert groebner_basis(polys + polys[::-1] + polys, ORDER) == once, gens
+        assert len(spolys) == work, gens
 
 
 @pytest.mark.parametrize("p", CHARACTERISTICS)

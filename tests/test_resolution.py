@@ -30,6 +30,7 @@ from qrees.ideal import Ideal
 from qrees.invariant import InvariantValue, MonomialData, non_singular_value
 from qrees.poly import Polynomial, parse_polynomial
 from qrees.resolve import fc_at_point, max_locus_fc, resolve
+from test_golden_traces import PROBLEMS, STEP_BUDGET, trace_text
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -497,3 +498,54 @@ def test_trace_records_substitutions_and_divisors() -> None:
     assert divisor_vars == ["z"]
     assert step1["divisors"][0]["created"] == 1
     assert "ell" in step1["divisors"][0]
+
+
+# -- one Groebner basis per distinct ideal and run --------------------------------
+
+
+@pytest.fixture
+def gb_inputs(monkeypatch) -> list:
+    """The (order, generator set) of every groebner_basis call, in order."""
+    ideal = importlib.import_module("qrees.ideal")
+    compute = ideal.groebner_basis
+    seen = []
+
+    def record(gens, order):
+        seen.append((order, frozenset(gens)))
+        return compute(gens, order)
+
+    monkeypatch.setattr(ideal, "groebner_basis", record)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_resolve_computes_each_basis_once(name: str, gb_inputs: list) -> None:
+    trace_text(PROBLEMS[name], STEP_BUDGET.get(name, 50))
+    assert gb_inputs
+    assert len(set(gb_inputs)) == len(gb_inputs)
+
+
+def test_resolve_runs_share_nothing(gb_inputs: list) -> None:
+    alg = A(("x^2 - y^2*z", 2), variables=XYZ)
+    resolve(QQ, XYZ, alg)
+    first = len(gb_inputs)
+    resolve(QQ, XYZ, alg)
+    assert first and len(gb_inputs) == 2 * first
+
+
+@pytest.mark.parametrize(
+    "text, variables, max_steps, error",
+    [
+        ("x^2 - y^2*z^3", XYZ, 1, NotTerminated),
+        ("(y^2 - x^3)*(x - 1)", XY, 50, ChartSplitRequired),
+    ],
+)
+def test_failed_resolve_leaves_no_shared_bases(text, variables, max_steps, error, gb_inputs) -> None:
+    """A table left behind by the failed run would hand the second of two
+    equal ideals the first one's basis."""
+    with pytest.raises(error):
+        resolve(QQ, variables, A((text, 2), variables=variables), max_steps=max_steps)
+    gb_inputs.clear()
+    for _ in range(2):
+        assert not Ideal(QQ, XY, [P("x^2 + y^3"), P("x*y")]).is_unit()
+    assert len(gb_inputs) == 2
