@@ -12,6 +12,10 @@ corpus.
 ``cli.json`` pins stdout, stderr and the exit code of every ``qrees``
 subcommand, in text and with ``--json``, on the ``tests/test_cli.py`` problem
 files plus a unit and a zero algebra.
+``sweep.json`` pins the outcome of ``resolve(..., max_steps=30)`` on inputs
+0-99 of the ROADMAP outcome-sweep generator (``random.Random(1)``), less the
+seven that take over half a second: the SHA-256 of ``json.dumps(trace)`` and
+the step count, or the error class and message.
 ``chains.json`` pins one or two blowup steps (center check, transform, divisorial
 content, differential saturation, coefficient algebra) on fixed algebras over
 Q, F_2 and F_3, so the positive-characteristic side of those kernels is
@@ -25,8 +29,10 @@ Regenerate the files (only when a trace change is intended) with:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -80,6 +86,27 @@ PROBLEMS = {
 # step budgets below the default 50: blowing up chart 0.1y.4y at step 4 leaks
 # the same PreconditionError as E6, so that run is pinned up to the step before
 STEP_BUDGET = {"repeated-root-line": 4}
+
+
+# inputs of the outcome sweep left out of sweep.json for taking over 0.5 s each
+SWEEP_SLOW = {1, 5, 13, 18, 52, 81, 96}
+
+
+def sweep_inputs(seed: int = 1, count: int = 100) -> list[str]:
+    """The ROADMAP outcome-sweep generator: n in {2, 3} variables, 2-3 terms
+    c*x^i*y^j[*z^k] with c in {1, -1, 2, 3} and exponents in 0..4, and a
+    weight in {1, 3/2, 2, 3}, all drawn from one random.Random(seed)."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        xs = ("x", "y", "z")[: rng.choice([2, 3])]
+        terms = []
+        for _ in range(rng.choice([2, 3])):
+            c = rng.choice([1, -1, 2, 3])
+            terms.append(f"{c}*" + "*".join(f"{v}^{rng.randint(0, 4)}" for v in xs))
+        weight = rng.choice(["1", "3/2", "2", "3"])
+        texts.append(f"field Q\nchart {' '.join(xs)}\ngen {' + '.join(terms)} : {weight}\n")
+    return texts
 
 
 # (characteristic, ring, generators, center, chart variables blown up in turn,
@@ -207,6 +234,30 @@ def trace_text(text: str, max_steps: int = 50) -> str:
     return json.dumps(trace)
 
 
+def sweep_text() -> str:
+    out = []
+    for i, text in enumerate(sweep_inputs()):
+        if i in SWEEP_SLOW:
+            continue
+        problem = parse_problem(text)
+        row: dict = {"input": i, "text": text}
+        try:
+            trace = resolve(
+                problem.field,
+                problem.variables,
+                problem.algebra(),
+                problem.divisors,
+                max_steps=30,
+            )
+        except QreesError as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            row["steps"] = len(trace["steps"])
+            row["sha256"] = hashlib.sha256(json.dumps(trace).encode()).hexdigest()
+        out.append(row)
+    return json.dumps(out, indent=1)
+
+
 def _outcome(query) -> str:
     try:
         return query()
@@ -255,6 +306,10 @@ def test_cli_matches_golden() -> None:
     assert cli_text() == (GOLDEN / "cli.json").read_text()
 
 
+def test_sweep_matches_golden() -> None:
+    assert sweep_text() == (GOLDEN / "sweep.json").read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, text in PROBLEMS.items():
@@ -266,3 +321,5 @@ if __name__ == "__main__":
     print("wrote chains.json")
     (GOLDEN / "cli.json").write_text(cli_text())
     print("wrote cli.json")
+    (GOLDEN / "sweep.json").write_text(sweep_text())
+    print("wrote sweep.json")
