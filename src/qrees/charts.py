@@ -54,20 +54,12 @@ def validate_center(chart_vars: tuple[str, ...], center_vars: tuple[str, ...], c
         raise PreconditionError(f"chart variable {chart_var} must lie in the center")
 
 
-def _carry_divisors(
-    divisors: tuple[DivisorRecord, ...], chart_var: str, created: int
-) -> tuple[DivisorRecord, ...]:
-    """Divisor records in the chart_var-chart: the others carried by strict
-    transform, chart_var's old record replaced by the new exceptional one."""
-    kept = tuple(d for d in divisors if d.var != chart_var)
-    return kept + (DivisorRecord(chart_var, created),)
-
-
 def blowup_chart(
     parent: Chart, center_vars: tuple[str, ...], chart_var: str, created: int
 ) -> Chart:
-    """The chart_var-chart of blowing up V(center_vars), with divisor records
-    carried by strict transform and the new exceptional appended."""
+    """The chart_var-chart of blowing up V(center_vars): the other divisor
+    records carried by strict transform, chart_var's old record replaced by
+    the new exceptional one, appended last."""
     validate_center(parent.variables, center_vars, chart_var)
     subst = tuple(
         (v, f"{v}*{chart_var}")
@@ -80,7 +72,8 @@ def blowup_chart(
         variables=parent.variables,
         parent=parent.id,
         substitution=subst,
-        divisors=_carry_divisors(parent.divisors, chart_var, created),
+        divisors=tuple(d for d in parent.divisors if d.var != chart_var)
+        + (DivisorRecord(chart_var, created),),
     )
 
 

@@ -3,11 +3,13 @@ maximal-contact restrictions, center selection, and the blowup loop.
 
 Every chart carries a persistent tower of level states.  Level 0 is the chart
 itself; level k+1 lives on the hypersurface {contact variable of level k = 0}.
-Each level stores its algebra in world coordinates, transformed along blowups,
-together with the divisors it is allowed to see and bookkeeping for the
-current run (the consecutive steps during which its order is constant).
-Stored lower levels are reused while a run lasts and rebuilt from a fresh
-coefficient algebra the moment the order above them moves.
+Each level stores only what a blowup cannot recompute: its algebra in world
+coordinates, transformed along blowups, and bookkeeping for the current run
+(the consecutive steps during which its order is constant).  The divisors a
+level sees are derived on the way down from the chart's: level k+1 sees those
+of level k created after level k's run began, less level k's contact
+variable.  Stored lower levels are reused while a run lasts and rebuilt from
+a fresh coefficient algebra the moment the order above them moves.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .algebra import QReesAlgebra
 from .charts import (
     Chart,
     DivisorRecord,
-    _carry_divisors,
     blowup_chart,
     coefficient_algebra,
     find_maximal_contact,
@@ -49,11 +50,10 @@ from .saturation import diff_saturate
 
 @dataclass(frozen=True)
 class LevelState:
-    """One floor of a chart's tower; its world coordinates are its algebra's ring."""
+    """One floor of a chart's tower; its world coordinates are its algebra's
+    ring.  The divisors it sees are derived, not stored (`_divisors_below`)."""
 
     algebra: QReesAlgebra
-    divisors: tuple[DivisorRecord, ...]
-    epoch: int  # step at which this level was (re)built
     run_value: Fraction | None  # order that opened the current run, if any
     run_start: int
     contact_var: str | None  # variable dropped to reach the level below
@@ -96,14 +96,7 @@ def root_chart(
         seen_vars.add(d.var)
     start = max([0] + [d.created for d in divisors])
     chart = Chart(id="0", field=field, variables=variables, divisors=divisors)
-    level = LevelState(
-        algebra=algebra,
-        divisors=divisors,
-        epoch=start,
-        run_value=None,
-        run_start=start,
-        contact_var=None,
-    )
+    level = LevelState(algebra=algebra, run_value=None, run_start=start, contact_var=None)
     return start, chart, (level,)
 
 
@@ -126,9 +119,8 @@ def analyze_chart(
     top = levels[0]
 
     if at_point:
-        o = top.algebra.ord_at_origin()
-        # the zero algebra (infinite order) is singular everywhere
-        singular = isinstance(o, Infinity) or o >= 1
+        # the zero algebra has order INFINITY >= 1: singular everywhere
+        singular = top.algebra.ord_at_origin() >= 1
         incoming = coordinate_ideal(field, top.algebra.variables, top.algebra.variables)
     else:
         incoming = top.algebra.sing_ideal()
@@ -139,6 +131,9 @@ def analyze_chart(
     out_levels: list[tuple[Fraction, int]] = []
     center_accum: list[str] = []
     changes: list[tuple[str, str]] = []
+    # a shift rewrites levels 0..k, so every divisor of the chart is frozen
+    frozen = frozenset(d.var for d in chart.divisors)
+    divisors = chart.divisors  # those level k sees
     k = 0
 
     while True:
@@ -147,24 +142,27 @@ def analyze_chart(
 
         if len(ring) == 1:
             terminator, bottom_vars = _analyze_line(
-                levels, k, incoming, out_levels, changes, step
+                levels, k, incoming, out_levels, changes, step, frozen
             )
             break
 
-        residual, ell_of = _strip_divisors(world)
+        residual, ell_of = _strip_divisors(world.algebra, divisors)
         omega, stratum = residual.max_order_within(incoming)
 
+        # a level is first analyzed in the call that builds it, so it has a
+        # run exactly when it was built at an earlier step
+        built_earlier = world.run_value is not None
         if world.run_value != omega:
             world = replace(world, run_value=omega, run_start=step, contact_var=None)
             levels[k] = world
             del levels[k + 1 :]
 
-        old = [d for d in world.divisors if d.created <= world.run_start]
+        old = [d for d in divisors if d.created <= world.run_start]
         winners, stratum = _divisor_phase(field, ring, stratum, old)
         out_levels.append((omega, len(winners)))
 
         if omega == 0:
-            terminator, bottom_vars = _monomial_center(world, winners, ell_of, stratum)
+            terminator, bottom_vars = _monomial_center(world.algebra, divisors, winners, ell_of)
             break
 
         if k + 1 < len(levels):
@@ -173,12 +171,13 @@ def analyze_chart(
             assert v is not None, "a stored lower level must have a contact variable"
             center_accum.append(v)
             incoming = _push_down(stratum, v)
+            divisors = _divisors_below(divisors, world)
             k += 1
             continue
 
         # birth of the next level
         scaled = residual.scale(Fraction(1) / omega)
-        if step > world.epoch:
+        if built_earlier:
             scaled = scaled.odot(world.algebra)
         join = QReesAlgebra(
             field,
@@ -189,8 +188,6 @@ def analyze_chart(
             ),
         )
         contact_input = scaled.odot(join)
-        # a shift rewrites levels 0..k, so every divisor of the chart is frozen
-        frozen = frozenset(d.var for d in levels[0].divisors)
         choice = find_maximal_contact(
             diff_saturate(contact_input), frozen, local=at_point
         )
@@ -200,7 +197,7 @@ def analyze_chart(
             world = levels[k]
             contact_input = contact_input.shift({v: choice.shift})
 
-        levels[k] = replace(world, contact_var=v)
+        world = levels[k] = replace(world, contact_var=v)
         center_accum.append(v)
         coeff = coefficient_algebra(contact_input, v)
         down = _push_down(stratum, v)
@@ -210,27 +207,34 @@ def analyze_chart(
             terminator, bottom_vars = ZERO_COEFF, _coordinate_stratum_vars(down)
             break
 
-        sub_divisors = tuple(
-            d for d in world.divisors if d.created > world.run_start and d.var != v
-        )
-        levels.append(
-            LevelState(
-                algebra=coeff,
-                divisors=sub_divisors,
-                epoch=step,
-                run_value=None,
-                run_start=step,
-                contact_var=None,
-            )
-        )
+        levels.append(LevelState(algebra=coeff, run_value=None, run_start=step, contact_var=None))
         incoming = down
+        divisors = _divisors_below(divisors, world)
         k += 1
 
+    # every exit adds at least one variable (the line's stratum holds the
+    # nonzero incoming ideal when the line is level 0), and each level adds
+    # variables of its own ring, which lacks the contact variables above it,
+    # so the center needs neither deduplication nor an emptiness check
+    vars_used = center_accum + bottom_vars
     return Leaf(
         _chart_with_changes(chart, changes),
         tuple(levels),
         InvariantValue(tuple(out_levels), terminator),
-        _assemble_center(chart, center_accum + bottom_vars),
+        tuple(v for v in chart.variables if v in vars_used),
+    )
+
+
+def _divisors_below(
+    divisors: tuple[DivisorRecord, ...], world: LevelState
+) -> tuple[DivisorRecord, ...]:
+    """The divisors the level below sees: those of this level created after
+    its run began, less its contact variable.  The filter commutes with a
+    blowup's record swap, whose new divisor always passes it, and a run
+    change drops the levels below, so deriving it afresh on every analysis
+    gives what storing it at the level's birth would."""
+    return tuple(
+        d for d in divisors if d.created > world.run_start and d.var != world.contact_var
     )
 
 
@@ -253,18 +257,18 @@ def _coordinate_stratum_vars(down: Ideal) -> list[str]:
     return found
 
 
-def _strip_divisors(world: LevelState) -> tuple[QReesAlgebra, dict]:
+def _strip_divisors(algebra: QReesAlgebra, divisors) -> tuple[QReesAlgebra, dict]:
     """Divide out the divisors made by blowups: (residual, multiplicity by var)."""
-    strippable = [d for d in world.divisors if d.created >= 1]
-    residual, ells = non_monomial_part(world.algebra, [d.var for d in strippable])
+    strippable = [d for d in divisors if d.created >= 1]
+    residual, ells = non_monomial_part(algebra, [d.var for d in strippable])
     return residual, {d.var: e for d, e in zip(strippable, ells)}
 
 
-def _divisor_report(top: LevelState) -> list[dict]:
+def _divisor_report(leaf: Leaf) -> list[dict]:
     """The trace's divisor entries; ell is None when infinite or not stripped."""
-    _, ell_of = _strip_divisors(top)
+    _, ell_of = _strip_divisors(leaf.tower[0].algebra, leaf.chart.divisors)
     report = []
-    for d in top.divisors:
+    for d in leaf.chart.divisors:
         e = ell_of.get(d.var)
         ell = None if e is None or isinstance(e, Infinity) else str(e)
         report.append({"var": d.var, "created": d.created, "ell": ell})
@@ -275,18 +279,6 @@ def _chart_with_changes(chart: Chart, changes: list[tuple[str, str]]) -> Chart:
     if not changes:
         return chart
     return replace(chart, changes=chart.changes + tuple(changes))
-
-
-def _assemble_center(chart: Chart, vars_used: list[str]) -> tuple[str, ...]:
-    seen = set()
-    ordered = []
-    for v in chart.variables:
-        if v in vars_used and v not in seen:
-            seen.add(v)
-            ordered.append(v)
-    if not ordered:
-        raise ChartSplitRequired("the selected center has no coordinate description")
-    return tuple(ordered)
 
 
 def _push_down(stratum: Ideal, var: str) -> Ideal:
@@ -301,7 +293,9 @@ def _divisor_phase(
     old: list[DivisorRecord],
 ) -> tuple[tuple[DivisorRecord, ...], Ideal]:
     """Find the largest set of old divisors still meeting the stratum, and
-    refine the stratum by their intersection."""
+    refine the stratum by their intersection.  Two such sets of one size
+    always meet it on different loci: S1 != S2 on one locus L would put L
+    inside V(stratum + S1 | S2), a larger set already found infeasible."""
     for size in range(len(old), 0, -1):
         feasible = []
         for subset in combinations(old, size):
@@ -314,21 +308,18 @@ def _divisor_phase(
         if not feasible:
             continue
         if len(feasible) > 1:
-            base = ClosedSet([feasible[0][1]])
-            for _, other in feasible[1:]:
-                if not base.same_as(ClosedSet([other])):
-                    raise ChartSplitRequired(
-                        "maximal divisor contact is attained on several distinct loci"
-                    )
+            raise ChartSplitRequired(
+                "maximal divisor contact is attained on several distinct loci"
+            )
         return feasible[0][0], feasible[0][1]
     return (), stratum
 
 
 def _monomial_center(
-    world: LevelState,
+    algebra: QReesAlgebra,
+    divisors: tuple[DivisorRecord, ...],
     winners: tuple[DivisorRecord, ...],
     ell_of: dict,
-    stratum: Ideal,
 ) -> tuple[MonomialData, list[str]]:
     """Center selection when the residual order is zero: first try combinations
     of old divisors whose multiplicities reach one; failing that, fall back to
@@ -350,12 +341,12 @@ def _monomial_center(
 
     # generalized fallback: any coordinate subspace works if every generator
     # of the (unstripped) stored algebra has enough order along it
-    created_of = {d.var: d.created for d in world.divisors}
+    created_of = {d.var: d.created for d in divisors}
     fallback = []
-    for size in range(1, len(world.algebra.variables) + 1):
-        for subset in combinations(world.algebra.variables, size):
+    for size in range(1, len(algebra.variables) + 1):
+        for subset in combinations(algebra.variables, size):
             # infinite only for the zero algebra
-            s = world.algebra.order_along(subset)
+            s = algebra.order_along(subset)
             if not isinstance(s, Infinity) and s >= 1:
                 indices = tuple(
                     sorted(created_of[v] for v in subset if v in created_of)
@@ -380,9 +371,11 @@ def _analyze_line(
     out_levels: list,
     changes: list[tuple[str, str]],
     step: int,
+    frozen: frozenset[str],
 ) -> tuple[object, list[str]]:
     """Dimension-one worlds: plain order, no divisor bookkeeping, and a point
-    (or the whole line) as the deepest stratum."""
+    (or the whole line) as the deepest stratum.  A shift of u is refused when
+    u is in frozen, the chart's divisor variables."""
     world = levels[k]
     u = world.algebra.variables[0]
     omega, stratum = world.algebra.max_order_within(incoming)
@@ -396,7 +389,7 @@ def _analyze_line(
     if not root.is_zero():
         # the point sits at u = r with r nonzero: recenter, unless u carries a
         # divisor on any level the shift rewrites
-        if any(d.var == u for d in levels[0].divisors):
+        if u in frozen:
             raise ChartSplitRequired(
                 "the deepest point left the divisor's coordinate hyperplane"
             )
@@ -443,7 +436,10 @@ def _apply_shift(
 
 
 def blow_leaf(leaf: Leaf, step: int) -> list[tuple[Chart, tuple[LevelState, ...]]]:
-    """All charts of the blowup of this leaf's center, with transformed towers."""
+    """All charts of the blowup of this leaf's center, with transformed towers.
+
+    Only the algebras change: `blowup_chart` carries the chart's divisors,
+    from which every level's are derived."""
     assert leaf.center_vars, "only singular leaves are blown up"
     center = leaf.center_vars
     children = []
@@ -457,11 +453,7 @@ def blow_leaf(leaf: Leaf, step: int) -> list[tuple[Chart, tuple[LevelState, ...]
                 new_levels[idx - 1] = replace(new_levels[idx - 1], contact_var=None)
                 break
             new_levels.append(
-                replace(
-                    level,
-                    algebra=transform_algebra(level.algebra, center, chart_var),
-                    divisors=_carry_divisors(level.divisors, chart_var, step + 1),
-                )
+                replace(level, algebra=transform_algebra(level.algebra, center, chart_var))
             )
         children.append((child, tuple(new_levels)))
     return children
@@ -530,7 +522,7 @@ def resolve(
                 "changes": [[v, image] for v, image in leaf.chart.changes],
                 "center": list(leaf.center_vars or ()),
                 "fc": leaf.value.to_json(),
-                "divisors": _divisor_report(leaf.tower[0]),
+                "divisors": _divisor_report(leaf),
                 "children": [],
             }
             for child_chart, child_tower in blow_leaf(leaf, step):
