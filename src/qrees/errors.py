@@ -62,6 +62,13 @@ class PreconditionError(QreesError):
     exit_code = 6
 
 
+def check_bound(name: str, value, least: int) -> None:
+    """The one check on a search bound (a power, a cap, a step budget): a
+    value below least raises PreconditionError."""
+    if value < least:
+        raise PreconditionError(f"{name} must be at least {least}, got {value}")
+
+
 class InvariantNotDecreasing(_TracedError):
     """The maximum of the resolution invariant failed to strictly decrease
     from one driver step to the next.

@@ -34,6 +34,7 @@ from .errors import (
     NotTerminated,
     PreconditionError,
     UnsupportedCharacteristic,
+    check_bound,
 )
 from .field import FieldSpec
 from .ideal import ClosedSet, Ideal, coordinate_ideal, shared_bases
@@ -481,6 +482,7 @@ def resolve(
     partial trace.  Equal ideals share one Groebner basis for the whole run
     and no longer (`shared_bases`).
     """
+    check_bound("max_steps", max_steps, 0)
     if field.characteristic != 0:
         raise UnsupportedCharacteristic(
             "resolution is only implemented in characteristic zero"

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import QReesAlgebra, algebra_sample_points
-from .errors import PreconditionError
+from .errors import PreconditionError, check_bound
 from .poly import INFINITY, Infinity, Polynomial, into_ring
 
 CAP_REACHED = "CAP_REACHED"
@@ -36,13 +36,12 @@ def nu(alg: QReesAlgebra, f: Polynomial, cap=Fraction(32)) -> Fraction | Infinit
     ideal at the cap, returns CAP_REACHED instead of a number.
     """
     cap = Fraction(cap)
+    check_bound("cap", cap, 0)
     f = into_ring(f, alg.field, alg.variables)
     if f.is_zero():
         return INFINITY
     n = alg.denominator()
     hi = math.floor(cap * n)
-    if hi < 0:
-        raise PreconditionError("nu cap must be nonnegative")
 
     def member(m: int) -> bool:
         return alg.level_ideal(Fraction(m, n)).contains(f)
@@ -62,15 +61,16 @@ def nu(alg: QReesAlgebra, f: Polynomial, cap=Fraction(32)) -> Fraction | Infinit
 
 def nu_bar_estimate(alg: QReesAlgebra, f: Polynomial, n_max: int = 4, cap=Fraction(32)):
     """Lower bound for the saturated order: max over n <= n_max of nu(f^n)/n."""
+    cap = Fraction(cap)
+    check_bound("n_max", n_max, 1)
+    check_bound("cap", cap, 0)
     f = into_ring(f, alg.field, alg.variables)
     if f.is_zero():
         return INFINITY
-    if n_max < 1:
-        raise PreconditionError("n_max must be at least 1")
     best = Fraction(0)
     capped = False
     for n in range(1, n_max + 1):
-        v = nu(alg, f**n, Fraction(cap) * n)
+        v = nu(alg, f**n, cap * n)
         if v == CAP_REACHED:
             capped = True
             continue
@@ -98,6 +98,8 @@ def is_integral_member(
     level ideal at n*a for n up to n_max (or until n*a passes the cap)."""
     a = Fraction(a)
     cap = Fraction(cap)
+    check_bound("n_max", n_max, 1)
+    check_bound("cap", cap, 0)
     if a < 0:
         raise PreconditionError("membership weight must be nonnegative")
     f = into_ring(f, alg.field, alg.variables)
@@ -129,6 +131,9 @@ def equivalence_check(
     orders at some small rational point certifies Inequivalent; failing both,
     the bounded search is inconclusive and the verdict is Unknown.
     """
+    cap = Fraction(cap)
+    check_bound("n_max", n_max, 1)
+    check_bound("cap", cap, 0)
     if (left.field, left.variables) != (right.field, right.variables):
         raise PreconditionError("equivalence check across different charts")
     if left.is_zero() and right.is_zero():

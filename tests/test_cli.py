@@ -170,6 +170,24 @@ def test_bad_rational_options_exit_2(umbrella, capsys, argv, message) -> None:
     assert (code, capsys.readouterr().err.strip()) == (2, f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("member", "--element", "x", "--weight", "1", "--nmax", "0"), "n_max must be at least 1, got 0"),
+        (("member", "--element", "x", "--weight", "1", "--cap", "-1"), "cap must be at least 0, got -1"),
+        (("nubar", "--element", "x", "--nmax", "0"), "n_max must be at least 1, got 0"),
+        (("nu", "--element", "x", "--cap", "-1"), "cap must be at least 0, got -1"),
+        (("equiv", "--other", "J", "--nmax", "0"), "n_max must be at least 1, got 0"),
+        (("resolve", "--max-steps", "-1"), "max_steps must be at least 0, got -1"),
+    ],
+    ids=["member-nmax", "member-cap", "nubar-nmax", "nu-cap", "equiv-nmax", "resolve-steps"],
+)
+def test_search_bounds_exit_6(umbrella, capsys, argv, message) -> None:
+    command, *options = argv
+    code = main([command, umbrella, *options])
+    assert (code, capsys.readouterr().err.strip()) == (6, f"error: {message}")
+
+
 def test_equiv_command(tmp_path, capsys) -> None:
     path = tmp_path / "pair.qr"
     path.write_text(PAIR)

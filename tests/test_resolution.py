@@ -29,6 +29,7 @@ from qrees.field import QQ, FieldSpec
 from qrees.ideal import Ideal
 from qrees.invariant import InvariantValue, MonomialData, non_singular_value
 from qrees.poly import Polynomial, parse_polynomial
+from qrees.problem import parse_problem
 from qrees.resolve import fc_at_point, max_locus_fc, resolve
 from test_golden_traces import PROBLEMS, STEP_BUDGET, trace_text
 
@@ -389,10 +390,35 @@ def test_shift_never_moves_a_divisor() -> None:
         resolve(QQ, XY, alg, (DivisorRecord("y", 1),))
 
 
+TWO_LOCI = (
+    "field Q\nchart x y z\ngen x^2 : 2\ngen (y + z - 1)^2 : 2\n"
+    "divisor y created 1\ndivisor z created 1\n"
+)
+
+
+def test_maximal_divisor_contact_on_two_loci() -> None:
+    # the stratum x = 0, y + z = 1 meets each divisor, y = 0 at (0, 0, 1) and
+    # z = 0 at (0, 1, 0), but not both: two one-divisor loci tie
+    problem = parse_problem(TWO_LOCI)
+    args = (problem.field, problem.variables, problem.algebra(), problem.divisors)
+    message = "maximal divisor contact is attained on several distinct loci"
+    with pytest.raises(ChartSplitRequired, match=f"^chart 0 at step 1: {message}$"):
+        resolve(*args)
+    with pytest.raises(ChartSplitRequired, match=f"^{message}$"):
+        max_locus_fc(*args)
+    value = fc_at_point(*args, point=(0, 0, 1))
+    assert str(value) == "[(1, 1), (1, 0), (1, 0)] · Point"
+
+
 def test_resolve_nonsingular_input_is_immediate() -> None:
     trace = resolve(QQ, XY, A(("x", 2)))
     assert trace["steps"] == []
     assert trace["leaves"][0]["sing"] == "empty"
+
+
+def test_negative_step_budget_rejected() -> None:
+    with pytest.raises(PreconditionError, match=r"^max_steps must be at least 0, got -1$"):
+        resolve(QQ, XY, A(("x^2 + y^3", 2)), max_steps=-1)
 
 
 def test_max_steps_budget() -> None:

@@ -399,6 +399,38 @@ def test_nu_bar_estimate_improves_on_nu() -> None:
 
 
 @pytest.mark.parametrize(
+    "query, message",
+    [
+        (lambda alg, f: nu(alg, f, cap=-1), "cap must be at least 0, got -1"),
+        (lambda alg, f: nu(alg, Polynomial.zero(QQ, XY), cap=-1), "cap must be at least 0, got -1"),
+        (lambda alg, f: nu_bar_estimate(alg, f, n_max=0), "n_max must be at least 1, got 0"),
+        (lambda alg, f: nu_bar_estimate(alg, f, cap=-1), "cap must be at least 0, got -1"),
+        (lambda alg, f: is_integral_member(alg, f, 1, n_max=0), "n_max must be at least 1, got 0"),
+        (lambda alg, f: is_integral_member(alg, f, 1, cap=-1), "cap must be at least 0, got -1"),
+        (lambda alg, f: is_integral_member(alg, Polynomial.zero(QQ, XY), 1, n_max=0), "n_max must be at least 1, got 0"),
+        (lambda alg, f: equivalence_check(alg, alg, n_max=0), "n_max must be at least 1, got 0"),
+        (lambda alg, f: equivalence_check(alg, alg, cap=-1), "cap must be at least 0, got -1"),
+    ],
+    ids=[
+        "nu-cap",
+        "nu-zero-cap",
+        "nubar-nmax",
+        "nubar-cap",
+        "member-nmax",
+        "member-cap",
+        "member-zero-nmax",
+        "equiv-nmax",
+        "equiv-cap",
+    ],
+)
+def test_search_bounds_checked_up_front(query, message) -> None:
+    # before any shortcut: the zero element and equal algebras are checked too
+    alg = A(("x^2", 1))
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        query(alg, P("x*y"))
+
+
+@pytest.mark.parametrize(
     "query",
     [
         lambda alg, f: nu(alg, f),
