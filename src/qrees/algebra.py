@@ -319,17 +319,27 @@ def parse_generator_list(
     text = text.strip()
     if text in ("", "0"):
         return QReesAlgebra(field, variables, ())
-    gens = []
-    for piece in text.split(";"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if ":" not in piece:
-            raise ProblemParseError(f"generator {piece!r} lacks ': WEIGHT'")
-        poly_text, weight_text = piece.rsplit(":", 1)
+    pieces = [piece.strip() for piece in text.split(";")]
+    gens = tuple(parse_generator(piece, field, variables) for piece in pieces if piece)
+    return QReesAlgebra(field, variables, gens)
+
+
+def parse_generator(
+    text: str, field: FieldSpec, variables: tuple[str, ...], line: int | None = None
+) -> Generator:
+    """Parse one 'POLY : WEIGHT' piece, for problem files and generator lists
+    alike; a bad piece raises ProblemParseError naming the line, if given."""
+    if ":" not in text:
+        raise ProblemParseError(f"generator {text!r} lacks ': WEIGHT'", line)
+    poly_text, weight_text = text.rsplit(":", 1)
+    try:
         poly = parse_polynomial(poly_text.strip(), field, variables)
-        gens.append((poly, parse_rational(weight_text.strip(), "weight")))
-    return QReesAlgebra(field, variables, tuple(gens))
+    except ProblemParseError as exc:
+        raise ProblemParseError(str(exc), line) from exc
+    weight = parse_rational(weight_text.strip(), "weight", line)
+    if weight <= 0:
+        raise ProblemParseError(f"weight must be positive, got {weight}", line)
+    return poly, weight
 
 
 def algebra_sample_points(variables: tuple[str, ...]) -> list[tuple]:

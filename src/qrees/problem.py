@@ -18,13 +18,11 @@ line go to a default algebra named J.  Divisors attach to the chart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import QReesAlgebra
+from .algebra import Generator, QReesAlgebra, parse_generator
 from .charts import DivisorRecord
 from .errors import PreconditionError, ProblemParseError
 from .field import FieldSpec
-from .poly import Polynomial, parse_polynomial, parse_rational
 
 
 @dataclass
@@ -45,18 +43,11 @@ class Problem:
         return self.algebras[name]
 
 
-def parse_weight(text: str, line: int) -> Fraction:
-    w = parse_rational(text, "weight", line)
-    if w <= 0:
-        raise ProblemParseError(f"weight must be positive, got {w}", line)
-    return w
-
-
 def parse_problem(text: str) -> Problem:
     field: FieldSpec | None = None
     variables: tuple[str, ...] | None = None
     order: list[str] = []
-    pending: dict[str, list[tuple[Polynomial, Fraction]]] = {}
+    pending: dict[str, list[Generator]] = {}
     current: str | None = None
     divisors: list[DivisorRecord] = []
 
@@ -107,20 +98,12 @@ def parse_problem(text: str) -> Problem:
         elif head == "gen":
             if field is None or variables is None:
                 raise ProblemParseError("gen before field/chart declarations", lineno)
-            rest = line[len("gen") :].strip()
-            if ":" not in rest:
-                raise ProblemParseError("gen needs the form 'gen POLY : WEIGHT'", lineno)
-            poly_text, weight_text = rest.rsplit(":", 1)
-            try:
-                poly = parse_polynomial(poly_text.strip(), field, variables)
-            except ProblemParseError as exc:
-                raise ProblemParseError(str(exc), lineno) from exc
-            weight = parse_weight(weight_text.strip(), lineno)
+            gen = parse_generator(line[len("gen") :].strip(), field, variables, lineno)
             if current is None:
                 current = "J"
                 pending[current] = []
                 order.append(current)
-            pending[current].append((poly, weight))
+            pending[current].append(gen)
         elif head == "divisor":
             if variables is None:
                 raise ProblemParseError("divisor before chart declaration", lineno)

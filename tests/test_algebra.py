@@ -19,6 +19,7 @@ from qrees.errors import PreconditionError, ProblemParseError
 from qrees.field import QQ, FieldSpec
 from qrees.ideal import Ideal
 from qrees.poly import INFINITY, Infinity, Polynomial, parse_polynomial
+from qrees.problem import parse_problem
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -370,6 +371,15 @@ def test_parse_generator_list() -> None:
 def test_parse_generator_list_rejects_bad_weight(weight: str) -> None:
     with pytest.raises(ProblemParseError, match="bad weight"):
         parse_generator_list(f"x : {weight}", QQ, XY)
+
+
+@pytest.mark.parametrize("weight", ["0", "-1/2"])
+def test_generator_weight_must_be_positive_in_lists_and_files(weight: str) -> None:
+    message = f"weight must be positive, got {weight}"
+    with pytest.raises(ProblemParseError, match=f"^{message}$"):
+        parse_generator_list(f"x^2 : 2; x : {weight}", QQ, XY)
+    with pytest.raises(ProblemParseError, match=f"^line 3: {message}$"):
+        parse_problem(f"field Q\nchart x y\ngen x : {weight}\n")
 
 
 def test_format_round_trip() -> None:
