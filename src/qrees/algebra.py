@@ -324,21 +324,16 @@ def parse_generator_list(
     return QReesAlgebra(field, variables, gens)
 
 
-def parse_generator(
-    text: str, field: FieldSpec, variables: tuple[str, ...], line: int | None = None
-) -> Generator:
-    """Parse one 'POLY : WEIGHT' piece, for problem files and generator lists
-    alike; a bad piece raises ProblemParseError naming the line, if given."""
+def parse_generator(text: str, field: FieldSpec, variables: tuple[str, ...]) -> Generator:
+    """Parse one 'POLY : WEIGHT' piece, of a problem file's gen line or of a
+    generator list; a bad piece raises ProblemParseError."""
     if ":" not in text:
-        raise ProblemParseError(f"generator {text!r} lacks ': WEIGHT'", line)
+        raise ProblemParseError(f"generator {text!r} lacks ': WEIGHT'")
     poly_text, weight_text = text.rsplit(":", 1)
-    try:
-        poly = parse_polynomial(poly_text.strip(), field, variables)
-    except ProblemParseError as exc:
-        raise ProblemParseError(str(exc), line) from exc
-    weight = parse_rational(weight_text.strip(), "weight", line)
+    poly = parse_polynomial(poly_text.strip(), field, variables)
+    weight = parse_rational(weight_text.strip(), "weight")
     if weight <= 0:
-        raise ProblemParseError(f"weight must be positive, got {weight}", line)
+        raise ProblemParseError(f"weight must be positive, got {weight}")
     return poly, weight
 
 

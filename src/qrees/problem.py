@@ -98,7 +98,10 @@ def parse_problem(text: str) -> Problem:
         elif head == "gen":
             if field is None or variables is None:
                 raise ProblemParseError("gen before field/chart declarations", lineno)
-            gen = parse_generator(line[len("gen") :].strip(), field, variables, lineno)
+            try:
+                gen = parse_generator(line[len("gen") :].strip(), field, variables)
+            except ProblemParseError as exc:
+                raise ProblemParseError(str(exc), lineno) from exc
             if current is None:
                 current = "J"
                 pending[current] = []

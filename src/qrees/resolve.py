@@ -231,9 +231,9 @@ def _divisors_below(
 ) -> tuple[DivisorRecord, ...]:
     """The divisors the level below sees: those of this level created after
     its run began, less its contact variable.  The filter commutes with a
-    blowup's record swap, whose new divisor always passes it, and a run
-    change drops the levels below, so deriving it afresh on every analysis
-    gives what storing it at the level's birth would."""
+    blowup's record swap (the new divisor always passes it), and a run
+    change drops the levels below, so while the level below lives its set
+    changes only by those swaps."""
     return tuple(
         d for d in divisors if d.created > world.run_start and d.var != world.contact_var
     )
