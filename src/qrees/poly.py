@@ -239,20 +239,14 @@ class Polynomial:
     # -- ring moves ----------------------------------------------------------
 
     def restrict_zero(self, var: str) -> Polynomial:
-        """Set var = 0 and drop it from the coordinate ring."""
+        """Set var = 0 and drop it from the coordinate ring.
+
+        Only terms free of var survive, and dropping index i is injective on
+        them, so no two terms land on one exponent."""
         i = self.variables.index(var)
         new_vars = self.variables[:i] + self.variables[i + 1 :]
-        terms: dict[Exponents, Element] = {}
-        f = self.field
-        for e, c in self.terms.items():
-            if e[i] != 0:
-                continue
-            ne = e[:i] + e[i + 1 :]
-            if ne in terms:
-                terms[ne] = f.add(terms[ne], c)
-            else:
-                terms[ne] = c
-        return Polynomial(f, new_vars, terms)
+        terms = {e[:i] + e[i + 1 :]: c for e, c in self.terms.items() if not e[i]}
+        return Polynomial(self.field, new_vars, terms)
 
     def in_ring(self, variables: tuple[str, ...]) -> Polynomial:
         """Move to another ring by variable name; dropped names must be unused."""
@@ -444,7 +438,9 @@ def format_polynomial(p: Polynomial) -> str:
     return "".join(parts)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()^*/+-]))")
+# the variable names the tokenizer reads; a chart may declare no others
+VARIABLE_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({VARIABLE_NAME.pattern})|([()^*/+-]))")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -542,12 +538,12 @@ class _Parser:
         return base
 
 
-def parse_rational(text: str, what: str, line: int | None = None) -> Fraction:
+def parse_rational(text: str, what: str) -> Fraction:
     """Parse an integer, decimal or p/q; name the value in the error."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ProblemParseError(f"bad {what} {text!r}", line) from exc
+        raise ProblemParseError(f"bad {what} {text!r}") from exc
 
 
 def parse_polynomial(

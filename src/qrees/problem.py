@@ -23,6 +23,7 @@ from .algebra import Generator, QReesAlgebra, parse_generator
 from .charts import DivisorRecord
 from .errors import PreconditionError, ProblemParseError
 from .field import FieldSpec
+from .poly import VARIABLE_NAME
 
 
 @dataclass
@@ -85,7 +86,7 @@ def parse_problem(text: str) -> Problem:
             if len(set(names)) != len(names):
                 raise ProblemParseError("chart variables must be distinct", lineno)
             for name in names:
-                if not name.isidentifier():
+                if not VARIABLE_NAME.fullmatch(name):
                     raise ProblemParseError(f"bad variable name {name!r}", lineno)
             variables = names
         elif head == "algebra":

@@ -5,11 +5,13 @@ Every chart carries a persistent tower of level states.  Level 0 is the chart
 itself; level k+1 lives on the hypersurface {contact variable of level k = 0}.
 Each level stores only what a blowup cannot recompute: its algebra in world
 coordinates, transformed along blowups, and bookkeeping for the current run
-(the consecutive steps during which its order is constant).  The divisors a
-level sees are derived on the way down from the chart's: level k+1 sees those
-of level k created after level k's run began, less level k's contact
-variable.  Stored lower levels are reused while a run lasts and rebuilt from
-a fresh coefficient algebra the moment the order above them moves.
+(the consecutive steps during which its order is constant).  A line is always
+the bottom level and keeps no run.  The divisors a level sees are derived on
+the way down from the chart's: level k+1 sees those of level k created after
+level k's run began, less level k's contact variable.  Every level goes down
+through one descent step: the stored lower level is reused while a run lasts
+and rebuilt from a fresh coefficient algebra the moment the order above it
+moves.
 """
 
 from __future__ import annotations
@@ -52,12 +54,14 @@ from .saturation import diff_saturate
 @dataclass(frozen=True)
 class LevelState:
     """One floor of a chart's tower; its world coordinates are its algebra's
-    ring.  The divisors it sees are derived, not stored (`_divisors_below`)."""
+    ring.  The divisors it sees are derived, not stored (`_divisors_below`).
+    A level is born without a run; its first analysis opens one, except on a
+    line, which has no level below and so no run to keep."""
 
     algebra: QReesAlgebra
-    run_value: Fraction | None  # order that opened the current run, if any
-    run_start: int
-    contact_var: str | None  # variable dropped to reach the level below
+    run_value: Fraction | None = None  # order that opened the current run, if any
+    run_start: int = 0
+    contact_var: str | None = None  # variable dropped to reach the level below
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,7 @@ def root_chart(
         seen_vars.add(d.var)
     start = max([0] + [d.created for d in divisors])
     chart = Chart(id="0", field=field, variables=variables, divisors=divisors)
-    level = LevelState(algebra=algebra, run_value=None, run_start=start, contact_var=None)
-    return start, chart, (level,)
+    return start, chart, (LevelState(algebra),)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +114,11 @@ def analyze_chart(
 ) -> Leaf:
     """Compute the invariant of a chart (or of its origin, with at_point=True),
     refine the maximal stratum to a coordinate center, and update tower state.
+
+    The walk goes down one level at a time.  A level whose order moved opens
+    a new run and drops the levels below it; then one descent step takes it
+    to the level below, the stored one or, when none is stored, one built
+    from its coefficient algebra.  A line ends the walk and keeps no run.
 
     Equal ideals met during the analysis share one Groebner basis
     (`shared_bases`); inside `resolve`, they share it across every chart.
@@ -142,9 +150,24 @@ def analyze_chart(
         ring = world.algebra.variables
 
         if len(ring) == 1:
-            terminator, bottom_vars = _analyze_line(
-                levels, k, incoming, out_levels, changes, step, frozen
-            )
+            # a line: plain order, no divisor bookkeeping, no run, and a point
+            # (or the whole line) as the deepest stratum
+            u = ring[0]
+            omega, stratum = world.algebra.max_order_within(incoming)
+            out_levels.append((omega, 0))
+            terminator, bottom_vars = POINT, []
+            basis = stratum.basis()
+            if basis:  # otherwise the whole line is the stratum
+                root = _line_point(basis[0], u)
+                if not root.is_zero():
+                    # the point sits at u = r with r nonzero: recenter, unless
+                    # u carries a divisor on any level the shift rewrites
+                    if u in frozen:
+                        raise ChartSplitRequired(
+                            "the deepest point left the divisor's coordinate hyperplane"
+                        )
+                    _apply_shift(levels, k, changes, u, root, stratum)
+                bottom_vars = [u]
             break
 
         residual, ell_of = _strip_divisors(world.algebra, divisors)
@@ -166,50 +189,42 @@ def analyze_chart(
             terminator, bottom_vars = _monomial_center(world.algebra, divisors, winners, ell_of)
             break
 
-        if k + 1 < len(levels):
-            # the run continues: reuse the stored lower level
-            v = world.contact_var
-            assert v is not None, "a stored lower level must have a contact variable"
-            center_accum.append(v)
-            incoming = _push_down(stratum, v)
-            divisors = _divisors_below(divisors, world)
-            k += 1
-            continue
+        if k + 1 == len(levels):
+            # no stored level below: build one
+            scaled = residual.scale(Fraction(1) / omega)
+            if built_earlier:
+                scaled = scaled.odot(world.algebra)
+            join = QReesAlgebra(
+                field,
+                ring,
+                tuple(
+                    (Polynomial.variable(field, ring, d.var), Fraction(1))
+                    for d in winners
+                ),
+            )
+            contact_input = scaled.odot(join)
+            choice = find_maximal_contact(
+                diff_saturate(contact_input), frozen, local=at_point
+            )
+            v = choice.var
+            if choice.shift is not None:
+                stratum = _apply_shift(levels, k, changes, v, choice.shift, stratum)
+                contact_input = contact_input.shift({v: choice.shift})
+            world = levels[k] = replace(levels[k], contact_var=v)
+            coeff = coefficient_algebra(contact_input, v)
+            if coeff.is_zero():
+                # infinite order below: the stratum itself is the center
+                center_accum.append(v)
+                terminator = ZERO_COEFF
+                bottom_vars = _coordinate_stratum_vars(_push_down(stratum, v))
+                break
+            levels.append(LevelState(coeff))
 
-        # birth of the next level
-        scaled = residual.scale(Fraction(1) / omega)
-        if built_earlier:
-            scaled = scaled.odot(world.algebra)
-        join = QReesAlgebra(
-            field,
-            ring,
-            tuple(
-                (Polynomial.variable(field, ring, d.var), Fraction(1))
-                for d in winners
-            ),
-        )
-        contact_input = scaled.odot(join)
-        choice = find_maximal_contact(
-            diff_saturate(contact_input), frozen, local=at_point
-        )
-        v = choice.var
-        if choice.shift is not None:
-            stratum = _apply_shift(levels, k, changes, v, choice.shift, stratum)
-            world = levels[k]
-            contact_input = contact_input.shift({v: choice.shift})
-
-        world = levels[k] = replace(world, contact_var=v)
+        # the one descent step, onto the stored or the new level below
+        v = world.contact_var
+        assert v is not None, "a stored lower level must have a contact variable"
         center_accum.append(v)
-        coeff = coefficient_algebra(contact_input, v)
-        down = _push_down(stratum, v)
-
-        if coeff.is_zero():
-            # infinite order below: the stratum itself is the center
-            terminator, bottom_vars = ZERO_COEFF, _coordinate_stratum_vars(down)
-            break
-
-        levels.append(LevelState(algebra=coeff, run_value=None, run_start=step, contact_var=None))
-        incoming = down
+        incoming = _push_down(stratum, v)
         divisors = _divisors_below(divisors, world)
         k += 1
 
@@ -218,8 +233,10 @@ def analyze_chart(
     # variables of its own ring, which lacks the contact variables above it,
     # so the center needs neither deduplication nor an emptiness check
     vars_used = center_accum + bottom_vars
+    if changes:
+        chart = replace(chart, changes=chart.changes + tuple(changes))
     return Leaf(
-        _chart_with_changes(chart, changes),
+        chart,
         tuple(levels),
         InvariantValue(tuple(out_levels), terminator),
         tuple(v for v in chart.variables if v in vars_used),
@@ -274,12 +291,6 @@ def _divisor_report(leaf: Leaf) -> list[dict]:
         ell = None if e is None or isinstance(e, Infinity) else str(e)
         report.append({"var": d.var, "created": d.created, "ell": ell})
     return report
-
-
-def _chart_with_changes(chart: Chart, changes: list[tuple[str, str]]) -> Chart:
-    if not changes:
-        return chart
-    return replace(chart, changes=chart.changes + tuple(changes))
 
 
 def _push_down(stratum: Ideal, var: str) -> Ideal:
@@ -363,39 +374,6 @@ def _monomial_center(
     size, neg_s, indices, subset = fallback[0]
     data = MonomialData(size, -neg_s, indices)
     return data, list(subset)
-
-
-def _analyze_line(
-    levels: list[LevelState],
-    k: int,
-    incoming: Ideal,
-    out_levels: list,
-    changes: list[tuple[str, str]],
-    step: int,
-    frozen: frozenset[str],
-) -> tuple[object, list[str]]:
-    """Dimension-one worlds: plain order, no divisor bookkeeping, and a point
-    (or the whole line) as the deepest stratum.  A shift of u is refused when
-    u is in frozen, the chart's divisor variables."""
-    world = levels[k]
-    u = world.algebra.variables[0]
-    omega, stratum = world.algebra.max_order_within(incoming)
-    levels[k] = replace(world, run_value=omega, run_start=step)
-    out_levels.append((omega, 0))
-
-    basis = stratum.basis()
-    if not basis:
-        return POINT, []  # the whole line is the stratum
-    root = _line_point(basis[0], u)
-    if not root.is_zero():
-        # the point sits at u = r with r nonzero: recenter, unless u carries a
-        # divisor on any level the shift rewrites
-        if u in frozen:
-            raise ChartSplitRequired(
-                "the deepest point left the divisor's coordinate hyperplane"
-            )
-        _apply_shift(levels, k, changes, u, root, stratum)
-    return POINT, [u]
 
 
 def _line_point(g: Polynomial, u: str) -> Polynomial:

@@ -195,6 +195,22 @@ def test_equiv_command(tmp_path, capsys) -> None:
     assert (code, out.strip()) == (0, "Equivalent")
 
 
+def test_witness_inequivalence_and_short_point_text(tmp_path, capsys) -> None:
+    path = tmp_path / "jk.qr"
+    path.write_text("field Q\nchart x y\nalgebra J\ngen x : 1\nalgebra K\ngen x^2 : 1\n")
+    code, out = run(
+        capsys, "member", str(path), "--algebra", "K", "--element", "x", "--weight", "1/2"
+    )
+    assert (code, out.strip()) == (0, "MemberWitness (power 2)")
+    code, out = run(capsys, "equiv", str(path), "--other", "K")
+    assert (code, out.strip()) == (0, "Inequivalent at (0, 0): orders 1 and 2 disagree")
+    code = main(["ord", str(path), "--point", "1"])
+    assert (code, capsys.readouterr().err.strip()) == (
+        2,
+        "error: point needs 2 coordinates, got 1",
+    )
+
+
 def test_resolve_text_and_json(umbrella, capsys) -> None:
     code, out = run(capsys, "resolve", umbrella)
     assert code == 0

@@ -74,12 +74,51 @@ def test_error_reports_line_number() -> None:
             "field F 3\nchart x y\n\ngen x^2 + 1/3*y : 2\n",
             "line 4: denominator 3 vanishes modulo 3",
         ),
+        ("field Q\nfield Q\n", "line 2: field declared twice"),
+        ("field F x\n", "line 1: bad characteristic 'x'"),
+        ("field R\n", "line 1: field must be 'field Q' or 'field F <prime>'"),
+        ("field Q\nchart x\nchart y\n", "line 3: chart declared twice"),
+        ("field Q\nchart\n", "line 2: chart needs at least one variable"),
+        ("field Q\nchart x x\n", "line 2: chart variables must be distinct"),
+        ("field Q\nchart 1x\n", "line 2: bad variable name '1x'"),
+        # the tokenizer reads ASCII names only, so the chart must refuse others
+        ("field Q\nchart α y\ngen α^2 + y^3 : 2\n", "line 2: bad variable name 'α'"),
+        ("algebra J K\n", "line 1: algebra takes exactly one name"),
+        ("divisor x created 1\n", "line 1: divisor before chart declaration"),
+        (
+            "field Q\nchart x y\ndivisor x\n",
+            "line 3: divisor needs the form 'divisor VAR created INT'",
+        ),
+        ("field Q\nchart x y\ndivisor x created one\n", "line 3: bad creation index 'one'"),
+        ("foo\n", "line 1: unknown directive 'foo'"),
+        ("chart x y\n", "missing 'field' declaration"),
+        ("field Q\n", "missing 'chart' declaration"),
+        ("field Q\nchart x y\n", "the problem file declares no generators"),
     ],
-    ids=["non-prime-field", "denominator-divisible-by-p"],
+    ids=[
+        "non-prime-field",
+        "denominator-divisible-by-p",
+        "field-twice",
+        "bad-characteristic",
+        "bad-field",
+        "chart-twice",
+        "empty-chart",
+        "repeated-chart-variable",
+        "bad-variable-name",
+        "non-ascii-variable-name",
+        "algebra-two-names",
+        "divisor-before-chart",
+        "divisor-form",
+        "bad-creation-index",
+        "unknown-directive",
+        "missing-field",
+        "missing-chart",
+        "no-generators",
+    ],
 )
 def test_field_errors_report_line_number(text: str, message: str) -> None:
     with pytest.raises(ProblemParseError) as info:
-        parse_problem(text)
+        parse_problem(text).algebra()
     assert str(info.value) == message
 
 
@@ -99,8 +138,10 @@ def test_gen_before_chart_rejected() -> None:
 
 
 def test_missing_field_rejected() -> None:
-    with pytest.raises(ProblemParseError):
+    with pytest.raises(ProblemParseError, match="^line 2: gen before field/chart declarations$"):
         parse_problem("chart x y\ngen x : 1\n")
+    with pytest.raises(ProblemParseError, match="^missing 'field' declaration$"):
+        parse_problem("chart x y\n")
 
 
 def test_duplicate_divisor_rejected() -> None:

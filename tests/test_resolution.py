@@ -410,6 +410,22 @@ def test_maximal_divisor_contact_on_two_loci() -> None:
     assert str(value) == "[(1, 1), (1, 0), (1, 0)] · Point"
 
 
+LINE_OFF_DIVISOR = "field Q\nchart x\ngen (x - 1)^2 : 2\ndivisor x created 1\n"
+
+
+def test_line_at_level_zero_keeps_its_divisor() -> None:
+    # the chart is a line and its point x = 1 lies off the divisor x = 0;
+    # recentering there would drag the divisor along
+    problem = parse_problem(LINE_OFF_DIVISOR)
+    args = (problem.field, problem.variables, problem.algebra(), problem.divisors)
+    message = "the deepest point left the divisor's coordinate hyperplane"
+    with pytest.raises(ChartSplitRequired, match=f"^chart 0 at step 1: {message}$"):
+        resolve(*args)
+    with pytest.raises(ChartSplitRequired, match=f"^{message}$"):
+        max_locus_fc(*args)
+    assert str(fc_at_point(*args, point=(1,))) == "[(1, 0)] · Point"
+
+
 def test_resolve_nonsingular_input_is_immediate() -> None:
     trace = resolve(QQ, XY, A(("x", 2)))
     assert trace["steps"] == []
