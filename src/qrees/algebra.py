@@ -230,6 +230,11 @@ class QReesAlgebra:
         constant generator gives B = 0, so nothing is tested.  The derivatives
         each candidate needs are a prefix of those the first one needs, so
         they are built once per call.
+
+        Candidates at or below ord_at_origin(), with `inside` vanishing at the
+        origin, need no basis: then ceil(a_i*omega) <= ord_0(f_i), so every
+        D^alpha f_i taken has |alpha| < ord_0(f_i) and still vanishes at the
+        origin, and Ideal.is_unit answers from the generators' orders.
         """
         if self.is_zero():
             raise PreconditionError("max order of the zero algebra is infinite")

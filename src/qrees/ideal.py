@@ -19,7 +19,7 @@ from operator import add, le, sub
 
 from .errors import PreconditionError
 from .field import Element, FieldSpec
-from .poly import Exponents, Polynomial, format_polynomial, into_ring, ring_name
+from .poly import INFINITY, Exponents, Infinity, Polynomial, format_polynomial, into_ring, ring_name
 
 
 @dataclass(frozen=True)
@@ -392,6 +392,14 @@ def shared_bases() -> Iterator[None]:
         _run_bases.reset(token)
 
 
+def _same_ring(what: str, a: Ideal | ClosedSet, b: Ideal | ClosedSet) -> None:
+    """PreconditionError naming both rings unless a and b share field and variables."""
+    if a.field != b.field or a.variables != b.variables:
+        raise PreconditionError(
+            f"{what} across {ring_name(a.field, a.variables)} and {ring_name(b.field, b.variables)}"
+        )
+
+
 class Ideal:
     """An ideal of a polynomial ring, with Groebner bases cached per order.
 
@@ -445,18 +453,33 @@ class Ideal:
     def is_zero_ideal(self) -> bool:
         return not self.generators
 
+    def _excludes_order(self, order: int | Infinity) -> bool:
+        """Whether no element of order `order` at the origin can lie here,
+        read from the generators without a basis.
+
+        With d the least generator order (INFINITY for the zero ideal), the
+        ideal lies in m^d, and p is in m^d iff ord_0(p) >= d; so order < d
+        excludes p, in every characteristic.
+        """
+        return order < min((g.order() for g in self.generators), default=INFINITY)
+
     def is_unit(self) -> bool:
+        """Whether 1 lies here; False without a basis when every generator
+        vanishes at the origin."""
+        if self._excludes_order(0):
+            return False
         b = self.basis()
         return len(b) == 1 and b[0].is_constant()
 
     def contains(self, p: Polynomial) -> bool:
+        """Ideal membership; False without a basis when p has lower order at
+        the origin than every generator."""
         p = into_ring(p, self.field, self.variables)
         if p.is_zero():
             return True
-        b = self.basis()
-        if not b:
+        if self._excludes_order(p.order()):
             return False
-        return normal_form(p, b, MonomialOrder.grevlex(self.variables)).is_zero()
+        return normal_form(p, self.basis(), MonomialOrder.grevlex(self.variables)).is_zero()
 
     def radical_contains(self, p: Polynomial) -> bool:
         """Rabinowitsch trick: p vanishes on V(I) iff 1 in I + (1 - t*p)."""
@@ -489,8 +512,7 @@ class Ideal:
         return Ideal(self.field, keep, kept)
 
     def same_as(self, other: Ideal) -> bool:
-        if self.variables != other.variables:
-            raise PreconditionError("ideal comparison across different rings")
+        _same_ring("ideal comparison", self, other)
         return self.basis() == other.basis()
 
     def __repr__(self) -> str:
@@ -505,12 +527,11 @@ class ClosedSet:
         self.components: tuple[Ideal, ...] = tuple(components)
         if not self.components:
             raise PreconditionError("closed set needs at least one component")
-        ring = self.components[0].variables
+        first = self.components[0]
         for c in self.components:
-            if c.variables != ring:
-                raise PreconditionError("closed-set components in different rings")
-        self.variables = ring
-        self.field = self.components[0].field
+            _same_ring("closed-set components", first, c)
+        self.variables = first.variables
+        self.field = first.field
 
     def is_empty(self) -> bool:
         return all(c.is_unit() for c in self.components)
@@ -518,8 +539,7 @@ class ClosedSet:
     def subset_of(self, other: ClosedSet) -> bool:
         """Containment of varieties: products of the other side's generators must
         vanish on every component of this side."""
-        if self.variables != other.variables:
-            raise PreconditionError("closed-set comparison across different rings")
+        _same_ring("closed-set comparison", self, other)
         if any(c.is_zero_ideal() for c in other.components):
             return True
         mine = [c for c in self.components if not c.is_unit()]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import importlib
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from qrees.ideal import (
     leading_term,
     normal_form,
 )
-from qrees.poly import Polynomial, parse_polynomial
+from qrees.poly import INFINITY, Polynomial, parse_polynomial
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -122,13 +123,14 @@ def test_eliminate_drops_variable() -> None:
 
 def test_same_as_ignores_generator_presentation() -> None:
     a = I("x + y", "y^2")
-    b = I("y^2", "2*x + 2*y", "x*y + y^2 + y^2*x")
-    # the extra generator x*y + y^2 + x*y^2 = (x+y)*y + x*y^2... check membership first
+    # x*y + y^2 = (x + y)*y lies in a, so c is a with other generators
     assert a.contains(P("x*y + y^2"))
     c = I("y^2", "2*x + 2*y", "x*y + y^2")
     assert a.same_as(c)
     assert not a.same_as(I("x", "y"))
-    assert b.same_as(c) or not b.same_as(c)  # presentation either way is consistent
+    # b's last generator is c's plus x*y^2, which lies in (y^2)
+    b = I("y^2", "2*x + 2*y", "x*y + y^2 + y^2*x")
+    assert b.same_as(c)
 
 
 def test_coordinate_ideal() -> None:
@@ -456,3 +458,92 @@ def test_contains_rejects_element_outside_the_ring() -> None:
 def test_radical_contains_rejects_element_outside_the_ring() -> None:
     with pytest.raises(PreconditionError, match=r"involves z, outside Q\[x, y\]"):
         I("x").radical_contains(P("y*z", XYZ))
+
+
+@pytest.mark.parametrize(
+    "compare",
+    [
+        lambda: I("x").same_as(Ideal(F3, XY, [parse_polynomial("x", F3, XY)])),
+        lambda: ClosedSet([I("x"), Ideal(F3, XY, [parse_polynomial("y", F3, XY)])]),
+        lambda: ClosedSet([I("x")]).subset_of(ClosedSet([Ideal(F3, XY, [parse_polynomial("x", F3, XY)])])),
+    ],
+    ids=["ideal-same-as", "closed-set-components", "closed-set-subset-of"],
+)
+def test_comparisons_across_fields_name_both_rings(compare) -> None:
+    with pytest.raises(PreconditionError, match=r"across Q\[x, y\] and F_3\[x, y\]"):
+        compare()
+
+
+def test_comparisons_across_variables_name_both_rings() -> None:
+    with pytest.raises(PreconditionError, match=r"across Q\[x, y\] and Q\[x, y, z\]"):
+        I("x").same_as(I("x", variables=XYZ))
+    with pytest.raises(PreconditionError, match=r"across Q\[x, y\] and Q\[x, y, z\]"):
+        ClosedSet([I("x"), I("x", variables=XYZ)])
+
+
+# -- unit and membership answers read from orders at the origin ---------------------
+
+
+def _poly_of_order(rng: random.Random, field: FieldSpec, ring: tuple[str, ...], k: int) -> Polynomial:
+    """A random polynomial whose order at the origin is exactly k."""
+    coeffs = (1, -1, 2, Fraction(1, 2)) if field.is_rational else range(1, field.characteristic)
+    terms = {}
+    for j in range(rng.randint(1, 3)):
+        e = [0] * len(ring)
+        for _ in range(k + (j and rng.randint(1, 2))):
+            e[rng.randrange(len(ring))] += 1
+        terms[tuple(e)] = field.coerce(rng.choice(coeffs))
+    return Polynomial(field, ring, terms)
+
+
+def _origin_cases(rng: random.Random, field: FieldSpec):
+    """(generators, probes) over field: the zero ideal, a constant generator,
+    then seeded ideals whose least generator order d is 0 (a nonzero constant
+    term) to 3.  The probes have order below, equal to and above d, and include
+    members: the generator of order d and a multiple of it."""
+    ring = XYZ
+    x = Polynomial.variable(field, ring, "x")
+    yield [], [_poly_of_order(rng, field, ring, k) for k in range(3)]
+    constant = Polynomial.constant(field, ring, field.one())
+    yield [_poly_of_order(rng, field, ring, 2), constant], [constant, x]
+    for _ in range(12):
+        d = rng.randint(0, 3)
+        lowest = _poly_of_order(rng, field, ring, d)
+        gens = [lowest] + [_poly_of_order(rng, field, ring, d + rng.randint(0, 2)) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(gens)
+        probes = [_poly_of_order(rng, field, ring, k) for k in range(max(d - 2, 0), d + 2)]
+        yield gens, probes + [lowest, lowest * x]
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(2), F3], ids=["Q", "F_2", "F_3"])
+def test_unit_and_membership_match_the_basis_and_skip_it_when_orders_decide(field, monkeypatch) -> None:
+    """is_unit and contains give the answer groebner_basis and normal_form
+    give; when every generator has higher order at the origin than the probe
+    (1, of order 0, for is_unit), they give it without a groebner_basis call."""
+    ideal_module = importlib.import_module("qrees.ideal")
+    calls = []
+
+    def record(gens, order):
+        calls.append(gens)
+        return groebner_basis(gens, order)
+
+    monkeypatch.setattr(ideal_module, "groebner_basis", record)
+    rng = random.Random(1015 + field.characteristic)
+    order = MonomialOrder.grevlex(XYZ)
+    seen = set()
+    for gens, probes in _origin_cases(rng, field):
+        gb = groebner_basis(list(gens), order)
+        least = min((g.order() for g in gens), default=INFINITY)
+        queries = [(0, lambda: Ideal(field, XYZ, gens).is_unit(), len(gb) == 1 and gb[0].is_constant())]
+        for p in probes:
+            expected = normal_form(p, gb, order).is_zero()
+            queries.append((p.order(), lambda p=p: Ideal(field, XYZ, gens).contains(p), expected))
+        for k, ask, expected in queries:
+            del calls[:]
+            assert ask() == expected, (gens, k)
+            certified = k < least
+            if certified:
+                assert not calls, (gens, k)
+            seen.add((certified, expected))
+    # the basis answered yes and no, and the orders alone answered no
+    assert seen == {(False, True), (False, False), (True, False)}
