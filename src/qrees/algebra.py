@@ -12,7 +12,7 @@ from functools import cached_property
 
 from .errors import PreconditionError, ProblemParseError
 from .field import FieldSpec
-from .ideal import ClosedSet, Ideal
+from .ideal import ClosedSet, Ideal, _run_bases, shared_bases
 from .poly import (
     INFINITY,
     Infinity,
@@ -140,17 +140,12 @@ class QReesAlgebra:
         return INFINITY if best is None else Fraction(*best)
 
     def ord_at_point(self, point) -> Fraction | Infinity:
-        """Order of the algebra at a rational point: min ord_p(f_i)/a_i.
-
-        Accepts a coordinate tuple (aligned with the ring variables) or a
-        mapping from variable names to values."""
-        if self.is_zero():
-            return INFINITY
-        if not isinstance(point, dict):
-            if len(point) != len(self.variables):
-                raise PreconditionError("point has the wrong number of coordinates")
-            point = dict(zip(self.variables, point))
-        return self.min_order(lambda f: f.order_at_point(point))
+        """Order of the algebra at a rational point, a coordinate tuple aligned
+        with the ring variables: the order at the origin after shifting the
+        point there (INFINITY for the zero algebra)."""
+        if len(point) != len(self.variables):
+            raise PreconditionError("point has the wrong number of coordinates")
+        return self.shift({v: c for v, c in zip(self.variables, point) if c}).ord_at_origin()
 
     def ord_at_origin(self) -> Fraction | Infinity:
         return self.min_order(Polynomial.order)
@@ -175,7 +170,7 @@ class QReesAlgebra:
         gens = [
             d
             for f, a in self.generators
-            for row in itertools.islice(_hasse_rows(f), math.ceil(a * omega))
+            for row in _hasse_rows(f, math.ceil(a * omega))
             for d in row
         ]
         return Ideal(self.field, self.variables, gens)
@@ -195,7 +190,7 @@ class QReesAlgebra:
         # Fraction hash per derivative
         seen: dict[Fraction, set[Polynomial]] = {}
         for f, a in self.generators:
-            for m, row in enumerate(itertools.islice(_hasse_rows(f), math.ceil(a))):
+            for m, row in enumerate(_hasse_rows(f, math.ceil(a))):
                 w = a - m
                 kept = seen.setdefault(w, set())
                 for d in row:
@@ -209,11 +204,10 @@ class QReesAlgebra:
 
     def max_order_stratum(self) -> tuple[Fraction, ClosedSet]:
         """Largest omega whose order-at-least-omega locus is nonempty, with it."""
-        if self.is_zero():
-            raise PreconditionError("max order of the zero algebra is infinite")
         omega, ideal = self.max_order_within(Ideal.zero(self.field, self.variables))
         return omega, ClosedSet([ideal])
 
+    @shared_bases()
     def max_order_within(self, inside: Ideal) -> tuple[Fraction, Ideal]:
         """Largest omega with {ord >= omega} meeting V(inside), and the ideal
         of that intersection, order_ge_ideal(omega) + inside; when no omega > 0
@@ -227,9 +221,9 @@ class QReesAlgebra:
         D^e only when b >= e componentwise, and |b| <= |e| then forces b = e,
         so D^e f_i = C(e, e) c_e = c_e, a nonzero constant in every
         characteristic: the ideal is the unit ideal and omega is not met.  A
-        constant generator gives B = 0, so nothing is tested.  The derivatives
-        each candidate needs are a prefix of those the first one needs, so
-        they are built once per call.
+        constant generator gives B = 0, so nothing is tested.  Each candidate's
+        stratum is order_ge_ideal(omega) + inside; the call is a `shared_bases`
+        block, so the candidates share each generator's Hasse rows.
 
         Candidates at or below ord_at_origin(), with `inside` vanishing at the
         origin, need no basis: then ceil(a_i*omega) <= ord_0(f_i), so every
@@ -244,14 +238,9 @@ class QReesAlgebra:
             for _, a in self.generators
             for m in range(1, math.floor(a * bound) + 1)
         }
-        # B is the first candidate when positive, so these rows serve them all
-        tables = [
-            (a, list(itertools.islice(_hasse_rows(f), math.ceil(a * bound))))
-            for f, a in self.generators
-        ]
         for omega in sorted(candidates, reverse=True):
-            gens = [d for a, rows in tables for row in rows[: math.ceil(a * omega)] for d in row]
-            stratum = Ideal(self.field, self.variables, gens + list(inside.generators))
+            gens = self.order_ge_ideal(omega).generators + inside.generators
+            stratum = Ideal(self.field, self.variables, gens)
             if not stratum.is_unit():
                 return omega, stratum
         return Fraction(0), inside
@@ -281,15 +270,22 @@ class QReesAlgebra:
         return f"QReesAlgebra({inner})"
 
 
-def _hasse_rows(f: Polynomial):
-    """The nonzero Hasse derivatives of f by order: row m lists D^alpha f for
-    |alpha| = m, alpha descending, for m = 0, 1, ..., sum(deg(f)).  Only
-    alpha <= deg(f) componentwise is formed: any other D^alpha f is zero.
-    Each row is built when it is asked for."""
+def _hasse_rows(f: Polynomial, n: int) -> list[list[Polynomial]]:
+    """The first n rows of nonzero Hasse derivatives of f: row m lists
+    D^alpha f for |alpha| = m, alpha descending, for m < n, stopping after
+    row sum(deg(f)).  Only alpha <= deg(f) componentwise is formed: any other
+    D^alpha f is zero.
+
+    Inside a `shared_bases` block the rows are kept in the block's table
+    under f, and a later call builds only the rows not kept yet."""
     caps = f.degrees()
-    for m in range(sum(caps) + 1):
+    n = min(n, sum(caps) + 1)
+    table = _run_bases.get()
+    rows = [] if table is None else table.setdefault(f, [])
+    for m in range(len(rows), n):
         row = (f.hasse_derivative(alpha) for alpha in _compositions(m, caps))
-        yield [d for d in row if not d.is_zero()]
+        rows.append([d for d in row if not d.is_zero()])
+    return rows if table is None else rows[:n]
 
 
 def _compositions(total: int, caps: tuple[int, ...]):

@@ -245,12 +245,8 @@ def find_maximal_contact(
             lead = f.coefficient_in_var(v, 1)
             rest = f.coefficient_in_var(v, 0)
             if not lead.is_constant():
-                origin = {u: 0 for u in alg.variables}
-                if (
-                    local
-                    and rest.is_zero()
-                    and lead.evaluate(origin) != alg.field.zero()
-                ):
+                # order 0: lead has a constant term, so it is nonzero at the origin
+                if local and rest.is_zero() and lead.order() == 0:
                     return ContactChoice(v, None)
                 continue
             c = lead.constant_value()

@@ -374,10 +374,13 @@ _run_bases: ContextVar[dict | None] = ContextVar("qrees_run_bases", default=None
 @contextmanager
 def shared_bases() -> Iterator[None]:
     """Inside the block, `Ideal.basis` computes each Groebner basis once and
-    hands it to every ideal with the same order and generator set.
+    hands it to every ideal with the same order and generator set, and each
+    polynomial's Hasse rows are built once (`algebra._hasse_rows`).
 
-    The table is keyed by ``(order, frozenset(generators))`` and lives in a
-    context variable, so threads and async tasks each see their own.  A
+    The table keys bases by ``(order, frozenset(generators))`` and rows by
+    the polynomial itself, so the two never collide.  It lives in a context
+    variable, so threads and async tasks each see their own.  `resolve`,
+    `analyze_chart` and `QReesAlgebra.max_order_within` each open a block; a
     nested entry reuses the outer table.  The outermost entry drops it on
     leaving, also when an exception leaves the block, so no basis outlives
     the call that entered it.

@@ -339,11 +339,6 @@ class Polynomial:
             mapping[v] = Polynomial.variable(f, ring, v) + s
         return self.substitute(mapping)
 
-    def order_at_point(self, point: dict[str, Element]) -> int | Infinity:
-        if all(self.field.coerce(c) == self.field.zero() for c in point.values()):
-            return self.order()
-        return self.shift(point).order()
-
     def hasse_derivative(self, alpha: Exponents) -> Polynomial:
         """Divided-power derivative: x^b maps to C(b, alpha) x^(b - alpha).
 

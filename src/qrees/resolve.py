@@ -336,26 +336,25 @@ def _monomial_center(
     """Center selection when the residual order is zero: first try combinations
     of old divisors whose multiplicities reach one; failing that, fall back to
     coordinate subspaces on which the stored algebra itself has order >= 1."""
-    candidates = []
     for size in range(1, len(winners) + 1):
+        found = []
         for subset in combinations(winners, size):
             total = sum(
                 (ell_of.get(d.var, Fraction(0)) for d in subset), Fraction(0)
             )
             if total >= 1:
                 indices = tuple(sorted(d.created for d in subset))
-                candidates.append((size, -total, indices, subset))
-    if candidates:
-        candidates.sort(key=lambda t: (t[0], t[1], t[2]))
-        size, neg_total, indices, subset = candidates[0]
-        data = MonomialData(size, -neg_total, indices)
-        return data, [d.var for d in subset]
+                found.append((-total, indices, [d.var for d in subset]))
+        if found:
+            # min keeps the first of equal keys: ties go to the first subset
+            neg_total, indices, names = min(found, key=lambda t: t[:2])
+            return MonomialData(size, -neg_total, indices), names
 
     # generalized fallback: any coordinate subspace works if every generator
     # of the (unstripped) stored algebra has enough order along it
     created_of = {d.var: d.created for d in divisors}
-    fallback = []
     for size in range(1, len(algebra.variables) + 1):
+        found = []
         for subset in combinations(algebra.variables, size):
             # infinite only for the zero algebra
             s = algebra.order_along(subset)
@@ -363,17 +362,14 @@ def _monomial_center(
                 indices = tuple(
                     sorted(created_of[v] for v in subset if v in created_of)
                 )
-                fallback.append((size, -s, indices, subset))
-        if fallback:
-            break
-    if not fallback:
-        raise ChartSplitRequired(
-            "monomial case without an admissible coordinate center"
-        )
-    fallback.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
-    size, neg_s, indices, subset = fallback[0]
-    data = MonomialData(size, -neg_s, indices)
-    return data, list(subset)
+                found.append((-s, indices, list(subset)))
+        if found:
+            # distinct subsets: the names break every tie
+            neg_s, indices, names = min(found)
+            return MonomialData(size, -neg_s, indices), names
+    raise ChartSplitRequired(
+        "monomial case without an admissible coordinate center"
+    )
 
 
 def _line_point(g: Polynomial, u: str) -> Polynomial:

@@ -154,6 +154,23 @@ def test_ord_at_point_basics() -> None:
     assert isinstance(zero.ord_at_point((0, 0)), Infinity)
 
 
+def test_ord_at_point_of_weight_one_cusp() -> None:
+    alg = A(("x^2 + y^3", 1))
+    assert alg.ord_at_point((0, 0)) == 2
+    # (1, -1) is a smooth point of the cusp
+    assert alg.ord_at_point((1, -1)) == 1
+    # a point off the curve
+    assert alg.ord_at_point((1, 1)) == 0
+
+
+@pytest.mark.parametrize("gens", [(), (("x^2 + y^3", 2),)], ids=["zero", "cusp"])
+def test_ord_at_point_rejects_wrong_length(gens) -> None:
+    alg = A(*gens)
+    for point in ((0,), (0, 0, 0)):
+        with pytest.raises(PreconditionError, match="wrong number of coordinates"):
+            alg.ord_at_point(point)
+
+
 def order_ge_oracle(alg: QReesAlgebra, omega: Fraction, pt: tuple) -> bool:
     o = alg.ord_at_point(pt)
     return isinstance(o, Infinity) or o >= omega

@@ -142,15 +142,6 @@ def test_taylor_shift_oracle() -> None:
         assert g.evaluate(pt) == f.evaluate(moved)
 
 
-def test_order_at_point() -> None:
-    f = P("x^2 + y^3")
-    assert f.order_at_point({"x": 0, "y": 0}) == 2
-    # (1, -1) is a smooth point of the cusp
-    assert f.order_at_point({"x": 1, "y": -1}) == 1
-    # a point off the curve
-    assert f.order_at_point({"x": 1, "y": 1}) == 0
-
-
 def hasse_oracle(p: Polynomial, alpha: tuple[int, ...]) -> Polynomial:
     """Divided-power derivative computed term by term from the definition."""
     out = Polynomial.zero(p.field, p.variables)

@@ -582,12 +582,63 @@ def test_resolve_runs_share_nothing(gb_inputs: list) -> None:
         ("(y^2 - x^3)*(x - 1)", XY, 50, ChartSplitRequired),
     ],
 )
-def test_failed_resolve_leaves_no_shared_bases(text, variables, max_steps, error, gb_inputs) -> None:
+def test_failed_resolve_leaves_no_shared_bases(
+    text, variables, max_steps, error, gb_inputs, hasse_inputs
+) -> None:
     """A table left behind by the failed run would hand the second of two
-    equal ideals the first one's basis."""
+    equal ideals the first one's basis, and the second of two equal
+    algebras the first one's Hasse rows."""
     with pytest.raises(error):
         resolve(QQ, variables, A((text, 2), variables=variables), max_steps=max_steps)
     gb_inputs.clear()
+    hasse_inputs.clear()
     for _ in range(2):
         assert not Ideal(QQ, XY, [P("x^2 + y^3 - 1"), P("x*y")]).is_unit()
+        A(("x^2 + y^3 - 1", 2)).sing_ideal()
     assert len(gb_inputs) == 2
+    assert hasse_inputs and len(hasse_inputs) == 2 * len(set(hasse_inputs))
+
+
+# -- one Hasse derivative per distinct (polynomial, alpha) and run ------------------
+
+
+@pytest.fixture
+def hasse_inputs(monkeypatch) -> list:
+    """The (polynomial, alpha) of every Polynomial.hasse_derivative call, in order."""
+    differentiate = Polynomial.hasse_derivative
+    seen = []
+
+    def record(f, alpha):
+        seen.append((f, alpha))
+        return differentiate(f, alpha)
+
+    monkeypatch.setattr(Polynomial, "hasse_derivative", record)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_resolve_takes_each_hasse_derivative_once(name: str, hasse_inputs: list) -> None:
+    trace_text(PROBLEMS[name], STEP_BUDGET.get(name, 50))
+    assert hasse_inputs
+    assert len(set(hasse_inputs)) == len(hasse_inputs)
+
+
+def test_resolve_runs_share_no_hasse_rows(hasse_inputs: list) -> None:
+    alg = A(("x^2 - y^2*z", 2), variables=XYZ)
+    resolve(QQ, XYZ, alg)
+    first = len(hasse_inputs)
+    resolve(QQ, XYZ, alg)
+    assert first and len(hasse_inputs) == 2 * first
+
+
+def test_max_order_within_shares_rows_for_the_call_only(hasse_inputs: list) -> None:
+    """Outside a run, the candidates of one call share rows, and the next call
+    builds them afresh."""
+    alg = A(("x^2 + y^5", 1), ("y^6", 2))
+    inside = Ideal.zero(QQ, XY)
+    # the candidates 3 and 5/2 hold D^(2,0) of x^2 + y^5, the unit 1; 2 is met
+    assert alg.max_order_within(inside)[0] == 2
+    first = len(hasse_inputs)
+    assert first and len(set(hasse_inputs)) == first
+    alg.max_order_within(inside)
+    assert len(hasse_inputs) == 2 * first
