@@ -17,8 +17,8 @@ from .poly import (
     INFINITY,
     Infinity,
     Polynomial,
+    check_ring,
     format_polynomial,
-    into_ring,
     parse_polynomial,
     parse_rational,
 )
@@ -45,7 +45,7 @@ class QReesAlgebra:
             a = Fraction(a)
             if a <= 0:
                 raise PreconditionError(f"generator weight must be positive, got {a}")
-            f = into_ring(f, self.field, self.variables)
+            check_ring(f, self.field, self.variables)
             if not f.is_zero():
                 kept.append((f, a))
         object.__setattr__(self, "generators", tuple(kept))
@@ -77,8 +77,7 @@ class QReesAlgebra:
 
     def odot(self, other: QReesAlgebra) -> QReesAlgebra:
         """Join: the smallest algebra containing both generator sets."""
-        if (self.field, self.variables) != (other.field, other.variables):
-            raise PreconditionError("odot of algebras over different charts")
+        check_ring(other, self.field, self.variables, "odot operand")
         return QReesAlgebra(self.field, self.variables, self.generators + other.generators)
 
     def scale(self, b) -> QReesAlgebra:
@@ -125,15 +124,13 @@ class QReesAlgebra:
     # -- orders ---------------------------------------------------------------
 
     def min_order(self, order) -> Fraction | Infinity:
-        """min over generators of order(f_i)/a_i, skipping infinite orders;
-        INFINITY for the zero algebra.  Orders are integers, so o/a is
-        compared as the integer pair (o * den(a), num(a)) and only the least
-        becomes a Fraction."""
+        """min over generators of order(f_i)/a_i; INFINITY for the zero
+        algebra.  Generators are nonzero, so every order is an integer, and
+        o/a is compared as the integer pair (o * den(a), num(a)); only the
+        least becomes a Fraction."""
         best = None
         for f, a in self.generators:
             o = order(f)
-            if o is INFINITY:
-                continue
             num, den = o * a.denominator, a.numerator
             if best is None or num * best[1] < best[0] * den:
                 best = num, den

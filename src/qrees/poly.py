@@ -5,9 +5,9 @@ a FieldSpec.  Terms are stored as a dict from exponent tuples to nonzero
 coefficients.  Instances are immutable by convention; every operation returns
 a fresh polynomial.
 
-The module also owns the order-at-infinity sentinel used by valuations, and
-the parser/formatter for the textual polynomial syntax accepted by problem
-files and the CLI.
+The module also owns the one ring check (`check_ring`), the
+order-at-infinity sentinel used by valuations, and the parser/formatter for
+the textual polynomial syntax accepted by problem files and the CLI.
 """
 
 from __future__ import annotations
@@ -166,12 +166,8 @@ class Polynomial:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check_ring(self, other: Polynomial) -> None:
-        if self.variables != other.variables or self.field != other.field:
-            raise ValueError("polynomials live in different rings")
-
     def __add__(self, other: Polynomial) -> Polynomial:
-        self._check_ring(other)
+        check_ring(other, self.field, self.variables)
         f = self.field
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -188,7 +184,7 @@ class Polynomial:
         )
 
     def __mul__(self, other: Polynomial) -> Polynomial:
-        self._check_ring(other)
+        check_ring(other, self.field, self.variables)
         f = self.field
         terms: dict[Exponents, Element] = {}
         for e1, c1 in self.terms.items():
@@ -294,7 +290,7 @@ class Polynomial:
             if img is None:
                 img = Polynomial.variable(f, self.variables, v)
             else:
-                img._check_ring(self)
+                check_ring(img, f, self.variables)
             images.append(img)
         one = Polynomial.constant(f, self.variables, 1)
         powers: list[dict[int, Polynomial]] = [{0: one} for _ in images]
@@ -386,22 +382,16 @@ def ring_name(field: FieldSpec, variables: tuple[str, ...]) -> str:
     return f"{name}[{', '.join(variables)}]"
 
 
-def into_ring(p: Polynomial, field: FieldSpec, variables: tuple[str, ...]) -> Polynomial:
-    """p moved into field[variables] by variable name; PreconditionError
-    when p is over another field or involves a variable outside the ring."""
-    if p.field == field and p.variables == variables:
-        return p
-    ring = ring_name(field, variables)
-    if p.field != field:
+def check_ring(x, field: FieldSpec, variables: tuple[str, ...], what: str | None = None) -> None:
+    """PreconditionError naming both rings unless x (a polynomial, ideal,
+    closed set or algebra) lives in field[variables]; the message names x
+    by `what`, or by x itself.  A check moves nothing: the one move between
+    rings is `Polynomial.in_ring`."""
+    if x.field != field or x.variables != variables:
         raise PreconditionError(
-            f"{format_polynomial(p)} lives in {ring_name(p.field, p.variables)}, not in {ring}"
+            f"{x if what is None else what} lives in {ring_name(x.field, x.variables)}, "
+            f"not in {ring_name(field, variables)}"
         )
-    outside = sorted(p.support_vars().difference(variables))
-    if outside:
-        raise PreconditionError(
-            f"{format_polynomial(p)} involves {', '.join(outside)}, outside {ring}"
-        )
-    return p.in_ring(variables)
 
 
 def format_polynomial(p: Polynomial) -> str:

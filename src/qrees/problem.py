@@ -47,7 +47,6 @@ class Problem:
 def parse_problem(text: str) -> Problem:
     field: FieldSpec | None = None
     variables: tuple[str, ...] | None = None
-    order: list[str] = []
     pending: dict[str, list[Generator]] = {}
     current: str | None = None
     divisors: list[DivisorRecord] = []
@@ -93,9 +92,7 @@ def parse_problem(text: str) -> Problem:
             if len(words) != 2:
                 raise ProblemParseError("algebra takes exactly one name", lineno)
             current = words[1]
-            if current not in pending:
-                pending[current] = []
-                order.append(current)
+            pending.setdefault(current, [])
         elif head == "gen":
             if field is None or variables is None:
                 raise ProblemParseError("gen before field/chart declarations", lineno)
@@ -105,9 +102,7 @@ def parse_problem(text: str) -> Problem:
                 raise ProblemParseError(str(exc), lineno) from exc
             if current is None:
                 current = "J"
-                pending[current] = []
-                order.append(current)
-            pending[current].append(gen)
+            pending.setdefault(current, []).append(gen)
         elif head == "divisor":
             if variables is None:
                 raise ProblemParseError("divisor before chart declaration", lineno)
@@ -134,6 +129,6 @@ def parse_problem(text: str) -> Problem:
         raise ProblemParseError("missing 'chart' declaration")
 
     algebras = {
-        name: QReesAlgebra(field, variables, tuple(pending[name])) for name in order
+        name: QReesAlgebra(field, variables, tuple(gens)) for name, gens in pending.items()
     }
     return Problem(field, variables, algebras, tuple(divisors))

@@ -47,7 +47,7 @@ from .invariant import (
     MonomialData,
     non_singular_value,
 )
-from .poly import Infinity, Polynomial, format_polynomial
+from .poly import Polynomial, check_ring, format_polynomial
 from .saturation import diff_saturate
 
 
@@ -84,13 +84,7 @@ def root_chart(
     the newest divisor's creation step.  The algebra must live on the
     chart's field and variables, and every divisor must be a distinct chart
     variable."""
-    if algebra.field != field:
-        raise PreconditionError("algebra field differs from the chart field")
-    if algebra.variables != variables:
-        raise PreconditionError(
-            f"algebra ring ({', '.join(algebra.variables)}) differs from the "
-            f"chart variables ({', '.join(variables)})"
-        )
+    check_ring(algebra, field, variables, "algebra")
     divisors = tuple(divisors)
     seen_vars = set()
     for d in divisors:
@@ -128,7 +122,6 @@ def analyze_chart(
     top = levels[0]
 
     if at_point:
-        # the zero algebra has order INFINITY >= 1: singular everywhere
         singular = top.algebra.ord_at_origin() >= 1
         incoming = coordinate_ideal(field, top.algebra.variables, top.algebra.variables)
     else:
@@ -283,12 +276,12 @@ def _strip_divisors(algebra: QReesAlgebra, divisors) -> tuple[QReesAlgebra, dict
 
 
 def _divisor_report(leaf: Leaf) -> list[dict]:
-    """The trace's divisor entries; ell is None when infinite or not stripped."""
+    """The trace's divisor entries; ell is None when not stripped."""
     _, ell_of = _strip_divisors(leaf.tower[0].algebra, leaf.chart.divisors)
     report = []
     for d in leaf.chart.divisors:
         e = ell_of.get(d.var)
-        ell = None if e is None or isinstance(e, Infinity) else str(e)
+        ell = None if e is None else str(e)
         report.append({"var": d.var, "created": d.created, "ell": ell})
     return report
 
@@ -356,9 +349,8 @@ def _monomial_center(
     for size in range(1, len(algebra.variables) + 1):
         found = []
         for subset in combinations(algebra.variables, size):
-            # infinite only for the zero algebra
             s = algebra.order_along(subset)
-            if not isinstance(s, Infinity) and s >= 1:
+            if s >= 1:
                 indices = tuple(
                     sorted(created_of[v] for v in subset if v in created_of)
                 )

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .algebra import QReesAlgebra, algebra_sample_points
 from .errors import PreconditionError, check_bound
-from .poly import INFINITY, Infinity, Polynomial, into_ring
+from .poly import INFINITY, Infinity, Polynomial, check_ring
 
 CAP_REACHED = "CAP_REACHED"
 
@@ -37,7 +37,7 @@ def nu(alg: QReesAlgebra, f: Polynomial, cap=Fraction(32)) -> Fraction | Infinit
     """
     cap = Fraction(cap)
     check_bound("cap", cap, 0)
-    f = into_ring(f, alg.field, alg.variables)
+    check_ring(f, alg.field, alg.variables)
     if f.is_zero():
         return INFINITY
     n = alg.denominator()
@@ -64,7 +64,7 @@ def nu_bar_estimate(alg: QReesAlgebra, f: Polynomial, n_max: int = 4, cap=Fracti
     cap = Fraction(cap)
     check_bound("n_max", n_max, 1)
     check_bound("cap", cap, 0)
-    f = into_ring(f, alg.field, alg.variables)
+    check_ring(f, alg.field, alg.variables)
     if f.is_zero():
         return INFINITY
     best = Fraction(0)
@@ -102,7 +102,7 @@ def is_integral_member(
     check_bound("cap", cap, 0)
     if a < 0:
         raise PreconditionError("membership weight must be nonnegative")
-    f = into_ring(f, alg.field, alg.variables)
+    check_ring(f, alg.field, alg.variables)
     if f.is_zero() or a == 0:
         return MembershipVerdict("Member", 1, a)
     for n in range(1, n_max + 1):
@@ -134,8 +134,7 @@ def equivalence_check(
     cap = Fraction(cap)
     check_bound("n_max", n_max, 1)
     check_bound("cap", cap, 0)
-    if (left.field, left.variables) != (right.field, right.variables):
-        raise PreconditionError("equivalence check across different charts")
+    check_ring(right, left.field, left.variables, "right-hand algebra")
     if left.is_zero() and right.is_zero():
         return EquivalenceVerdict("Equivalent")
     if left.is_zero() != right.is_zero():

@@ -71,7 +71,7 @@ def test_nonpositive_weight_rejected() -> None:
 
 
 def test_generator_outside_the_ring_rejected() -> None:
-    with pytest.raises(PreconditionError, match=r"^x \+ y involves y, outside Q\[x\]$"):
+    with pytest.raises(PreconditionError, match=r"^x \+ y lives in Q\[x, y\], not in Q\[x\]$"):
         QReesAlgebra(QQ, ("x",), ((P("x + y"), 1),))
 
 
@@ -109,8 +109,21 @@ def test_level_ideal_at_zero_is_unit() -> None:
 def test_odot_unions_generators() -> None:
     joined = A(("x", 1)).odot(A(("y", 2)))
     assert len(joined.generators) == 2
-    with pytest.raises(PreconditionError):
+    with pytest.raises(
+        PreconditionError, match=r"^odot operand lives in Q\[x, y, z\], not in Q\[x, y\]$"
+    ):
         A(("x", 1)).odot(A(("z", 1), variables=XYZ))
+
+
+@pytest.mark.parametrize("ring", [("y", "x"), XYZ], ids=["reordered", "larger"])
+def test_generator_from_another_ring_is_not_moved(ring) -> None:
+    # x lies in both rings, yet only Polynomial.in_ring moves it
+    x = P("x", ring)
+    with pytest.raises(
+        PreconditionError, match=rf"^x lives in Q\[{', '.join(ring)}\], not in Q\[x, y\]$"
+    ):
+        QReesAlgebra(QQ, XY, ((x, 1),))
+    assert QReesAlgebra(QQ, XY, ((x.in_ring(XY), 1),)) == A(("x", 1))
 
 
 def test_scale_divides_weights() -> None:

@@ -416,16 +416,24 @@ F3 = FieldSpec(3)
 
 
 @pytest.mark.parametrize(
-    "gens, ring",
+    "gens, ring, message",
     [
-        ([P("x^2 - y")], XYZ),
-        ([P("x^2 - y"), parse_polynomial("x", QQ, ("x",)), P("y^2")], XY),
-        ([P("x^2 - y"), parse_polynomial("x + y", F3, XY)], XY),
+        ([P("x^2 - y")], XYZ, r"^x\^2 - y lives in Q\[x, y\], not in Q\[x, y, z\]$"),
+        (
+            [P("x^2 - y"), parse_polynomial("x", QQ, ("x",)), P("y^2")],
+            XY,
+            r"^x lives in Q\[x\], not in Q\[x, y\]$",
+        ),
+        (
+            [P("x^2 - y"), parse_polynomial("x + y", F3, XY)],
+            XY,
+            r"^x \+ y lives in F_3\[x, y\], not in Q\[x, y\]$",
+        ),
     ],
     ids=["ring-smaller-than-order", "mixed-rings", "mixed-fields"],
 )
-def test_groebner_basis_rejects_generators_from_another_ring(gens, ring) -> None:
-    with pytest.raises(PreconditionError, match=r"generator .* lives in .*\[.*\], not in .*\["):
+def test_groebner_basis_rejects_generators_from_another_ring(gens, ring, message) -> None:
+    with pytest.raises(PreconditionError, match=message):
         groebner_basis(gens, MonomialOrder.grevlex(ring))
 
 
@@ -446,17 +454,17 @@ def test_radical_contains_rejects_element_over_another_field() -> None:
 
 
 def test_ideal_rejects_generator_outside_the_ring() -> None:
-    with pytest.raises(PreconditionError, match=r"involves z, outside Q\[x, y\]"):
+    with pytest.raises(PreconditionError, match=r"^x \+ z lives in Q\[x, y, z\], not in Q\[x, y\]$"):
         Ideal(QQ, XY, [P("x + z", XYZ)])
 
 
 def test_contains_rejects_element_outside_the_ring() -> None:
-    with pytest.raises(PreconditionError, match=r"involves z, outside Q\[x, y\]"):
+    with pytest.raises(PreconditionError, match=r"^z lives in Q\[x, y, z\], not in Q\[x, y\]$"):
         I("x").contains(P("z", XYZ))
 
 
 def test_radical_contains_rejects_element_outside_the_ring() -> None:
-    with pytest.raises(PreconditionError, match=r"involves z, outside Q\[x, y\]"):
+    with pytest.raises(PreconditionError, match=r"^y\*z lives in Q\[x, y, z\], not in Q\[x, y\]$"):
         I("x").radical_contains(P("y*z", XYZ))
 
 
@@ -470,14 +478,31 @@ def test_radical_contains_rejects_element_outside_the_ring() -> None:
     ids=["ideal-same-as", "closed-set-components", "closed-set-subset-of"],
 )
 def test_comparisons_across_fields_name_both_rings(compare) -> None:
-    with pytest.raises(PreconditionError, match=r"across Q\[x, y\] and F_3\[x, y\]"):
+    with pytest.raises(PreconditionError, match=r"lives in F_3\[x, y\], not in Q\[x, y\]$"):
         compare()
 
 
+@pytest.mark.parametrize("ring", [("y", "x"), XYZ], ids=["reordered", "larger"])
+def test_polynomial_from_another_ring_is_not_moved(ring) -> None:
+    # x lies in both rings, yet only Polynomial.in_ring moves it
+    x = P("x", ring)
+    message = rf"^x lives in Q\[{', '.join(ring)}\], not in Q\[x, y\]$"
+    with pytest.raises(PreconditionError, match=message):
+        Ideal(QQ, XY, [x])
+    with pytest.raises(PreconditionError, match=message):
+        I("x").contains(x)
+    assert I("x").contains(x.in_ring(XY))
+
+
+def test_eliminate_rejects_unknown_variable() -> None:
+    with pytest.raises(PreconditionError, match="^cannot eliminate w: not a ring variable$"):
+        I("x").eliminate(("w",))
+
+
 def test_comparisons_across_variables_name_both_rings() -> None:
-    with pytest.raises(PreconditionError, match=r"across Q\[x, y\] and Q\[x, y, z\]"):
+    with pytest.raises(PreconditionError, match=r"^Ideal\(x\) lives in Q\[x, y, z\], not in Q\[x, y\]$"):
         I("x").same_as(I("x", variables=XYZ))
-    with pytest.raises(PreconditionError, match=r"across Q\[x, y\] and Q\[x, y, z\]"):
+    with pytest.raises(PreconditionError, match=r"^Ideal\(x\) lives in Q\[x, y, z\], not in Q\[x, y\]$"):
         ClosedSet([I("x"), I("x", variables=XYZ)])
 
 

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from qrees.errors import ProblemParseError
+from qrees.errors import PreconditionError, ProblemParseError
 from qrees.field import QQ, FieldSpec
 from qrees.poly import (
     INFINITY,
@@ -50,6 +50,30 @@ def test_parse_parentheses_and_powers() -> None:
     p = P("(x + y)^2")
     q = P("x^2 + 2*x*y + y^2")
     assert p == q
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x $ y", "unexpected character '$' in polynomial"),
+        ("x +", "polynomial ended unexpectedly"),
+        ("x/0", "'/' must be followed by a nonzero integer"),
+        ("(x^2^3)", "missing ')' in polynomial"),
+        ("x + * y", "unexpected token '*' in polynomial"),
+        ("x^y", "'^' must be followed by an integer"),
+        ("x)", "trailing tokens in polynomial: ')'"),
+    ],
+)
+def test_parse_errors_name_the_fault(text: str, message: str) -> None:
+    with pytest.raises(ProblemParseError) as info:
+        P(text)
+    assert str(info.value) == message
+
+
+def test_juxtaposition_multiplies() -> None:
+    assert P("2x") == P("2*x")
+    assert P("x(y + 1)") == P("x*(y + 1)")
+    assert P("3x^2y") == P("3*x^2*y")
 
 
 def test_arithmetic_matches_evaluation() -> None:
@@ -119,6 +143,26 @@ def test_in_ring_moves_by_name() -> None:
     assert q == parse_polynomial("y^2 + z", QQ, ("y", "z"))
     with pytest.raises(ValueError):
         P("x + y").in_ring(("y",))
+
+
+@pytest.mark.parametrize(
+    "other, ring",
+    [
+        (P("x", ("y", "x")), r"Q\[y, x\]"),
+        (P("x", XYZ), r"Q\[x, y, z\]"),
+        (P("x", XY, FieldSpec(3)), r"F_3\[x, y\]"),
+    ],
+    ids=["reordered", "larger", "other-field"],
+)
+def test_arithmetic_across_rings_names_both_rings(other: Polynomial, ring: str) -> None:
+    message = rf"^x lives in {ring}, not in Q\[x, y\]$"
+    f = P("x + y")
+    with pytest.raises(PreconditionError, match=message):
+        f + other
+    with pytest.raises(PreconditionError, match=message):
+        f * other
+    with pytest.raises(PreconditionError, match=message):
+        f.substitute({"y": other})
 
 
 def test_substitute_matches_composition() -> None:

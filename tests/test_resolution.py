@@ -346,6 +346,12 @@ def test_entry_points_reject_bad_divisors(query, divisors) -> None:
         query(QQ, XY, A(("x^2 + y^3", 2)), divisors)
 
 
+@pytest.mark.parametrize("point", [(0,), (0, 0, 0)], ids=["short", "long"])
+def test_fc_at_point_rejects_point_of_wrong_length(point) -> None:
+    with pytest.raises(PreconditionError, match="^point has the wrong number of coordinates$"):
+        fc_at_point(QQ, XY, A(("x^2 + y^3", 2)), point=point)
+
+
 @pytest.mark.parametrize("query", [fc_at_point, max_locus_fc])
 def test_queries_reject_zero_algebra_up_front(query) -> None:
     with pytest.raises(PreconditionError, match="^the zero algebra has no finite invariant$"):
@@ -364,7 +370,7 @@ def test_queries_reject_zero_algebra_up_front(query) -> None:
     ids=["resolve", "fc_at_point", "fc_at_point-shifted", "max_locus_fc"],
 )
 def test_entry_points_reject_algebra_on_another_ring(query) -> None:
-    with pytest.raises(PreconditionError, match="differs from the chart variables"):
+    with pytest.raises(PreconditionError, match=r"^algebra lives in Q\[x, y\], not in Q\[x, y, z\]$"):
         query(QQ, XYZ, A(("x^2 + y^3", 2)))
 
 
@@ -372,7 +378,7 @@ def test_entry_points_reject_algebra_on_another_ring(query) -> None:
 def test_entry_points_reject_algebra_over_another_field(query) -> None:
     F3 = FieldSpec(3)
     over_f3 = QReesAlgebra(F3, XY, ((parse_polynomial("x^2 + y^3", F3, XY), Fraction(2)),))
-    with pytest.raises(PreconditionError, match="differs from the chart field"):
+    with pytest.raises(PreconditionError, match=r"^algebra lives in F_3\[x, y\], not in Q\[x, y\]$"):
         query(QQ, XY, over_f3)
 
 

@@ -441,5 +441,29 @@ def test_search_bounds_checked_up_front(query, message) -> None:
 )
 def test_element_outside_the_ring_rejected(query) -> None:
     alg = A(("x", 1), variables=("x",))
-    with pytest.raises(PreconditionError, match=r"^x \+ y involves y, outside Q\[x\]$"):
+    with pytest.raises(PreconditionError, match=r"^x \+ y lives in Q\[x, y\], not in Q\[x\]$"):
         query(alg, P("x + y"))
+
+
+@pytest.mark.parametrize("ring", [("y", "x"), XYZ], ids=["reordered", "larger"])
+def test_nu_moves_no_element(ring) -> None:
+    # x lies in both rings, yet only Polynomial.in_ring moves it
+    x = P("x", ring)
+    with pytest.raises(
+        PreconditionError, match=rf"^x lives in Q\[{', '.join(ring)}\], not in Q\[x, y\]$"
+    ):
+        nu(A(("x", 1)), x)
+    assert nu(A(("x", 1)), x.in_ring(XY)) == 1
+
+
+def test_equivalence_check_across_rings_names_both_rings() -> None:
+    f3 = FieldSpec(3)
+    over_f3 = QReesAlgebra(f3, XY, ((parse_polynomial("x", f3, XY), Fraction(1)),))
+    with pytest.raises(
+        PreconditionError, match=r"^right-hand algebra lives in F_3\[x, y\], not in Q\[x, y\]$"
+    ):
+        equivalence_check(A(("x", 1)), over_f3)
+    with pytest.raises(
+        PreconditionError, match=r"^right-hand algebra lives in Q\[x, y, z\], not in Q\[x, y\]$"
+    ):
+        equivalence_check(A(("x", 1)), A(("x", 1), variables=XYZ))
