@@ -185,29 +185,13 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         check_ring(other, self.field, self.variables)
-        f = self.field
-        terms: dict[Exponents, Element] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = f.mul(c1, c2)
-                if e in terms:
-                    terms[e] = f.add(terms[e], prod)
-                else:
-                    terms[e] = prod
-        return Polynomial(f, self.variables, terms)
+        return Polynomial(self.field, self.variables, _times(self.field, self.terms, other.terms))
 
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Polynomial.constant(self.field, self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(Polynomial.constant(self.field, self.variables, 1), self, n,
+                      lambda a, b: a * b)
 
     def scale(self, c: int | Fraction | Element) -> Polynomial:
         f = self.field
@@ -327,11 +311,24 @@ class Polynomial:
 
     def shift(self, shifts: dict[str, Polynomial | Element]) -> Polynomial:
         """Substitute v -> v + shifts[v]: returns g with g(v) = f(v + s).  Each
-        s is a field constant or a polynomial over a subring of this ring."""
+        s is a field constant or a polynomial over a subring of this ring; a
+        variable outside this ring, shifted or in s, raises PreconditionError."""
         f, ring = self.field, self.variables
         mapping = {}
         for v, s in shifts.items():
-            s = s.in_ring(ring) if isinstance(s, Polynomial) else Polynomial.constant(f, ring, s)
+            if v not in ring:
+                raise PreconditionError(
+                    f"cannot shift {v}: not a variable of {ring_name(f, ring)}"
+                )
+            if isinstance(s, Polynomial):
+                outside = sorted(s.support_vars().difference(ring))
+                if outside:
+                    raise PreconditionError(
+                        f"shift of {v} involves {outside[0]}, outside {ring_name(f, ring)}"
+                    )
+                s = s.in_ring(ring)
+            else:
+                s = Polynomial.constant(f, ring, s)
             mapping[v] = Polynomial.variable(f, ring, v) + s
         return self.substitute(mapping)
 
@@ -342,13 +339,15 @@ class Polynomial:
         if not any(alpha):
             return self
         p = self.field.characteristic
+        moved = [(i, a) for i, a in enumerate(alpha) if a]
         terms: dict[Exponents, Element] = {}
         for e, c in self.terms.items():
             binom = 1
-            for b, a in zip(e, alpha):
-                if a:
-                    if b < a:
-                        break  # x^b is killed
+            for i, a in moved:
+                b = e[i]
+                if b < a:
+                    break  # x^b is killed
+                if b != a:
                     binom *= math.comb(b, a)
             else:
                 if binom == 1:
@@ -360,7 +359,10 @@ class Polynomial:
                     # go through a generic dispatch that costs more
                     coeff = Fraction(c.numerator * binom, c.denominator)
                 if coeff:
-                    terms[tuple(b - a for b, a in zip(e, alpha))] = coeff
+                    exps = list(e)
+                    for i, a in moved:
+                        exps[i] -= a
+                    terms[tuple(exps)] = coeff
         return Polynomial(self.field, self.variables, terms)
 
     # -- display -------------------------------------------------------------
@@ -375,6 +377,33 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_polynomial(self)!r})"
+
+
+def _times(f: FieldSpec, a: dict[Exponents, Element],
+           b: dict[Exponents, Element]) -> dict[Exponents, Element]:
+    """The terms of a product, each exponent where its first (a, b) pair
+    puts it; sums that vanish stay, for the caller to drop."""
+    terms: dict[Exponents, Element] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            prod = f.mul(c1, c2)
+            if e in terms:
+                terms[e] = f.add(terms[e], prod)
+            else:
+                terms[e] = prod
+    return terms
+
+
+def _power(one, base, n: int, times):
+    """base^n by repeated squaring, starting from `one`."""
+    out = one
+    while n:
+        if n & 1:
+            out = times(out, base)
+        base = times(base, base) if n > 1 else base
+        n >>= 1
+    return out
 
 
 def ring_name(field: FieldSpec, variables: tuple[str, ...]) -> str:
@@ -444,6 +473,9 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
+    """Recursive descent into term dicts (exponents -> nonzero coefficient),
+    in the term order Polynomial arithmetic would give."""
+
     def __init__(self, tokens: list[str], field: FieldSpec,
                  variables: tuple[str, ...]) -> None:
         self.tokens = tokens
@@ -461,66 +493,87 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_expr(self) -> Polynomial:
-        sign = 1
-        tok = self.peek()
-        if tok in ("+", "-"):
-            self.take()
-            sign = -1 if tok == "-" else 1
-        out = self.parse_term()
-        if sign < 0:
-            out = -out
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            term = self.parse_term()
-            out = out + term if op == "+" else out - term
-        return out
+    def product(self, a: dict[Exponents, Element],
+                b: dict[Exponents, Element]) -> dict[Exponents, Element]:
+        return {e: c for e, c in _times(self.field, a, b).items() if c}
 
-    def parse_term(self) -> Polynomial:
-        out = self.parse_factor()
+    def parse_expr(self) -> dict[Exponents, Element]:
+        f = self.field
+        out: dict[Exponents, Element] = {}
+        op = self.take() if self.peek() in ("+", "-") else "+"
+        while True:
+            for e, c in self.parse_term(op == "-").items():
+                c = f.add(out[e], c) if e in out else c
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+            if self.peek() not in ("+", "-"):
+                return out
+            op = self.take()
+
+    def parse_term(self, negate: bool) -> dict[Exponents, Element]:
+        f = self.field
+        exps = [0] * len(self.variables)
+        coeff, group = self.parse_factor(exps)
         while True:
             tok = self.peek()
-            if tok == "*":
-                self.take()
-                out = out * self.parse_factor()
-            elif tok == "/":
+            if tok == "/":
                 self.take()
                 den = self.take()
                 if not den.isdigit() or int(den) == 0:
                     raise ProblemParseError("'/' must be followed by a nonzero integer")
-                p = self.field.characteristic
+                p = f.characteristic
                 if p and int(den) % p == 0:
                     raise ProblemParseError(f"denominator {den} vanishes modulo {p}")
-                out = out.scale(Fraction(1, int(den)))
-            elif tok is not None and (tok.isdigit() or tok.isidentifier() or tok == "("):
-                out = out * self.parse_factor()
-            else:
-                return out
+                coeff = Fraction(coeff, int(den))
+                continue
+            if tok == "*":
+                self.take()
+            elif tok is None or not (tok.isdigit() or tok.isidentifier() or tok == "("):
+                break
+            c, g = self.parse_factor(exps)
+            coeff *= c
+            if g is not None:
+                group = g if group is None else self.product(group, g)
+        coeff = f.coerce(-coeff if negate else coeff)
+        if not coeff:
+            return {}
+        if group is None:
+            return {tuple(exps): coeff}
+        return {tuple(a + b for a, b in zip(e, exps)): f.mul(c, coeff) for e, c in group.items()}
 
-    def parse_factor(self) -> Polynomial:
+    def parse_factor(self, exps: list[int]) -> tuple[int, dict[Exponents, Element] | None]:
+        """One factor, its power included.  A variable power adds to `exps`;
+        return the factor's integer coefficient and, for a group, its terms."""
+        f = self.field
         tok = self.take()
+        if tok == "-":
+            c, group = self.parse_factor(exps)
+            return -c, group
         if tok == "(":
-            inner = self.parse_expr()
+            group = self.parse_expr()
             if self.take() != ")":
                 raise ProblemParseError("missing ')' in polynomial")
-            base = inner
-        elif tok.isdigit():
-            base = Polynomial.constant(self.field, self.variables, int(tok))
-        elif tok.isidentifier():
+            one = {(0,) * len(self.variables): f.one()}
+            return 1, _power(one, group, self.parse_power(), self.product)
+        if tok.isdigit():
+            return pow(int(tok), self.parse_power(), f.characteristic or None), None
+        if tok.isidentifier():
             if tok not in self.variables:
                 raise ProblemParseError(f"unknown variable {tok!r}")
-            base = Polynomial.variable(self.field, self.variables, tok)
-        elif tok == "-":
-            return -self.parse_factor()
-        else:
-            raise ProblemParseError(f"unexpected token {tok!r} in polynomial")
-        if self.peek() == "^":
-            self.take()
-            exp = self.take()
-            if not exp.isdigit():
-                raise ProblemParseError("'^' must be followed by an integer")
-            base = base ** int(exp)
-        return base
+            exps[self.variables.index(tok)] += self.parse_power()
+            return 1, None
+        raise ProblemParseError(f"unexpected token {tok!r} in polynomial")
+
+    def parse_power(self) -> int:
+        if self.peek() != "^":
+            return 1
+        self.take()
+        exp = self.take()
+        if not exp.isdigit():
+            raise ProblemParseError("'^' must be followed by an integer")
+        return int(exp)
 
 
 def parse_rational(text: str, what: str) -> Fraction:
@@ -534,9 +587,13 @@ def parse_rational(text: str, what: str) -> Fraction:
 def parse_polynomial(
     text: str, field: FieldSpec, variables: tuple[str, ...]
 ) -> Polynomial:
-    """Parse the textual syntax: integers, variables, + - * / ^ and parentheses."""
+    """Parse integers, variables, + - * / ^, parentheses and juxtaposition.
+    Unary minus applies to the factor after it, power included; `^` takes a
+    nonnegative integer literal; `/` takes a nonzero integer literal
+    (invertible modulo p over F_p) and divides the term read so far.  A
+    monomial is read into one term, and one Polynomial is built per parse."""
     parser = _Parser(_tokenize(text), field, variables)
-    out = parser.parse_expr()
+    terms = parser.parse_expr()
     if parser.peek() is not None:
         raise ProblemParseError(f"trailing tokens in polynomial: {parser.peek()!r}")
-    return out
+    return Polynomial(field, variables, terms)

@@ -76,6 +76,19 @@ def test_juxtaposition_multiplies() -> None:
     assert P("3x^2y") == P("3*x^2*y")
 
 
+def test_parse_grammar() -> None:
+    """The rules README's problem-file section states."""
+    assert P("-x^2").terms == {(2, 0): -1}
+    assert P("-2^2") == P("-4")
+    assert P("2^3x") == P("8*x")
+    assert P("x/2*y") == P("1/2*x*y")
+    assert P("(x + y)/2 + x") == P("3/2*x + 1/2*y")
+    assert P("x^0 + 0^0") == P("2")
+    F3 = FieldSpec(3)
+    assert P("3*x + y", field=F3) == P("y", field=F3)
+    assert P("x/2", field=F3) == P("2*x", field=F3)
+
+
 def test_arithmetic_matches_evaluation() -> None:
     """Ring operations commute with evaluation on a grid of points."""
     f = P("x^2 - 3*y + 1")
@@ -184,6 +197,16 @@ def test_taylor_shift_oracle() -> None:
         pt = {"x": Fraction(a), "y": Fraction(b)}
         moved = {"x": pt["x"] + shift["x"], "y": pt["y"] + shift["y"]}
         assert g.evaluate(pt) == f.evaluate(moved)
+
+
+def test_shift_by_polynomial_outside_the_ring_rejected() -> None:
+    with pytest.raises(PreconditionError, match=r"^shift of x involves z, outside Q\[x, y\]$"):
+        P("x^2 + y").shift({"x": P("z", XYZ)})
+
+
+def test_shift_of_variable_outside_the_ring_rejected() -> None:
+    with pytest.raises(PreconditionError, match=r"^cannot shift w: not a variable of Q\[x, y\]$"):
+        P("x^2 + y").shift({"w": 1})
 
 
 def hasse_oracle(p: Polynomial, alpha: tuple[int, ...]) -> Polynomial:
