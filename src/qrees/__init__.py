@@ -16,9 +16,7 @@ from .charts import (
     blowup_chart,
     center_inside_singular_locus,
     coefficient_algebra,
-    divide_by_divisor,
     elimination_algebra,
-    ell_value,
     find_maximal_contact,
     non_monomial_part,
     transform_algebra,
@@ -88,9 +86,7 @@ __all__ = [
     "coefficient_algebra",
     "coordinate_ideal",
     "diff_saturate",
-    "divide_by_divisor",
     "elimination_algebra",
-    "ell_value",
     "equivalence_check",
     "fc_at_point",
     "find_maximal_contact",

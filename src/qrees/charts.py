@@ -12,7 +12,7 @@ from fractions import Fraction
 from .algebra import QReesAlgebra
 from .errors import ChartSplitRequired, PreconditionError, UnsupportedCharacteristic
 from .field import FieldSpec
-from .poly import INFINITY, Infinity, Polynomial
+from .poly import Infinity, Polynomial, variable_index
 from .saturation import diff_saturate
 
 
@@ -133,46 +133,39 @@ def center_inside_singular_locus(alg: QReesAlgebra, center_vars: tuple[str, ...]
 # -- divisorial content ------------------------------------------------------
 
 
-def ell_value(alg: QReesAlgebra, var: str) -> Fraction | Infinity:
-    """Normalized multiplicity of the algebra along V(var): min nu_var(f_i)/a_i."""
-    if var not in alg.variables:
-        raise PreconditionError(f"{var} is not a chart variable")
-    return alg.order_along((var,))
-
-
-def divide_by_divisor(alg: QReesAlgebra, var: str, ell) -> QReesAlgebra:
-    """Strip x^ceil(a_i * ell) from each generator; ell must not exceed the
-    actual multiplicity along the divisor."""
-    ell = Fraction(ell)
-    if ell < 0:
-        raise PreconditionError("divisor multiplicity must be nonnegative")
-    actual = ell_value(alg, var)
-    if ell > actual:
-        raise PreconditionError(
-            f"cannot divide {var}^({ell} * weight): algebra only has multiplicity {actual}"
-        )
-    gens = []
-    for f, a in alg.generators:
-        gens.append((f.divide_by_variable_power(var, math.ceil(a * ell)), a))
-    return QReesAlgebra._trusted(alg.field, alg.variables, tuple(gens))
-
-
 def non_monomial_part(
     alg: QReesAlgebra, divisor_vars
 ) -> tuple[QReesAlgebra, list[Fraction | Infinity]]:
-    """Divide out the full divisorial content along each listed divisor in
-    order, returning the residual algebra and the stripped multiplicities."""
-    current = alg
-    ells: list[Fraction | Infinity] = []
-    for var in divisor_vars:
-        ell = ell_value(current, var)
-        if isinstance(ell, Infinity):
-            ells.append(INFINITY)
-            continue
-        ells.append(ell)
-        if ell > 0:
-            current = divide_by_divisor(current, var, ell)
-    return current, ells
+    """Divide out the full divisorial content along each listed divisor:
+    the residual algebra, and ell(v) = order_along((v,)) for each listed v
+    in list order.  The listed variables must be distinct variables of the
+    ring.
+
+    Every ell is read off alg itself, and each generator (f, a) is divided
+    once, by v^ceil(a * ell(v)) for every listed v.  That is the same as
+    stripping one divisor after another: dividing by a power of v moves no
+    other variable's exponents, so no other ell changes.  Each division is
+    exact: a * ell(v) <= ord_v(f), and ord_v(f) is an integer, so
+    ceil(a * ell(v)) <= ord_v(f).  The zero algebra has no generators, so
+    its INFINITY ells divide nothing.
+    """
+    idx = [variable_index(v, alg.field, alg.variables) for v in divisor_vars]
+    if len(set(idx)) != len(idx):
+        raise PreconditionError("divisor variables must be distinct")
+    ells = [alg.order_along((v,)) for v in divisor_vars]
+    gens = []
+    for f, a in alg.generators:
+        cut = [(i, math.ceil(a * ell)) for i, ell in zip(idx, ells) if ell]
+        if cut:
+            terms = {}
+            for e, c in f.terms.items():
+                exps = list(e)
+                for i, k in cut:
+                    exps[i] -= k
+                terms[tuple(exps)] = c
+            f = Polynomial(alg.field, alg.variables, terms)
+        gens.append((f, a))
+    return QReesAlgebra._trusted(alg.field, alg.variables, tuple(gens)), ells
 
 
 # -- descent constructions -----------------------------------------------------
@@ -182,9 +175,8 @@ def coefficient_algebra(alg: QReesAlgebra, var: str) -> QReesAlgebra:
     """Restriction of the differential saturation to the hypersurface V(var),
     living in the ring without var.  It restricts the saturation kept on alg,
     so a caller that saturated alg already pays for the restriction only."""
-    if var not in alg.variables:
-        raise PreconditionError(f"{var} is not a chart variable")
-    sub = tuple(v for v in alg.variables if v != var)
+    i = variable_index(var, alg.field, alg.variables)
+    sub = alg.variables[:i] + alg.variables[i + 1 :]
     gens = []
     for f, a in diff_saturate(alg).generators:
         g = f.restrict_zero(var)
@@ -195,9 +187,8 @@ def coefficient_algebra(alg: QReesAlgebra, var: str) -> QReesAlgebra:
 
 def elimination_algebra(alg: QReesAlgebra, var: str) -> QReesAlgebra:
     """Generators not involving var, moved to the smaller ring."""
-    if var not in alg.variables:
-        raise PreconditionError(f"{var} is not a chart variable")
-    sub = tuple(v for v in alg.variables if v != var)
+    i = variable_index(var, alg.field, alg.variables)
+    sub = alg.variables[:i] + alg.variables[i + 1 :]
     gens = []
     for f, a in alg.generators:
         if var not in f.support_vars():

@@ -96,7 +96,7 @@ class Polynomial:
     def variable(
         field: FieldSpec, variables: tuple[str, ...], name: str
     ) -> Polynomial:
-        i = variables.index(name)
+        i = variable_index(name, field, variables)
         exps = tuple(1 if j == i else 0 for j in range(len(variables)))
         return Polynomial(field, variables, {exps: field.one()})
 
@@ -144,16 +144,16 @@ class Polynomial:
         return tuple(map(max, zip(*self.terms)))
 
     def degree_in(self, var: str) -> int:
-        i = self.variables.index(var)
+        i = variable_index(var, self.field, self.variables)
         if not self.terms:
             return -1
         return max(e[i] for e in self.terms)
 
     def order_in_vars(self, vars: tuple[str, ...]) -> int | Infinity:
         """Minimal combined exponent of the given variables over all terms."""
+        idx = [variable_index(v, self.field, self.variables) for v in vars]
         if not self.terms:
             return INFINITY
-        idx = [self.variables.index(v) for v in vars]
         return min(sum(e[i] for i in idx) for e in self.terms)
 
     def support_vars(self) -> set[str]:
@@ -223,7 +223,7 @@ class Polynomial:
 
         Only terms free of var survive, and dropping index i is injective on
         them, so no two terms land on one exponent."""
-        i = self.variables.index(var)
+        i = variable_index(var, self.field, self.variables)
         new_vars = self.variables[:i] + self.variables[i + 1 :]
         terms = {e[:i] + e[i + 1 :]: c for e, c in self.terms.items() if not e[i]}
         return Polynomial(self.field, new_vars, terms)
@@ -245,9 +245,9 @@ class Polynomial:
         return Polynomial(self.field, variables, terms)
 
     def divide_by_variable_power(self, var: str, k: int) -> Polynomial:
+        i = variable_index(var, self.field, self.variables)
         if k == 0:
             return self
-        i = self.variables.index(var)
         terms: dict[Exponents, Element] = {}
         for e, c in self.terms.items():
             if e[i] < k:
@@ -257,7 +257,7 @@ class Polynomial:
 
     def coefficient_in_var(self, var: str, k: int) -> Polynomial:
         """Coefficient of var^k, as a polynomial in the same ring without var."""
-        i = self.variables.index(var)
+        i = variable_index(var, self.field, self.variables)
         terms = {
             e[:i] + (0,) + e[i + 1 :]: c
             for e, c in self.terms.items()
@@ -423,6 +423,17 @@ def check_ring(x, field: FieldSpec, variables: tuple[str, ...], what: str | None
         )
 
 
+def variable_index(var: str, field: FieldSpec, variables: tuple[str, ...]) -> int:
+    """The position of var in field[variables]; PreconditionError naming
+    the ring when var is not one of its variables."""
+    try:
+        return variables.index(var)
+    except ValueError:
+        raise PreconditionError(
+            f"{var} is not a variable of {ring_name(field, variables)}"
+        ) from None
+
+
 def format_polynomial(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
@@ -454,21 +465,16 @@ def format_polynomial(p: Polynomial) -> str:
 
 # the variable names the tokenizer reads; a chart may declare no others
 VARIABLE_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_TOKEN = re.compile(rf"\s*(?:(\d+)|({VARIABLE_NAME.pattern})|([()^*/+-]))")
+# a token, or (second group) any other character that is not whitespace
+_TOKEN = re.compile(rf"(\d+|{VARIABLE_NAME.pattern}|[()^*/+-])|(\S)")
 
 
 def _tokenize(text: str) -> list[str]:
     tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ProblemParseError(f"unexpected character {rest[0]!r} in polynomial")
-        tokens.append(m.group(1) or m.group(2) or m.group(3))
-        pos = m.end()
+    for tok, bad in _TOKEN.findall(text):
+        if bad:
+            raise ProblemParseError(f"unexpected character {bad!r} in polynomial")
+        tokens.append(tok)
     return tokens
 
 

@@ -276,14 +276,18 @@ def _strip_divisors(algebra: QReesAlgebra, divisors) -> tuple[QReesAlgebra, dict
 
 
 def _divisor_report(leaf: Leaf) -> list[dict]:
-    """The trace's divisor entries; ell is None when not stripped."""
-    _, ell_of = _strip_divisors(leaf.tower[0].algebra, leaf.chart.divisors)
-    report = []
-    for d in leaf.chart.divisors:
-        e = ell_of.get(d.var)
-        ell = None if e is None else str(e)
-        report.append({"var": d.var, "created": d.created, "ell": ell})
-    return report
+    """The trace's divisor entries: ell is the top algebra's order along
+    each divisor created at step 1 or later (those `_strip_divisors`
+    strips), None for one created at step 0."""
+    alg = leaf.tower[0].algebra
+    return [
+        {
+            "var": d.var,
+            "created": d.created,
+            "ell": str(alg.order_along((d.var,))) if d.created >= 1 else None,
+        }
+        for d in leaf.chart.divisors
+    ]
 
 
 def _push_down(stratum: Ideal, var: str) -> Ideal:

@@ -18,11 +18,7 @@ from fractions import Fraction
 from itertools import product
 
 from qrees.algebra import QReesAlgebra, algebra_sample_points, format_algebra
-from qrees.charts import (
-    DivisorRecord,
-    ell_value,
-    transform_algebra,
-)
+from qrees.charts import DivisorRecord, transform_algebra
 from qrees.field import QQ, FieldSpec
 from qrees.ideal import ClosedSet, Ideal
 from qrees.invariant import InvariantValue
@@ -225,7 +221,7 @@ def test_criterion_4_property_suite() -> None:
                 (Fraction(f.order_in_vars((var,))) / a for f, a in alg.generators),
                 default=None,
             )
-            got = ell_value(alg, var)
+            got = alg.order_along((var,))
             assert got == expected, (format_algebra(alg), var)
 
     assert time.time() - started < 60.0

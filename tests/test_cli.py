@@ -132,6 +132,15 @@ def test_transform_validates_center(umbrella, capsys, center, chart_var, message
     assert (code, capsys.readouterr().err.strip()) == (6, f"error: {message}")
 
 
+@pytest.mark.parametrize("command", ["coeff", "eliminate"])
+def test_unknown_variable_exits_6(umbrella, capsys, command) -> None:
+    code = main([command, umbrella, "--var", "w"])
+    assert (code, capsys.readouterr().err.strip()) == (
+        6,
+        "error: w is not a variable of Q[x, y, z]",
+    )
+
+
 def test_nonmonomial_command(tmp_path, capsys) -> None:
     path = tmp_path / "monomial.qr"
     path.write_text(MONOMIAL)

@@ -15,9 +15,7 @@ from qrees.charts import (
     blowup_chart,
     center_inside_singular_locus,
     coefficient_algebra,
-    divide_by_divisor,
     elimination_algebra,
-    ell_value,
     find_maximal_contact,
     non_monomial_part,
     transform_algebra,
@@ -134,21 +132,10 @@ def test_center_inside_singular_locus() -> None:
 
 def test_ell_value_is_normalized_valuation() -> None:
     alg = A(("x^2*y", 2), ("x*y^3", 1))
-    assert ell_value(alg, "x") == Fraction(1)  # min(2/2, 1/1)
-    assert ell_value(alg, "y") == Fraction(1, 2)  # min(1/2, 3/1)
+    assert alg.order_along(("x",)) == Fraction(1)  # min(2/2, 1/1)
+    assert alg.order_along(("y",)) == Fraction(1, 2)  # min(1/2, 3/1)
     zero = QReesAlgebra(QQ, XY, ())
-    assert isinstance(ell_value(zero, "x"), Infinity)
-
-
-def test_divide_by_divisor() -> None:
-    alg = A(("x^2*y", 2), ("x*y^3", 1))
-    peeled = divide_by_divisor(alg, "x", Fraction(1))
-    polys = sorted(str(f.sorted_terms()) for f, _ in peeled.generators)
-    # x^2 y / x^2 = y at weight 2; x y^3 / x = y^3 at weight 1
-    assert peeled.generators[0][0] == P("y")
-    assert peeled.generators[1][0] == P("y^3")
-    with pytest.raises(PreconditionError):
-        divide_by_divisor(alg, "x", Fraction(2))
+    assert isinstance(zero.order_along(("x",)), Infinity)
 
 
 def test_non_monomial_part_strips_sequentially() -> None:
@@ -166,6 +153,63 @@ def test_non_monomial_part_umbrella_chart() -> None:
     assert ells == [Fraction(1, 2)]
     top = [str(f.sorted_terms()) for f, _ in residual.generators]
     assert residual.generators[2][0] == P("1", XYZ)
+
+
+def test_non_monomial_part_rejects_a_repeated_divisor() -> None:
+    with pytest.raises(PreconditionError, match=r"^divisor variables must be distinct$"):
+        non_monomial_part(A(("x^2*y^2", 2)), ["x", "y", "x"])
+
+
+def test_non_monomial_part_reads_each_ell_once(monkeypatch) -> None:
+    calls = []
+    order_along = QReesAlgebra.order_along
+
+    def counted(self, vars):
+        calls.append(vars)
+        return order_along(self, vars)
+
+    monkeypatch.setattr(QReesAlgebra, "order_along", counted)
+    alg = A(("x^2*y^3*z", 2), ("x^3*y^2 + x^4*y^2*z", 3), variables=XYZ)
+    residual, ells = non_monomial_part(alg, ["x", "y", "z"])
+    assert calls == [("x",), ("y",), ("z",)]
+    assert ells == [Fraction(1), Fraction(2, 3), Fraction(0)]
+    assert [f for f, _ in residual.generators] == [P("y*z", XYZ), P("x*z + 1", XYZ)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Polynomial.variable(QQ, XY, "w"),
+        lambda: P("x^2 + y").degree_in("w"),
+        lambda: P("x^2 + y").order_in_vars(("x", "w")),
+        lambda: P("0").order_in_vars(("w",)),
+        lambda: A(("x^2 + y", 2)).order_along(("w",)),
+        lambda: P("x^2 + y").restrict_zero("w"),
+        lambda: P("x^2 + y").divide_by_variable_power("w", 0),
+        lambda: P("x^2 + y").coefficient_in_var("w", 0),
+        lambda: coefficient_algebra(A(("x^2 + y", 2)), "w"),
+        lambda: elimination_algebra(A(("x^2 + y", 2)), "w"),
+        lambda: non_monomial_part(A(("x^2 + y", 2)), ["x", "w"]),
+        lambda: non_monomial_part(QReesAlgebra(QQ, XY, ()), ["w"]),
+    ],
+    ids=[
+        "variable",
+        "degree_in",
+        "order_in_vars",
+        "order_in_vars-zero",
+        "order_along",
+        "restrict_zero",
+        "divide_by_variable_power",
+        "coefficient_in_var",
+        "coefficient_algebra",
+        "elimination_algebra",
+        "non_monomial_part",
+        "non_monomial_part-zero",
+    ],
+)
+def test_unknown_variable_names_the_ring(call) -> None:
+    with pytest.raises(PreconditionError, match=r"^w is not a variable of Q\[x, y\]$"):
+        call()
 
 
 def test_coefficient_algebra_restricts_saturation() -> None:

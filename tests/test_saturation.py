@@ -12,8 +12,6 @@ import pytest
 from qrees.algebra import QReesAlgebra, algebra_sample_points, format_algebra
 from qrees.charts import (
     coefficient_algebra,
-    divide_by_divisor,
-    ell_value,
     non_monomial_part,
     transform_algebra,
 )
@@ -229,6 +227,41 @@ def test_coefficient_algebra_after_shift_matches_oracle() -> None:
         assert diff_saturate(moved) == oracle_diff_saturate(moved)
 
 
+def oracle_non_monomial_part(alg: QReesAlgebra, divisor_vars):
+    """The sequential definition: strip one divisor after another, reading
+    each ell off the algebra left by the divisions before it."""
+    ells = []
+    for var in divisor_vars:
+        ell = alg.order_along((var,))
+        ells.append(ell)
+        if not isinstance(ell, Infinity) and ell > 0:
+            alg = QReesAlgebra(
+                alg.field,
+                alg.variables,
+                tuple(
+                    (f.divide_by_variable_power(var, math.ceil(a * ell)), a)
+                    for f, a in alg.generators
+                ),
+            )
+    return alg, ells
+
+
+def test_non_monomial_part_matches_sequential_strip() -> None:
+    rng = random.Random(19)
+    stripped = 0
+    for alg in SEEDED:
+        divisors = rng.sample(alg.variables, rng.randint(0, len(alg.variables)))
+        got, ells = non_monomial_part(alg, divisors)
+        want, want_ells = oracle_non_monomial_part(alg, divisors)
+        assert ells == want_ells, (format_algebra(alg), divisors)
+        # term order included, so the printed algebras agree byte for byte
+        assert [(list(f.terms.items()), a) for f, a in got.generators] == [
+            (list(f.terms.items()), a) for f, a in want.generators
+        ], (format_algebra(alg), divisors)
+        stripped += sum(1 for e in ells if e > 0)
+    assert stripped >= 50
+
+
 def revalidated(alg: QReesAlgebra) -> QReesAlgebra:
     return QReesAlgebra(alg.field, alg.variables, alg.generators)
 
@@ -246,9 +279,7 @@ def test_internal_constructions_are_valid(index: int) -> None:
         assert_valid(diff_saturate(alg))
         for var in alg.variables:
             assert_valid(coefficient_algebra(alg, var))
-            ell = ell_value(alg, var)
-            if not isinstance(ell, Infinity):
-                assert_valid(divide_by_divisor(alg, var, ell))
+            assert_valid(non_monomial_part(alg, [var])[0])
         rest, _ = non_monomial_part(alg, alg.variables)
         assert_valid(rest)
         # x^ceil(a) times each generator is divisible after blowing up the origin
