@@ -21,6 +21,7 @@ from .poly import (
     format_polynomial,
     parse_polynomial,
     parse_rational,
+    variable_index,
 )
 
 Weight = Fraction
@@ -156,6 +157,8 @@ class QReesAlgebra:
     def order_along(self, vars: tuple[str, ...]) -> Fraction | Infinity:
         """Order along the coordinate subspace V(vars): min ord_vars(f_i)/a_i;
         INFINITY for the zero algebra."""
+        for v in vars:
+            variable_index(v, self.field, self.variables)
         return self.min_order(lambda f: f.order_in_vars(vars))
 
     def order_ge_ideal(self, omega) -> Ideal:

@@ -84,8 +84,5 @@ class FieldSpec:
     def div(self, a: Element, b: Element) -> Element:
         return self.mul(a, self.inv(b))
 
-    def format(self, a: Element) -> str:
-        return str(a)
-
 
 QQ = FieldSpec(0)

@@ -361,16 +361,20 @@ _run_bases: ContextVar[dict | None] = ContextVar("qrees_run_bases", default=None
 @contextmanager
 def shared_bases() -> Iterator[None]:
     """Inside the block, `Ideal.basis` computes each Groebner basis once and
-    hands it to every ideal with the same order and generator set, and each
+    hands it to every ideal with the same generator set, and each
     polynomial's Hasse rows are built once (`algebra._hasse_rows`).
 
-    The table keys bases by ``(order, frozenset(generators))`` and rows by
-    the polynomial itself, so the two never collide.  It lives in a context
-    variable, so threads and async tasks each see their own.  `resolve`,
-    `analyze_chart` and `QReesAlgebra.max_order_within` each open a block; a
-    nested entry reuses the outer table.  The outermost entry drops it on
-    leaving, also when an exception leaves the block, so no basis outlives
-    the call that entered it.
+    The table keys bases by ``frozenset(generators)`` and rows by the
+    polynomial itself, so the two never collide.  The key needs no ring:
+    `Polynomial` equality includes the field and the variables, so the only
+    generator set shared across rings is the empty one, whose basis is
+    ``[]`` in every ring.  It needs no order either, because every basis in
+    the table is grevlex (`Ideal.eliminate` keeps out of it).  The table
+    lives in a context variable, so threads and async tasks each see their
+    own.  `resolve`, `analyze_chart` and `QReesAlgebra.max_order_within`
+    each open a block; a nested entry reuses the outer table.  The outermost
+    entry drops it on leaving, also when an exception leaves the block, so
+    no basis outlives the call that entered it.
     """
     if _run_bases.get() is not None:
         yield
@@ -383,12 +387,14 @@ def shared_bases() -> Iterator[None]:
 
 
 class Ideal:
-    """An ideal of a polynomial ring, with Groebner bases cached per order.
+    """An ideal of a polynomial ring, with its reduced grevlex Groebner basis
+    computed on first use.
 
-    Each instance keeps the bases it has computed.  Inside a `shared_bases`
-    block, ideals with the same generator set also share them through the
-    block's table: the reduced basis depends only on the ideal and the
-    order, so a shared one is the one the ideal would compute.
+    Each instance keeps its basis.  Inside a `shared_bases` block, ideals
+    with the same generator set also share it through the block's table: the
+    reduced basis depends only on the ideal and the order, and equal
+    generators lie in one ring, so a shared basis is the one the ideal would
+    compute.
     """
 
     def __init__(self, field: FieldSpec, variables: tuple[str, ...], generators) -> None:
@@ -400,7 +406,7 @@ class Ideal:
             if not g.is_zero():
                 gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
-        self._bases: dict[MonomialOrder, list[Polynomial]] = {}
+        self._basis: list[Polynomial] | None = None
 
     @staticmethod
     def zero(field: FieldSpec, variables: tuple[str, ...]) -> Ideal:
@@ -410,27 +416,24 @@ class Ideal:
     def unit(field: FieldSpec, variables: tuple[str, ...]) -> Ideal:
         return Ideal(field, variables, [Polynomial.constant(field, variables, field.one())])
 
-    def basis(self, order: MonomialOrder | None = None) -> list[Polynomial]:
-        """The reduced Groebner basis for `order` (grevlex by default).
+    def basis(self) -> list[Polynomial]:
+        """The reduced grevlex Groebner basis.
 
-        Looked up in this ideal's own bases, then in the table of the
-        enclosing `shared_bases` block, if any, under
-        ``(order, frozenset(generators))``; only a miss in both computes it.
+        Looked up on this ideal, then in the table of the enclosing
+        `shared_bases` block, if any, under ``frozenset(generators)``; only a
+        miss in both computes it.  The key needs no ring (see
+        `shared_bases`).
         """
-        if order is None:
-            order = MonomialOrder.grevlex(self.variables)
-        found = self._bases.get(order)
-        if found is None:
+        if self._basis is None:
             table = _run_bases.get()
-            if table is None:
-                found = groebner_basis(list(self.generators), order)
-            else:
-                key = (order, frozenset(self.generators))
-                found = table.get(key)
-                if found is None:
-                    found = table[key] = groebner_basis(list(self.generators), order)
-            self._bases[order] = found
-        return found
+            key = frozenset(self.generators)
+            found = None if table is None else table.get(key)
+            if found is None:
+                found = groebner_basis(list(self.generators), MonomialOrder.grevlex(self.variables))
+                if table is not None:
+                    table[key] = found
+            self._basis = found
+        return self._basis
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
@@ -488,7 +491,8 @@ class Ideal:
         keep = tuple(v for v in self.variables if v not in drop)
         order = MonomialOrder.eliminating(self.variables, tuple(drop))
         kept = []
-        for g in self.basis(order):
+        # not through the run table, which holds grevlex bases only
+        for g in groebner_basis(list(self.generators), order):
             if all(v not in drop for v in g.support_vars()):
                 kept.append(g.in_ring(keep))
         return Ideal(self.field, keep, kept)

@@ -193,9 +193,9 @@ class Polynomial:
         return _power(Polynomial.constant(self.field, self.variables, 1), self, n,
                       lambda a, b: a * b)
 
-    def scale(self, c: int | Fraction | Element) -> Polynomial:
+    def scale(self, c: int | Fraction) -> Polynomial:
         f = self.field
-        cc = f.coerce(c) if isinstance(c, (int, Fraction)) else c
+        cc = f.coerce(c)
         return Polynomial(
             f, self.variables, {e: f.mul(v, cc) for e, v in self.terms.items()}
         )
@@ -243,17 +243,6 @@ class Polynomial:
                 ne[position[v]] = k
             terms[tuple(ne)] = c
         return Polynomial(self.field, variables, terms)
-
-    def divide_by_variable_power(self, var: str, k: int) -> Polynomial:
-        i = variable_index(var, self.field, self.variables)
-        if k == 0:
-            return self
-        terms: dict[Exponents, Element] = {}
-        for e, c in self.terms.items():
-            if e[i] < k:
-                raise ValueError(f"{self} is not divisible by {var}^{k}")
-            terms[e[:i] + (e[i] - k,) + e[i + 1 :]] = c
-        return Polynomial(self.field, self.variables, terms)
 
     def coefficient_in_var(self, var: str, k: int) -> Polynomial:
         """Coefficient of var^k, as a polynomial in the same ring without var."""
@@ -447,13 +436,13 @@ def format_polynomial(p: Polynomial) -> str:
         ]
         mono = "*".join(factors)
         if not mono:
-            body = p.field.format(c)
+            body = str(c)
         elif c == 1:
             body = mono
         elif rational and c == -1:
             body = f"-{mono}"
         else:
-            body = f"{p.field.format(c)}*{mono}"
+            body = f"{str(c)}*{mono}"
         if not parts:
             parts.append(body)
         elif body.startswith("-"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import importlib
 import random
@@ -20,6 +21,7 @@ from qrees.ideal import (
     groebner_basis,
     leading_term,
     normal_form,
+    shared_bases,
 )
 from qrees.poly import INFINITY, Polynomial, parse_polynomial
 
@@ -572,3 +574,49 @@ def test_unit_and_membership_match_the_basis_and_skip_it_when_orders_decide(fiel
             seen.add((certified, expected))
     # the basis answered yes and no, and the orders alone answered no
     assert seen == {(False, True), (False, False), (True, False)}
+
+
+# -- one basis per ideal ----------------------------------------------------------------
+
+
+@pytest.fixture
+def gb_calls(monkeypatch) -> list:
+    """The (generators, order) of every groebner_basis call the ideal layer makes."""
+    ideal_module = importlib.import_module("qrees.ideal")
+    calls = []
+
+    def record(gens, order):
+        calls.append((gens, order))
+        return groebner_basis(gens, order)
+
+    monkeypatch.setattr(ideal_module, "groebner_basis", record)
+    return calls
+
+
+def test_zero_ideals_of_two_rings_share_one_basis(gb_calls: list) -> None:
+    with shared_bases():
+        assert Ideal.zero(QQ, XY).basis() == []
+        assert Ideal.zero(QQ, ("x",)).basis() == []
+    assert len(gb_calls) == 1
+
+
+def test_elimination_basis_stays_out_of_the_run_table(gb_calls: list) -> None:
+    gens = [P("x - y^2"), P("x*y - 1")]
+    grevlex = groebner_basis(gens, MonomialOrder.grevlex(XY))
+    assert groebner_basis(gens, MonomialOrder.eliminating(XY, ("x",))) != grevlex
+    with shared_bases():
+        Ideal(QQ, XY, gens).eliminate(("x",))
+        assert Ideal(QQ, XY, gens).basis() == grevlex
+    assert [order for _, order in gb_calls] == [
+        MonomialOrder.eliminating(XY, ("x",)),
+        MonomialOrder.grevlex(XY),
+    ]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["alone", "in-block"])
+def test_an_ideal_computes_its_basis_once(shared: bool, gb_calls: list) -> None:
+    ideal = I("x^2 + y^3", "x*y")
+    with shared_bases() if shared else contextlib.nullcontext():
+        first = ideal.basis()
+        assert ideal.basis() is first
+    assert len(gb_calls) == 1

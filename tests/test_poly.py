@@ -134,14 +134,6 @@ def test_divisor_valuation() -> None:
     assert isinstance(Polynomial.zero(QQ, XY).order_in_vars(("x",)), Infinity)
 
 
-def test_divide_by_variable_power() -> None:
-    p = P("x^2*y + x^3")
-    q = p.divide_by_variable_power("x", 2)
-    assert q == P("y + x")
-    with pytest.raises(ValueError):
-        p.divide_by_variable_power("x", 3)
-
-
 def test_restrict_zero_drops_variable_from_ring() -> None:
     p = P("x^2 + x*y + y^3")
     r = p.restrict_zero("x")

@@ -26,6 +26,7 @@ from qrees.saturation import (
     nu,
     nu_bar_estimate,
 )
+from test_geometry import divide_by_power
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -239,7 +240,7 @@ def oracle_non_monomial_part(alg: QReesAlgebra, divisor_vars):
                 alg.field,
                 alg.variables,
                 tuple(
-                    (f.divide_by_variable_power(var, math.ceil(a * ell)), a)
+                    (divide_by_power(f, var, math.ceil(a * ell)), a)
                     for f, a in alg.generators
                 ),
             )
