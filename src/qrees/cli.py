@@ -21,7 +21,7 @@ from .charts import (
 )
 from .errors import ProblemParseError, QreesError
 from .invariant import InvariantValue
-from .poly import Infinity, format_polynomial, parse_polynomial, parse_rational
+from .poly import format_polynomial, parse_polynomial, parse_rational
 from .problem import Problem, parse_problem
 from .resolve import resolve, root_chart
 from .saturation import (
@@ -144,11 +144,6 @@ def parse_element(problem: Problem, text: str):
     return parse_polynomial(text, problem.field, problem.variables)
 
 
-def value_text(value) -> str:
-    """An order or grid value as printed: INFINITY, CAP_REACHED or the number."""
-    return "INFINITY" if isinstance(value, Infinity) else str(value)
-
-
 def algebra_output(alg: QReesAlgebra) -> Output:
     """The generators as JSON rows [poly, weight] and as text lines
     'poly : weight'; the zero algebra reads 0."""
@@ -171,7 +166,7 @@ def cmd_ord(args) -> Output:
     problem, alg = load(args)
     if args.point is not None:
         point = parse_point(args.point, len(problem.variables))
-        text = value_text(alg.ord_at_point(point))
+        text = str(alg.ord_at_point(point))
         return {"order": text}, [text]
     omega, locus = alg.max_order_stratum()
     gens = [format_polynomial(g) for g in locus.components[0].basis()]
@@ -224,7 +219,7 @@ def cmd_nonmonomial(args) -> Output:
     problem, alg = load(args)
     residual, ells = non_monomial_part(alg, [d.var for d in problem.divisors])
     payload, rows = algebra_output(residual)
-    ell_text = [value_text(e) for e in ells]
+    ell_text = [str(e) for e in ells]
     payload["multiplicities"] = [
         {"var": d.var, "ell": t} for d, t in zip(problem.divisors, ell_text)
     ]
@@ -236,7 +231,7 @@ def cmd_nonmonomial(args) -> Output:
 def cmd_nu(args) -> Output:
     problem, alg = load(args)
     cap = parse_rational(args.cap, "cap")
-    text = value_text(nu(alg, parse_element(problem, args.element), cap))
+    text = str(nu(alg, parse_element(problem, args.element), cap))
     return {"nu": text}, [text]
 
 
@@ -244,7 +239,7 @@ def cmd_nubar(args) -> Output:
     problem, alg = load(args)
     cap = parse_rational(args.cap, "cap")
     value = nu_bar_estimate(alg, parse_element(problem, args.element), args.nmax, cap)
-    text = value_text(value)
+    text = str(value)
     return {"nu_bar": text}, [text]
 
 

@@ -371,8 +371,10 @@ def shared_bases() -> Iterator[None]:
     ``[]`` in every ring.  It needs no order either, because every basis in
     the table is grevlex (`Ideal.eliminate` keeps out of it).  The table
     lives in a context variable, so threads and async tasks each see their
-    own.  `resolve`, `analyze_chart` and `QReesAlgebra.max_order_within`
-    each open a block; a nested entry reuses the outer table.  The outermost
+    own.  `resolve`, `analyze_chart`, `QReesAlgebra.max_order_within` and
+    the `saturation` queries (`nu`, `nu_bar_estimate`, `is_integral_member`,
+    `equivalence_check`) each open a block; a nested entry reuses the outer
+    table.  The outermost
     entry drops it on leaving, also when an exception leaves the block, so
     no basis outlives the call that entered it.
     """

@@ -100,15 +100,6 @@ class Polynomial:
         exps = tuple(1 if j == i else 0 for j in range(len(variables)))
         return Polynomial(field, variables, {exps: field.one()})
 
-    @staticmethod
-    def monomial(
-        field: FieldSpec,
-        variables: tuple[str, ...],
-        exps: Exponents,
-        coeff: int | Fraction = 1,
-    ) -> Polynomial:
-        return Polynomial(field, variables, {tuple(exps): field.coerce(coeff)})
-
     # -- basic structure ---------------------------------------------------
 
     def is_zero(self) -> bool:

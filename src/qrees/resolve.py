@@ -2,16 +2,16 @@
 maximal-contact restrictions, center selection, and the blowup loop.
 
 Every chart carries a persistent tower of level states.  Level 0 is the chart
-itself; level k+1 lives on the hypersurface {contact variable of level k = 0}.
-Each level stores only what a blowup cannot recompute: its algebra in world
-coordinates, transformed along blowups, and bookkeeping for the current run
-(the consecutive steps during which its order is constant).  A line is always
-the bottom level and keeps no run.  The divisors a level sees are derived on
-the way down from the chart's: level k+1 sees those of level k created after
-level k's run began, less level k's contact variable.  Every level goes down
-through one descent step: the stored lower level is reused while a run lasts
-and rebuilt from a fresh coefficient algebra the moment the order above it
-moves.
+itself; level k+1 lives on {v = 0} in level k and records v, its contact
+variable.  Each level stores only what a blowup cannot recompute: its algebra
+in world coordinates, transformed along blowups, and bookkeeping for the
+current run (the consecutive steps during which its order is constant).  A
+line is always the bottom level and keeps no run.  The divisors a level sees
+are derived on the way down from the chart's: level k+1 sees those of level k
+created after level k's run began, less its own contact variable.  Every level
+goes down through one descent step: the stored lower level is reused while a
+run lasts and rebuilt from a fresh coefficient algebra the moment the order
+above it moves.
 """
 
 from __future__ import annotations
@@ -56,12 +56,16 @@ class LevelState:
     """One floor of a chart's tower; its world coordinates are its algebra's
     ring.  The divisors it sees are derived, not stored (`_divisors_below`).
     A level is born without a run; its first analysis opens one, except on a
-    line, which has no level below and so no run to keep."""
+    line, which has no level below and so no run to keep.  Its contact
+    variable, the one whose zero set it is, is fixed at birth (level 0 has
+    none), and every reader asks about this level: the descent onto it, the
+    divisors it sees, and `blow_leaf` dropping it.  So a contact shift,
+    which rewrites only the levels above, leaves it alone."""
 
     algebra: QReesAlgebra
     run_value: Fraction | None = None  # order that opened the current run, if any
     run_start: int = 0
-    contact_var: str | None = None  # variable dropped to reach the level below
+    contact_var: str | None = None  # the variable this level is the zero set of
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,7 @@ def analyze_chart(
         # run exactly when it was built at an earlier step
         built_earlier = world.run_value is not None
         if world.run_value != omega:
-            world = replace(world, run_value=omega, run_start=step, contact_var=None)
+            world = replace(world, run_value=omega, run_start=step)
             levels[k] = world
             del levels[k + 1 :]
 
@@ -203,7 +207,6 @@ def analyze_chart(
             if choice.shift is not None:
                 stratum = _apply_shift(levels, k, changes, v, choice.shift, stratum)
                 contact_input = contact_input.shift({v: choice.shift})
-            world = levels[k] = replace(levels[k], contact_var=v)
             coeff = coefficient_algebra(contact_input, v)
             if coeff.is_zero():
                 # infinite order below: the stratum itself is the center
@@ -211,14 +214,13 @@ def analyze_chart(
                 terminator = ZERO_COEFF
                 bottom_vars = _coordinate_stratum_vars(_push_down(stratum, v))
                 break
-            levels.append(LevelState(coeff))
+            levels.append(LevelState(coeff, contact_var=v))
 
-        # the one descent step, onto the stored or the new level below
-        v = world.contact_var
-        assert v is not None, "a stored lower level must have a contact variable"
+        # the one descent step; after a shift only world.run_start is current
+        v = levels[k + 1].contact_var
         center_accum.append(v)
         incoming = _push_down(stratum, v)
-        divisors = _divisors_below(divisors, world)
+        divisors = _divisors_below(divisors, world.run_start, v)
         k += 1
 
     # every exit adds at least one variable (the line's stratum holds the
@@ -237,16 +239,14 @@ def analyze_chart(
 
 
 def _divisors_below(
-    divisors: tuple[DivisorRecord, ...], world: LevelState
+    divisors: tuple[DivisorRecord, ...], run_start: int, contact_var: str
 ) -> tuple[DivisorRecord, ...]:
     """The divisors the level below sees: those of this level created after
-    its run began, less its contact variable.  The filter commutes with a
-    blowup's record swap (the new divisor always passes it), and a run
-    change drops the levels below, so while the level below lives its set
-    changes only by those swaps."""
-    return tuple(
-        d for d in divisors if d.created > world.run_start and d.var != world.contact_var
-    )
+    its run began, less the contact variable that cuts the level below out.
+    The filter commutes with a blowup's record swap (the new divisor always
+    passes it), and a run change drops the levels below, so while the level
+    below lives its set changes only by those swaps."""
+    return tuple(d for d in divisors if d.created > run_start and d.var != contact_var)
 
 
 def _coordinate_stratum_vars(down: Ideal) -> list[str]:
@@ -417,11 +417,10 @@ def blow_leaf(leaf: Leaf, step: int) -> list[tuple[Chart, tuple[LevelState, ...]
     for chart_var in center:
         child = blowup_chart(leaf.chart, center, chart_var, created=step + 1)
         new_levels: list[LevelState] = []
-        for idx, level in enumerate(leaf.tower):
-            if idx > 0 and leaf.tower[idx - 1].contact_var == chart_var:
+        for level in leaf.tower:
+            if level.contact_var == chart_var:
                 # this world's strict transform coincides with the exceptional
-                # divisor in this chart: it vanishes from the picture
-                new_levels[idx - 1] = replace(new_levels[idx - 1], contact_var=None)
+                # divisor in this chart: it and the levels below it vanish
                 break
             new_levels.append(
                 replace(level, algebra=transform_algebra(level.algebra, center, chart_var))

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from .algebra import QReesAlgebra, algebra_sample_points
 from .errors import PreconditionError, check_bound
+from .ideal import shared_bases
 from .poly import INFINITY, Infinity, Polynomial, check_ring
 
 CAP_REACHED = "CAP_REACHED"
@@ -29,6 +30,7 @@ def diff_saturate(alg: QReesAlgebra) -> QReesAlgebra:
     return alg._saturation
 
 
+@shared_bases()
 def nu(alg: QReesAlgebra, f: Polynomial, cap=Fraction(32)) -> Fraction | Infinity | str:
     """Largest grid value a = m/N with f in the level ideal at a.
 
@@ -59,6 +61,7 @@ def nu(alg: QReesAlgebra, f: Polynomial, cap=Fraction(32)) -> Fraction | Infinit
     return Fraction(lo, n)
 
 
+@shared_bases()
 def nu_bar_estimate(alg: QReesAlgebra, f: Polynomial, n_max: int = 4, cap=Fraction(32)):
     """Lower bound for the saturated order: max over n <= n_max of nu(f^n)/n."""
     cap = Fraction(cap)
@@ -91,6 +94,7 @@ class MembershipVerdict:
         return self.status in ("Member", "MemberWitness")
 
 
+@shared_bases()
 def is_integral_member(
     alg: QReesAlgebra, f: Polynomial, a, n_max: int = 4, cap=Fraction(32)
 ) -> MembershipVerdict:
@@ -122,6 +126,7 @@ class EquivalenceVerdict:
     detail: str = ""
 
 
+@shared_bases()
 def equivalence_check(
     left: QReesAlgebra, right: QReesAlgebra, n_max: int = 4, cap=Fraction(32)
 ) -> EquivalenceVerdict:

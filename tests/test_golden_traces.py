@@ -4,8 +4,14 @@ Each file in ``tests/golden/`` holds ``json.dumps(trace)`` of one problem
 below, or of the partial trace ``NotTerminated`` carries when the problem has a
 step budget in ``STEP_BUDGET``.  A performance or refactoring change must leave
 every trace identical.
-The E6 surface ``x^2 + y^3 + z^4 : 2`` is deliberately absent: its run leaks
-an internal error, and no golden should pin that.  ``queries.json`` pins the
+The E6 surface ``x^2 + y^3 + z^4 : 2`` is deliberately absent here: its run
+leaks an internal error, and no trace golden should pin that.
+``classic.json`` pins the outcome of ``resolve`` on the simple surface
+singularities A1-A8, D4-D9, E6, E7 and E8 and on ``x^2 + y^2*z + z^3`` (whose
+singular points are not all rational): the status, the step count and the
+SHA-256 of ``json.dumps(trace)``, or the error class and message.  It records
+today's outcomes, leaks included, so that a change to any of them is seen and
+re-recorded on purpose.  ``queries.json`` pins the
 text of ``fc_at_point`` (at the origin and at ``(1, 0[, 0])``) and of
 ``max_locus_fc`` for every characteristic-zero algebra of the acceptance
 corpus.
@@ -90,6 +96,20 @@ STEP_BUDGET = {"repeated-root-line": 4}
 
 # inputs of the outcome sweep left out of sweep.json for taking over 0.5 s each
 SWEEP_SLOW = {1, 5, 13, 18, 52, 81, 96}
+
+
+def classic_inputs() -> dict[str, str]:
+    """The simple surface singularities in (x, y, z), each ``: 2``, and the
+    irrational-points form."""
+    gens = {f"A{n}": f"x^2 + y^2 + z^{n + 1}" for n in range(1, 9)}
+    gens |= {f"D{n}": f"x^2 + y^2*z - z^{n - 1}" for n in range(4, 10)}
+    gens |= {
+        "E6": "x^2 + y^3 + z^4",
+        "E7": "x^2 + y^3 + y*z^3",
+        "E8": "x^2 + y^3 + z^5",
+        "irrational": "x^2 + y^2*z + z^3",
+    }
+    return {name: f"field Q\nchart x y z\ngen {g} : 2\n" for name, g in gens.items()}
 
 
 def sweep_inputs(seed: int = 1, count: int = 100) -> list[str]:
@@ -234,27 +254,42 @@ def trace_text(text: str, max_steps: int = 50) -> str:
     return json.dumps(trace)
 
 
+def resolve_outcome(text: str, max_steps: int, *, status: bool = False) -> dict:
+    """The step count and trace SHA-256 of resolving text, led by the trace's
+    status when asked (``sweep.json`` predates that field), or the error class
+    and message."""
+    problem = parse_problem(text)
+    try:
+        trace = resolve(
+            problem.field,
+            problem.variables,
+            problem.algebra(),
+            problem.divisors,
+            max_steps=max_steps,
+        )
+    except QreesError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    fields = {"status": trace["status"]} if status else {}
+    return fields | {
+        "steps": len(trace["steps"]),
+        "sha256": hashlib.sha256(json.dumps(trace).encode()).hexdigest(),
+    }
+
+
 def sweep_text() -> str:
-    out = []
-    for i, text in enumerate(sweep_inputs()):
-        if i in SWEEP_SLOW:
-            continue
-        problem = parse_problem(text)
-        row: dict = {"input": i, "text": text}
-        try:
-            trace = resolve(
-                problem.field,
-                problem.variables,
-                problem.algebra(),
-                problem.divisors,
-                max_steps=30,
-            )
-        except QreesError as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        else:
-            row["steps"] = len(trace["steps"])
-            row["sha256"] = hashlib.sha256(json.dumps(trace).encode()).hexdigest()
-        out.append(row)
+    out = [
+        {"input": i, "text": text, **resolve_outcome(text, 30)}
+        for i, text in enumerate(sweep_inputs())
+        if i not in SWEEP_SLOW
+    ]
+    return json.dumps(out, indent=1)
+
+
+def classic_text() -> str:
+    out = [
+        {"name": name, "text": text, **resolve_outcome(text, 50, status=True)}
+        for name, text in classic_inputs().items()
+    ]
     return json.dumps(out, indent=1)
 
 
@@ -310,6 +345,10 @@ def test_sweep_matches_golden() -> None:
     assert sweep_text() == (GOLDEN / "sweep.json").read_text()
 
 
+def test_classic_matches_golden() -> None:
+    assert classic_text() == (GOLDEN / "classic.json").read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, text in PROBLEMS.items():
@@ -323,3 +362,5 @@ if __name__ == "__main__":
     print("wrote cli.json")
     (GOLDEN / "sweep.json").write_text(sweep_text())
     print("wrote sweep.json")
+    (GOLDEN / "classic.json").write_text(classic_text())
+    print("wrote classic.json")

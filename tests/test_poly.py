@@ -210,8 +210,8 @@ def hasse_oracle(p: Polynomial, alpha: tuple[int, ...]) -> Polynomial:
         coeff = c
         for b, a in zip(e, alpha):
             coeff = p.field.mul(coeff, p.field.coerce(math.comb(b, a)))
-        mono = Polynomial.monomial(
-            p.field, p.variables, tuple(b - a for b, a in zip(e, alpha)), coeff
+        mono = Polynomial(
+            p.field, p.variables, {tuple(b - a for b, a in zip(e, alpha)): coeff}
         )
         out = out + mono
     return out

@@ -31,6 +31,13 @@ from qrees.invariant import InvariantValue, MonomialData, non_singular_value
 from qrees.poly import Polynomial, parse_polynomial
 from qrees.problem import parse_problem
 from qrees.resolve import fc_at_point, max_locus_fc, resolve
+from qrees.saturation import (
+    diff_saturate,
+    equivalence_check,
+    is_integral_member,
+    nu,
+    nu_bar_estimate,
+)
 from test_golden_traces import PROBLEMS, STEP_BUDGET, trace_text
 
 XY = ("x", "y")
@@ -242,9 +249,7 @@ def _poly_divmod_univariate(
         dr = remainder.degree_in(u)
         lead_r = remainder.coefficient_in_var(u, dr).constant_value()
         c = field.div(lead_r, lead_b)
-        mono = Polynomial.monomial(
-            field, ring, tuple(dr - db if v == u else 0 for v in ring), c
-        )
+        mono = Polynomial(field, ring, {tuple(dr - db if v == u else 0 for v in ring): c})
         quotient = quotient + mono
         remainder = remainder - mono * b
     return quotient, remainder
@@ -603,6 +608,37 @@ def test_failed_resolve_leaves_no_shared_bases(
         A(("x^2 + y^3 - 1", 2)).sing_ideal()
     assert len(gb_inputs) == 2
     assert hasse_inputs and len(hasse_inputs) == 2 * len(set(hasse_inputs))
+
+
+def _query_nu() -> None:
+    nu(A(("x^2 + y^3", 2)), P("x*y"), cap=2)
+
+
+def _query_nu_bar() -> None:
+    nu_bar_estimate(A(("x^2 + y^3", 2)), P("x*y"), n_max=2, cap=2)
+
+
+def _query_equivalence() -> None:
+    alg = A(("x^2 + y^3", 2))
+    equivalence_check(alg, diff_saturate(alg), n_max=2, cap=2)
+
+
+def _query_membership() -> None:
+    f3 = FieldSpec(3)
+    x2y2 = parse_polynomial("x^2 + y^2", f3, XY)
+    alg = QReesAlgebra(f3, XY, ((x2y2, Fraction(2)),))
+    is_integral_member(alg, parse_polynomial("x*y", f3, XY), 1, n_max=2, cap=2)
+
+
+@pytest.mark.parametrize(
+    "query", [_query_nu, _query_nu_bar, _query_membership, _query_equivalence]
+)
+def test_query_computes_each_basis_once(query, gb_inputs: list) -> None:
+    """A search over levels, over powers or over both inclusions meets equal
+    level ideals and computes their basis once."""
+    query()
+    assert gb_inputs
+    assert len(set(gb_inputs)) == len(gb_inputs)
 
 
 # -- one Hasse derivative per distinct (polynomial, alpha) and run ------------------
