@@ -167,13 +167,18 @@ class QReesAlgebra:
         omega = Fraction(omega)
         if omega <= 0:
             return Ideal.zero(self.field, self.variables)
-        gens = [
+        return Ideal(self.field, self.variables, self._hasse_gens(0, omega))
+
+    def _hasse_gens(self, low: Fraction, omega: Fraction) -> list[Polynomial]:
+        """The D^alpha f_i with a_i * low <= |alpha| < a_i * omega (both
+        rounded up), in the order of the generators, then |alpha|, then alpha
+        descending: what order_ge_ideal(omega) adds to order_ge_ideal(low)."""
+        return [
             d
             for f, a in self.generators
-            for row in _hasse_rows(f, math.ceil(a * omega))
+            for row in _hasse_rows(f, math.ceil(a * omega))[math.ceil(a * low) :]
             for d in row
         ]
-        return Ideal(self.field, self.variables, gens)
 
     @cached_property
     def _saturation(self) -> QReesAlgebra:
@@ -213,37 +218,63 @@ class QReesAlgebra:
         of that intersection, order_ge_ideal(omega) + inside; when no omega > 0
         is met, omega is 0 and the ideal is inside itself.
 
-        Candidate orders are m/a_i for integers m >= 1, scanned from the top
-        down, and only those up to B = min_i deg(f_i)/a_i are tested.  This
-        skips no answer: if omega > deg(f_i)/a_i, order_ge_ideal(omega) holds
-        every D^alpha f_i with |alpha| <= deg(f_i), among them D^e f_i for the
-        exponent e of a top-degree term c_e x^e of f_i.  A term x^b survives
-        D^e only when b >= e componentwise, and |b| <= |e| then forces b = e,
-        so D^e f_i = C(e, e) c_e = c_e, a nonzero constant in every
+        Candidate orders are m/a_i for integers m >= 1, and only those up to
+        B = min_i deg(f_i)/a_i are tested.  This skips no answer: if
+        omega > deg(f_i)/a_i, order_ge_ideal(omega) holds every D^alpha f_i
+        with |alpha| <= deg(f_i), among them D^e f_i for the exponent e of a
+        top-degree term c_e x^e of f_i.  A term x^b survives D^e only when
+        b >= e componentwise, and |b| <= |e| then forces b = e, so
+        D^e f_i = C(e, e) c_e = c_e, a nonzero constant in every
         characteristic: the ideal is the unit ideal and omega is not met.  A
-        constant generator gives B = 0, so nothing is tested.  Each candidate's
-        stratum is order_ge_ideal(omega) + inside; the call is a `shared_bases`
-        block, so the candidates share each generator's Hasse rows.
+        constant generator gives B = 0, so nothing is tested.
 
-        Candidates at or below ord_at_origin(), with `inside` vanishing at the
-        origin, need no basis: then ceil(a_i*omega) <= ord_0(f_i), so every
-        D^alpha f_i taken has |alpha| < ord_0(f_i) and still vanishes at the
-        origin, and Ideal.is_unit answers from the generators' orders.
+        The candidate ideals are nested: order_ge_ideal(omega) takes the
+        first ceil(a_i*omega) Hasse rows of each f_i, a prefix that grows with
+        omega.  So "is unit" is monotone in omega, and the answer is the last
+        candidate below the first unit one.  The scan runs upwards:
+
+        - With `inside` vanishing at the origin, every candidate at or below
+          ord_at_origin() is met, with no basis: there
+          ceil(a_i*omega) <= ord_0(f_i), so every D^alpha f_i taken has
+          |alpha| < ord_0(f_i) and vanishes at the origin too.  The largest
+          of them is the running answer.
+        - The first candidate above takes the basis of its own generators;
+          each later one the basis of the previous reduced basis plus the
+          rows this step adds (`_hasse_gens`).  Each basis goes through the
+          `shared_bases` table under the candidate's own generator set, and
+          the returned stratum keeps the basis it was found with.
+        - The scan stops at the first unit basis.
         """
         if self.is_zero():
             raise PreconditionError("max order of the zero algebra is infinite")
         bound = min(Fraction(f.total_degree()) / a for f, a in self.generators)
-        candidates = {
-            Fraction(m) / a
-            for _, a in self.generators
-            for m in range(1, math.floor(a * bound) + 1)
-        }
-        for omega in sorted(candidates, reverse=True):
+        candidates = sorted(
+            {
+                Fraction(m) / a
+                for _, a in self.generators
+                for m in range(1, math.floor(a * bound) + 1)
+            }
+        )
+
+        def stratum_at(omega: Fraction) -> Ideal:
             gens = self.order_ge_ideal(omega).generators + inside.generators
-            stratum = Ideal(self.field, self.variables, gens)
-            if not stratum.is_unit():
-                return omega, stratum
-        return Fraction(0), inside
+            return Ideal(self.field, self.variables, gens)
+
+        omega, stratum, basis = Fraction(0), inside, None
+        if inside._excludes_order(0):
+            top = self.ord_at_origin()
+            certified = [c for c in candidates if c <= top]
+            if certified:
+                omega, stratum = certified[-1], None
+                candidates = candidates[len(certified) :]
+        for c in candidates:
+            ideal = stratum_at(c)
+            seed = ideal.generators if basis is None else basis + self._hasse_gens(omega, c)
+            basis = ideal._basis_from(seed)
+            if basis[0].is_constant():
+                break
+            omega, stratum = c, ideal
+        return omega, stratum_at(omega) if stratum is None else stratum
 
     # -- gradings ---------------------------------------------------------------
 

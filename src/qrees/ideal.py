@@ -426,12 +426,19 @@ class Ideal:
         miss in both computes it.  The key needs no ring (see
         `shared_bases`).
         """
+        return self._basis_from(self.generators)
+
+    def _basis_from(self, gens) -> list[Polynomial]:
+        """`basis()`, computed on a miss from `gens`, any generators of this
+        same ideal, such as the basis of a smaller ideal plus what this one
+        adds.  The reduced basis depends only on the ideal, so the result
+        and the table entry are the ones `basis()` gives."""
         if self._basis is None:
             table = _run_bases.get()
             key = frozenset(self.generators)
             found = None if table is None else table.get(key)
             if found is None:
-                found = groebner_basis(list(self.generators), MonomialOrder.grevlex(self.variables))
+                found = groebner_basis(list(gens), MonomialOrder.grevlex(self.variables))
                 if table is not None:
                     table[key] = found
             self._basis = found

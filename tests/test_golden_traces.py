@@ -349,6 +349,27 @@ def test_classic_matches_golden() -> None:
     assert classic_text() == (GOLDEN / "classic.json").read_text()
 
 
+@pytest.mark.parametrize(
+    "index, error",
+    [
+        (
+            30,
+            "ChartSplitRequired: chart 0.1y.2y.3x at step 3: "
+            "no triangular maximal contact among the saturated generators",
+        ),
+        (
+            42,
+            "ChartSplitRequired: chart 0.1z.3z at step 3: "
+            "monomial case without an admissible coordinate center",
+        ),
+    ],
+)
+def test_slow_seed_2_sweep_inputs_end_in_documented_errors(index: int, error: str) -> None:
+    """Two seed-2 sweep inputs whose unit tests on hundreds of Hasse
+    derivatives once ran for seconds in max_order_within."""
+    assert resolve_outcome(sweep_inputs(seed=2, count=index + 1)[index], 30) == {"error": error}
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, text in PROBLEMS.items():

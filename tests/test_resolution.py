@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from qrees.errors import (
     UnsupportedCharacteristic,
 )
 from qrees.field import QQ, FieldSpec
-from qrees.ideal import Ideal
+from qrees.ideal import Ideal, MonomialOrder
 from qrees.invariant import InvariantValue, MonomialData, non_singular_value
 from qrees.poly import Polynomial, parse_polynomial
 from qrees.problem import parse_problem
@@ -684,3 +685,22 @@ def test_max_order_within_shares_rows_for_the_call_only(hasse_inputs: list) -> N
     assert first and len(set(hasse_inputs)) == first
     alg.max_order_within(inside)
     assert len(hasse_inputs) == 2 * first
+
+
+def test_max_order_within_builds_bases_only_above_the_order_at_the_origin(
+    gb_inputs: list, hasse_inputs: list
+) -> None:
+    """The candidates 1/2, 1, 3/2 and 2 lie at or below the order 2 at the
+    origin, so they are met with no basis; 5/2 is the first and only
+    candidate tested, its basis is the unit ideal, and the scan stops there
+    without forming a row that 5/2 does not take."""
+    alg = A(("x^2 + y^5", 1), ("y^6", 2))
+    omega, stratum = alg.max_order_within(Ideal.zero(QQ, XY))
+    taken = list(hasse_inputs)
+    assert omega == 2
+    assert stratum.generators == alg.order_ge_ideal(2).generators
+    tested = frozenset(alg.order_ge_ideal(Fraction(5, 2)).generators)
+    assert gb_inputs == [(MonomialOrder.grevlex(XY), tested)]
+    weights = dict(alg.generators)
+    assert taken
+    assert all(sum(alpha) < math.ceil(weights[f] * Fraction(5, 2)) for f, alpha in taken)
