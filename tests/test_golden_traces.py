@@ -19,9 +19,9 @@ corpus.
 subcommand, in text and with ``--json``, on the ``tests/test_cli.py`` problem
 files plus a unit and a zero algebra.
 ``sweep.json`` pins the outcome of ``resolve(..., max_steps=30)`` on inputs
-0-99 of the ROADMAP outcome-sweep generator (``random.Random(1)``), less the
-seven that take over half a second: the SHA-256 of ``json.dumps(trace)`` and
-the step count, or the error class and message.
+0-99 of the ROADMAP outcome-sweep generator (``random.Random(1)``): the
+SHA-256 of ``json.dumps(trace)`` and the step count, or the error class and
+message.
 ``chains.json`` pins one or two blowup steps (center check, transform, divisorial
 content, differential saturation, coefficient algebra) on fixed algebras over
 Q, F_2 and F_3, so the positive-characteristic side of those kernels is
@@ -92,10 +92,6 @@ PROBLEMS = {
 # step budgets below the default 50: blowing up chart 0.1y.4y at step 4 leaks
 # the same PreconditionError as E6, so that run is pinned up to the step before
 STEP_BUDGET = {"repeated-root-line": 4}
-
-
-# inputs of the outcome sweep left out of sweep.json for taking over 0.5 s each
-SWEEP_SLOW = {1, 5, 13, 18, 52, 81, 96}
 
 
 def classic_inputs() -> dict[str, str]:
@@ -280,7 +276,6 @@ def sweep_text() -> str:
     out = [
         {"input": i, "text": text, **resolve_outcome(text, 30)}
         for i, text in enumerate(sweep_inputs())
-        if i not in SWEEP_SLOW
     ]
     return json.dumps(out, indent=1)
 
