@@ -358,6 +358,7 @@ def test_classic_matches_golden() -> None:
             "monomial case without an admissible coordinate center",
         ),
     ],
+    ids=["input-30", "input-42"],
 )
 def test_slow_seed_2_sweep_inputs_end_in_documented_errors(index: int, error: str) -> None:
     """Two seed-2 sweep inputs whose unit tests on hundreds of Hasse
