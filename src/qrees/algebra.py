@@ -313,28 +313,28 @@ def _hasse_rows(f: Polynomial, n: int) -> list[list[Polynomial]]:
     n = min(n, sum(caps) + 1)
     table = _run_bases.get()
     rows = [] if table is None else table.setdefault(f, [])
-    for m in range(len(rows), n):
-        row = (f.hasse_derivative(alpha) for alpha in _compositions(m, caps))
-        rows.append([d for d in row if not d.is_zero()])
+    if len(rows) < n:
+        alphas = _compositions(n, caps)
+        for m in range(len(rows), n):
+            rows.append([d for d in map(f.hasse_derivative, alphas[m]) if d.terms])
     return rows if table is None else rows[:n]
 
 
-def _compositions(total: int, caps: tuple[int, ...]):
-    """Exponent tuples alpha with |alpha| = total and alpha_i <= caps[i],
-    lexicographically descending.  Each head runs only over values that leave
-    the tail able to reach the total, so no branch comes up empty."""
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
-        return
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    tail = caps[1:]
-    for head in range(min(total, caps[0]), max(0, total - sum(tail)) - 1, -1):
-        for rest in _compositions(total - head, tail):
-            yield (head,) + rest
+def _compositions(n: int, caps: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+    """Row m, for m < n, lists the exponent tuples alpha with |alpha| = m and
+    alpha_i <= caps[i], lexicographically descending.
+
+    The rows over caps[i:] are built for i from the last variable down to
+    the first: row m over caps[i:] is each head min(m, caps[i]) >= h >= 0,
+    descending, in front of row m - h over caps[i + 1:], so every row stays
+    descending."""
+    rows = [[()] if m == 0 else [] for m in range(n)]
+    for cap in reversed(caps):
+        rows = [
+            [(h,) + tail for h in range(min(m, cap), -1, -1) for tail in rows[m - h]]
+            for m in range(n)
+        ]
+    return rows
 
 
 def format_algebra(alg: QReesAlgebra) -> str:

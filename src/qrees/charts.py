@@ -106,7 +106,7 @@ def transform_algebra(
             e[:t] + (e[t] + sum(e[i] for i in moved) - k,) + e[t + 1 :]: c
             for e, c in f.terms.items()
         }
-        gens.append((Polynomial(alg.field, ring, terms), a))
+        gens.append((Polynomial._trusted(alg.field, ring, terms), a))
     return QReesAlgebra._trusted(alg.field, ring, tuple(gens))
 
 
@@ -163,7 +163,7 @@ def non_monomial_part(
                 for i, k in cut:
                     exps[i] -= k
                 terms[tuple(exps)] = c
-            f = Polynomial(alg.field, alg.variables, terms)
+            f = Polynomial._trusted(alg.field, alg.variables, terms)
         gens.append((f, a))
     return QReesAlgebra._trusted(alg.field, alg.variables, tuple(gens)), ells
 
@@ -180,7 +180,7 @@ def coefficient_algebra(alg: QReesAlgebra, var: str) -> QReesAlgebra:
     gens = []
     for f, a in diff_saturate(alg).generators:
         g = f.restrict_zero(var)
-        if not g.is_zero():
+        if g.terms:
             gens.append((g, a))
     return QReesAlgebra._trusted(alg.field, sub, tuple(gens))
 

@@ -62,6 +62,12 @@ def grevlex_key(exps: Exponents) -> tuple:
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+def _display_key(exps: Exponents) -> tuple:
+    """Leading-first grevlex, the reverse of ascending grevlex_key, written
+    as one ascending key (exponents never tie)."""
+    return (-sum(exps), exps[::-1])
+
+
 class Polynomial:
     """An element of field[variables], stored sparsely."""
 
@@ -78,6 +84,20 @@ class Polynomial:
         # Fraction(0) and the int 0 of F_p are the only falsy coefficients
         self.terms = {e: c for e, c in terms.items() if c}
         self._hash: int | None = None
+
+    @classmethod
+    def _trusted(
+        cls, field: FieldSpec, variables: tuple[str, ...], terms: dict[Exponents, Element]
+    ) -> Polynomial:
+        """Build without __init__'s zero filter, keeping `terms` itself.  The
+        caller guarantees that every coefficient is nonzero and that every
+        exponent tuple has one entry per variable."""
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.variables = variables
+        poly.terms = terms
+        poly._hash = None
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -217,7 +237,7 @@ class Polynomial:
         i = variable_index(var, self.field, self.variables)
         new_vars = self.variables[:i] + self.variables[i + 1 :]
         terms = {e[:i] + e[i + 1 :]: c for e, c in self.terms.items() if not e[i]}
-        return Polynomial(self.field, new_vars, terms)
+        return Polynomial._trusted(self.field, new_vars, terms)
 
     def in_ring(self, variables: tuple[str, ...]) -> Polynomial:
         """Move to another ring by variable name; dropped names must be unused."""
@@ -243,7 +263,7 @@ class Polynomial:
             for e, c in self.terms.items()
             if e[i] == k
         }
-        return Polynomial(self.field, self.variables, terms)
+        return Polynomial._trusted(self.field, self.variables, terms)
 
     def substitute(self, mapping: dict[str, Polynomial]) -> Polynomial:
         """Replace variables by polynomials of the same ring."""
@@ -315,7 +335,9 @@ class Polynomial:
     def hasse_derivative(self, alpha: Exponents) -> Polynomial:
         """Divided-power derivative: x^b maps to C(b, alpha) x^(b - alpha).
 
-        b -> b - alpha is injective, so no two terms land on one exponent."""
+        b -> b - alpha is injective, so no two terms land on one exponent, and
+        a coefficient that vanishes modulo p is dropped here, so no
+        coefficient of the result is zero."""
         if not any(alpha):
             return self
         p = self.field.characteristic
@@ -343,14 +365,14 @@ class Polynomial:
                     for i, a in moved:
                         exps[i] -= a
                     terms[tuple(exps)] = coeff
-        return Polynomial(self.field, self.variables, terms)
+        return Polynomial._trusted(self.field, self.variables, terms)
 
     # -- display -------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponents, Element]]:
-        """Terms ordered leading-first under grevlex: the reverse of ascending
-        grevlex_key, written as one ascending key (exponents never tie)."""
-        return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), t[0][::-1]))
+        """Terms ordered leading-first under grevlex (`_display_key`)."""
+        terms = self.terms
+        return [(e, terms[e]) for e in sorted(terms, key=_display_key)]
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -415,32 +437,36 @@ def variable_index(var: str, field: FieldSpec, variables: tuple[str, ...]) -> in
 
 
 def format_polynomial(p: Polynomial) -> str:
-    if p.is_zero():
+    """The display syntax the parser reads back.  Terms run in descending
+    grevlex order (`sorted_terms`), joined by " + ", or by " - " in place of
+    a term's leading minus.  A coefficient that prints as "1" is left off a
+    monomial, and over Q so is the 1 of "-1" ("-x"); over F_p a coefficient
+    prints as stored, so an unreduced -1 stays "-1*x".  Factors are "v" or
+    "v^k", joined by "*"; the zero polynomial is "0"."""
+    terms = p.terms
+    if not terms:
         return "0"
-    parts: list[str] = []
-    rational = p.field.characteristic == 0
-    for e, c in p.sorted_terms():
-        factors = [
-            v if k == 1 else f"{v}^{k}"
-            for v, k in zip(p.variables, e)
-            if k > 0
-        ]
-        mono = "*".join(factors)
+    minus_one = "-1" if p.field.characteristic == 0 else None
+    names = p.variables
+    out = ""
+    for e in sorted(terms, key=_display_key) if len(terms) > 1 else terms:
+        c = str(terms[e])
+        mono = "*".join([v if k == 1 else f"{v}^{k}" for v, k in zip(names, e) if k])
         if not mono:
-            body = str(c)
-        elif c == 1:
+            body = c
+        elif c == "1":
             body = mono
-        elif rational and c == -1:
-            body = f"-{mono}"
+        elif c == minus_one:
+            body = "-" + mono
         else:
-            body = f"{str(c)}*{mono}"
-        if not parts:
-            parts.append(body)
-        elif body.startswith("-"):
-            parts.append(f" - {body[1:]}")
+            body = f"{c}*{mono}"
+        if not out:
+            out = body
+        elif body[0] == "-":
+            out += " - " + body[1:]
         else:
-            parts.append(f" + {body}")
-    return "".join(parts)
+            out += " + " + body
+    return out
 
 
 # the variable names the tokenizer reads; a chart may declare no others

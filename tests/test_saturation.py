@@ -6,10 +6,11 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from qrees.algebra import QReesAlgebra, algebra_sample_points, format_algebra
+from qrees.algebra import QReesAlgebra, _compositions, algebra_sample_points, format_algebra
 from qrees.charts import (
     coefficient_algebra,
     non_monomial_part,
@@ -78,12 +79,34 @@ def test_diff_saturate_drops_zero_derivatives_and_duplicates() -> None:
 def oracle_compositions(k: int, total: int):
     """Every exponent tuple of length k summing to total, lexicographically
     descending, with no degree bound."""
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
     if k == 1:
         yield (total,)
         return
     for head in range(total, -1, -1):
         for rest in oracle_compositions(k - 1, total - head):
             yield (head,) + rest
+
+
+@pytest.mark.parametrize(
+    "caps", [(), (0,), (3,), (0, 0), (2, 0, 1), (1, 3, 0, 2), (2, 2, 2)], ids=str
+)
+def test_composition_table_matches_oracle(caps: tuple[int, ...]) -> None:
+    """Row m of _compositions(n, caps) is the oracle's row m cut down to
+    alpha <= caps, order kept, for every n up to three past sum(caps) + 1."""
+    for n in range(sum(caps) + 5):
+        rows = _compositions(n, caps)
+        assert len(rows) == n
+        for m, row in enumerate(rows):
+            capped = [
+                alpha
+                for alpha in oracle_compositions(len(caps), m)
+                if all(a <= c for a, c in zip(alpha, caps))
+            ]
+            assert row == capped, (n, m)
 
 
 def oracle_diff_saturate(alg: QReesAlgebra) -> QReesAlgebra:
@@ -293,6 +316,37 @@ def test_internal_constructions_are_valid(index: int) -> None:
             ),
         )
         assert_valid(transform_algebra(lifted, alg.variables, x))
+
+
+def assert_zero_free(f: Polynomial) -> None:
+    """No coefficient is zero: the filtering constructor keeps every term."""
+    assert all(f.terms.values()), f.terms
+    assert f == Polynomial(f.field, f.variables, dict(f.terms))
+
+
+@pytest.mark.parametrize("index", range(0, len(SEEDED), 50))
+def test_trusted_constructions_hold_no_zero(index: int) -> None:
+    """Every polynomial built without the constructor's zero filter, over Q,
+    F_2 and F_3, where binomials vanish modulo p: Hasse derivatives for every
+    alpha <= deg, restrictions, coefficients in a variable, controlled
+    transforms and divisorial strips."""
+    for alg in SEEDED[index : index + 50]:
+        ring = alg.variables
+        for f, _ in alg.generators:
+            degrees = f.degrees()
+            for alpha in product(*(range(d + 1) for d in degrees)):
+                assert_zero_free(f.hasse_derivative(alpha))
+            for v, d in zip(ring, degrees):
+                assert_zero_free(f.restrict_zero(v))
+                for k in range(d + 1):
+                    assert_zero_free(f.coefficient_in_var(v, k))
+        x = Polynomial.variable(alg.field, ring, ring[0])
+        lifted = QReesAlgebra(
+            alg.field, ring, tuple((f * x ** math.ceil(a), a) for f, a in alg.generators)
+        )
+        for built in (transform_algebra(lifted, ring, ring[0]), non_monomial_part(lifted, ring)[0]):
+            for f, _ in built.generators:
+                assert_zero_free(f)
 
 
 def test_saturation_preserves_order_at_singular_points() -> None:
