@@ -7,8 +7,10 @@ every trace identical.
 The E6 surface ``x^2 + y^3 + z^4 : 2`` is deliberately absent here: its run
 leaks an internal error, and no trace golden should pin that.
 ``classic.json`` pins the outcome of ``resolve`` on the simple surface
-singularities A1-A8, D4-D9, E6, E7 and E8 and on ``x^2 + y^2*z + z^3`` (whose
-singular points are not all rational): the status, the step count and the
+singularities A1-A8, D4-D9, E6, E7 and E8, on ``x^2 + y^2*z + z^3`` (whose
+singular points are not all rational) and on the threefold A1-A6
+singularities ``x^2 + y^2 + z^2 + w^k`` for k = 2-7, the only four-variable
+resolve inputs with a golden: the status, the step count and the
 SHA-256 of ``json.dumps(trace)``, or the error class and message.  It records
 today's outcomes, leaks included, so that a change to any of them is seen and
 re-recorded on purpose.  ``queries.json`` pins the
@@ -95,8 +97,8 @@ STEP_BUDGET = {"repeated-root-line": 4}
 
 
 def classic_inputs() -> dict[str, str]:
-    """The simple surface singularities in (x, y, z), each ``: 2``, and the
-    irrational-points form."""
+    """The simple surface singularities in (x, y, z), each ``: 2``, the
+    irrational-points form, and the threefold A series in (x, y, z, w)."""
     gens = {f"A{n}": f"x^2 + y^2 + z^{n + 1}" for n in range(1, 9)}
     gens |= {f"D{n}": f"x^2 + y^2*z - z^{n - 1}" for n in range(4, 10)}
     gens |= {
@@ -105,7 +107,10 @@ def classic_inputs() -> dict[str, str]:
         "E8": "x^2 + y^3 + z^5",
         "irrational": "x^2 + y^2*z + z^3",
     }
-    return {name: f"field Q\nchart x y z\ngen {g} : 2\n" for name, g in gens.items()}
+    texts = {name: f"field Q\nchart x y z\ngen {g} : 2\n" for name, g in gens.items()}
+    for n in range(1, 7):
+        texts[f"threefold A{n}"] = f"field Q\nchart x y z w\ngen x^2 + y^2 + z^2 + w^{n + 1} : 2\n"
+    return texts
 
 
 def sweep_inputs(seed: int = 1, count: int = 100) -> list[str]:
