@@ -237,12 +237,13 @@ class QReesAlgebra:
           ord_at_origin() is met, with no basis: there
           ceil(a_i*omega) <= ord_0(f_i), so every D^alpha f_i taken has
           |alpha| < ord_0(f_i) and vanishes at the origin too.  The largest
-          of them is the running answer.
-        - The first candidate above takes the basis of its own generators;
-          each later one the basis of the previous reduced basis plus the
-          rows this step adds (`_hasse_gens`).  Each basis goes through the
-          `shared_bases` table under the candidate's own generator set, and
-          the returned stratum keeps the basis it was found with.
+          of them is the running answer, and its stratum is built there.
+        - Each candidate above builds its stratum once and takes the basis
+          of the running answer's generators, or of the previous reduced
+          basis, plus the rows this step adds (`_hasse_gens`).  Each basis
+          goes through the `shared_bases` table under the candidate's own
+          generator set, and the returned stratum keeps the basis it was
+          found with.
         - The scan stops at the first unit basis.
         """
         if self.is_zero():
@@ -257,24 +258,25 @@ class QReesAlgebra:
         )
 
         def stratum_at(omega: Fraction) -> Ideal:
-            gens = self.order_ge_ideal(omega).generators + inside.generators
+            gens = self._hasse_gens(0, omega) + list(inside.generators)
             return Ideal(self.field, self.variables, gens)
 
-        omega, stratum, basis = Fraction(0), inside, None
+        omega, stratum = Fraction(0), inside
         if inside._excludes_order(0):
             top = self.ord_at_origin()
             certified = [c for c in candidates if c <= top]
             if certified:
-                omega, stratum = certified[-1], None
+                omega = certified[-1]
+                stratum = stratum_at(omega)
                 candidates = candidates[len(certified) :]
+        basis = list(stratum.generators)
         for c in candidates:
             ideal = stratum_at(c)
-            seed = ideal.generators if basis is None else basis + self._hasse_gens(omega, c)
-            basis = ideal._basis_from(seed)
+            basis = ideal._basis_from(basis + self._hasse_gens(omega, c))
             if basis[0].is_constant():
                 break
             omega, stratum = c, ideal
-        return omega, stratum_at(omega) if stratum is None else stratum
+        return omega, stratum
 
     # -- gradings ---------------------------------------------------------------
 
@@ -317,7 +319,7 @@ def _hasse_rows(f: Polynomial, n: int) -> list[list[Polynomial]]:
         alphas = _compositions(n, caps)
         for m in range(len(rows), n):
             rows.append([d for d in map(f.hasse_derivative, alphas[m]) if d.terms])
-    return rows if table is None else rows[:n]
+    return rows[:n]
 
 
 def _compositions(n: int, caps: tuple[int, ...]) -> list[list[tuple[int, ...]]]:

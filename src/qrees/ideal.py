@@ -74,7 +74,8 @@ def _exp_lcm(a: Exponents, b: Exponents) -> Exponents:
 # Groebner computations run on dicts from exponents to ints.  Over Q an element
 # is kept as its primitive integer multiple with a positive leading
 # coefficient; over F_p it is kept monic, with residues in [0, p).  A reducer
-# is an element split as (lead, lead coefficient, tail).
+# is an element split as (lead, lead coefficient, tail), the one form in which
+# groebner_basis holds each element.
 
 _Reducer = tuple[Exponents, int, list[tuple[Exponents, int]]]
 
@@ -145,8 +146,10 @@ def _reduce(
     leading coefficients are positive over Q and 1 over F_p.
 
     Each step is terms <- a*terms - b*x^s*g, which cancels the largest term
-    c*x^e against a reducer g with leading term lc(g)*x^(e - s).  Over Q,
-    a = lc(g)/d and b = c/d with d = gcd(c, lc(g)); over F_p, a = 1 and b = c.
+    c*x^e against a reducer g with leading term lc(g)*x^(e - s), where
+    a = lc(g)/d and b = c/d with d = gcd(c, lc(g)).  Every F_p reducer is
+    monic (`_normalize`), so there d = 1, a = 1 and b = c: one path serves
+    both fields, and only `_subtract`'s reduction mod p tells them apart.
     Returns the remainder, its terms in descending order, and the product m
     of the multipliers a: the remainder is m times the one division over the
     field gives.
@@ -163,29 +166,26 @@ def _reduce(
         else:
             remainder[e] = c
             continue
-        if not p:
-            d = math.gcd(c, gc)
-            a = gc // d
-            if a != 1:
-                for t in work:
-                    work[t] *= a
-                for t in remainder:
-                    remainder[t] *= a
-                m *= a
-            c //= d
-        _subtract(work, c, tuple(map(sub, e, ge)), tail, p)
+        d = math.gcd(c, gc)
+        a = gc // d
+        if a != 1:
+            for t in work:
+                work[t] *= a
+            for t in remainder:
+                remainder[t] *= a
+            m *= a
+        _subtract(work, c // d, tuple(map(sub, e, ge)), tail, p)
     return remainder, m
 
 
 def _spoly(f: _Reducer, g: _Reducer, p: int) -> dict[Exponents, int]:
-    """a*x^u*f - b*x^v*g with the leading terms cancelled: over Q,
-    (a, b) = (lc(g), lc(f)) / gcd(lc(f), lc(g)); over F_p, a = b = 1."""
+    """a*x^u*f - b*x^v*g with the leading terms cancelled, where
+    (a, b) = (lc(g), lc(f)) / gcd(lc(f), lc(g)): a = b = 1 over F_p, whose
+    reducers are monic."""
     (fe, fc, ftail), (ge, gc, gtail) = f, g
     lcm = _exp_lcm(fe, ge)
-    a = b = 1
-    if not p:
-        d = math.gcd(fc, gc)
-        a, b = gc // d, fc // d
+    d = math.gcd(fc, gc)
+    a, b = gc // d, fc // d
     u = tuple(map(sub, lcm, fe))
     terms = {tuple(map(add, e, u)): a * c for e, c in ftail}
     _subtract(terms, b, tuple(map(sub, lcm, ge)), gtail, p)
@@ -267,7 +267,6 @@ def groebner_basis(gens: list[Polynomial], order: MonomialOrder) -> list[Polynom
 
     char = gens[0].field.characteristic
     keys = _Keys(order)
-    elements: list[dict[Exponents, int]] = []
     reducers: list[_Reducer] = []
     sugars: list[int] = []
     active: list[int] = []
@@ -275,10 +274,8 @@ def groebner_basis(gens: list[Polynomial], order: MonomialOrder) -> list[Polynom
     pairs: list[tuple[tuple, int, int]] = []
 
     def update(h: dict[Exponents, int], he: Exponents, sugar: int) -> None:
-        j = len(elements)
-        h = _normalize(h, he, char)
-        elements.append(h)
-        reducers.append(_reducer(h, he))
+        j = len(reducers)
+        reducers.append(_reducer(_normalize(h, he, char), he))
         sugars.append(sugar)
         for pair, lcm in list(live.items()):
             if (
@@ -322,14 +319,10 @@ def groebner_basis(gens: list[Polynomial], order: MonomialOrder) -> list[Polynom
             return _unit(gens[0])
         update(r, lead, key[0])
 
-    return _interreduce(
-        [elements[k] for k in active], [reducers[k] for k in active], keys, gens[0]
-    )
+    return _interreduce([reducers[k] for k in active], keys, gens[0])
 
 
-def _interreduce(
-    elements: list[dict[Exponents, int]], reducers: list[_Reducer], keys: _Keys, like: Polynomial
-) -> list[Polynomial]:
+def _interreduce(reducers: list[_Reducer], keys: _Keys, like: Polynomial) -> list[Polynomial]:
     """Reduced basis from a Groebner basis of integer elements: keep a minimal
     set of leads, tail-reduce each element once against the others, make it
     monic over the field of `like` and sort by leading term."""
@@ -343,14 +336,15 @@ def _interreduce(
     ]
     monic = []
     for k in keep:
-        terms = elements[k]
+        lead, lc, tail = reducers[k]
+        terms = {lead: lc, **dict(tail)}
         others = [reducers[m] for m in keep if m != k]
         if others:
-            terms = _reduce(dict(terms), others, keys, char)[0]
+            terms = _reduce(terms, others, keys, char)[0]
         if not char:  # over F_p the elements are monic already
-            lc = terms[leads[k]]
+            lc = terms[lead]  # the tail reduction may have scaled it
             terms = {e: Fraction(c, lc) for e, c in terms.items()}
-        monic.append((keys[leads[k]], Polynomial(like.field, like.variables, terms)))
+        monic.append((keys[lead], Polynomial(like.field, like.variables, terms)))
     monic.sort(key=lambda t: t[0])
     return [g for _, g in monic]
 
@@ -477,9 +471,6 @@ class Ideal:
 
     def radical_contains(self, p: Polynomial) -> bool:
         """Rabinowitsch trick: p vanishes on V(I) iff 1 in I + (1 - t*p)."""
-        check_ring(p, self.field, self.variables)
-        if p.is_zero():
-            return True
         if self.contains(p):
             return True
         fresh = "t_"

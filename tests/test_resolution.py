@@ -704,3 +704,22 @@ def test_max_order_within_builds_bases_only_above_the_order_at_the_origin(
     weights = dict(alg.generators)
     assert taken
     assert all(sum(alpha) < math.ceil(weights[f] * Fraction(5, 2)) for f, alpha in taken)
+
+
+def test_max_order_within_builds_each_stratum_once(monkeypatch) -> None:
+    """One Ideal for the certified order 2 and one for the tested 5/2, and
+    no other Ideal: each stratum is built once, straight from its Hasse
+    rows."""
+    alg = A(("x^2 + y^5", 1), ("y^6", 2))
+    inside = Ideal.zero(QQ, XY)
+    build = Ideal.__init__
+    built = []
+
+    def record(self, field, variables, generators) -> None:
+        build(self, field, variables, generators)
+        built.append(self.generators)
+
+    monkeypatch.setattr(Ideal, "__init__", record)
+    omega, stratum = alg.max_order_within(inside)
+    assert omega == 2
+    assert built == [stratum.generators, tuple(alg._hasse_gens(0, Fraction(5, 2)))]
