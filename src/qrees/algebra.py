@@ -93,33 +93,30 @@ class QReesAlgebra:
     # -- level ideals --------------------------------------------------------
 
     def level_ideal(self, a) -> Ideal:
-        """Ideal generated by the degree-a part: minimal products of generators
-        whose weights sum to at least a."""
+        """Ideal generated by the degree-a part: the minimal products of
+        generators whose weights sum to at least a (dropping any one factor
+        lands below a), each multiset of generators once."""
         a = Fraction(a)
         if a < 0:
             raise PreconditionError(f"level must be nonnegative, got {a}")
         if a == 0:
             return Ideal.unit(self.field, self.variables)
-        if self.is_zero():
-            return Ideal.zero(self.field, self.variables)
-        min_weight = min(self.weights())
-        max_factors = math.ceil(a / min_weight)
+        # Heaviest first (a stable sort), each multiset read with nondecreasing
+        # indices: its last factor is its lightest, so the products emitted
+        # when that factor reaches a are exactly the minimal ones.
+        gens = sorted(self.generators, key=lambda g: g[1], reverse=True)
         products: list[Polynomial] = []
-
-        def descend(start: int, poly: Polynomial, total: Fraction, count: int) -> None:
-            for i in range(start, len(self.generators)):
-                f, w = self.generators[i]
-                new_total = total + w
-                new_poly = poly * f
-                if new_total >= a:
-                    # minimal iff dropping any factor, in particular the
-                    # lightest one used, lands below a
-                    products.append(new_poly)
-                elif count + 1 < max_factors:
-                    descend(i, new_poly, new_total, count + 1)
-
         one = Polynomial.constant(self.field, self.variables, self.field.one())
-        descend(0, one, Fraction(0), 0)
+        stack = [(0, one, Fraction(0))]
+        while stack:
+            start, poly, total = stack.pop()
+            for i in range(start, len(gens)):
+                f, w = gens[i]
+                product, weight = poly * f, total + w
+                if weight >= a:
+                    products.append(product)
+                else:
+                    stack.append((i, product, weight))
         return Ideal(self.field, self.variables, products)
 
     # -- orders ---------------------------------------------------------------

@@ -268,29 +268,25 @@ class Polynomial:
     def substitute(self, mapping: dict[str, Polynomial]) -> Polynomial:
         """Replace variables by polynomials of the same ring."""
         f = self.field
-        images: list[Polynomial] = []
-        for v in self.variables:
+        one = Polynomial.constant(f, self.variables, 1)
+        # powers[i][k] is the image of variables[i], raised to k <= its degree
+        powers: list[list[Polynomial]] = []
+        for v, d in zip(self.variables, self.degrees()):
             img = mapping.get(v)
             if img is None:
                 img = Polynomial.variable(f, self.variables, v)
             else:
                 check_ring(img, f, self.variables)
-            images.append(img)
-        one = Polynomial.constant(f, self.variables, 1)
-        powers: list[dict[int, Polynomial]] = [{0: one} for _ in images]
-
-        def power(i: int, k: int) -> Polynomial:
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * images[i]
-            return cache[k]
-
+            row = [one]
+            for _ in range(d):
+                row.append(row[-1] * img)
+            powers.append(row)
         out: dict[Exponents, Element] = {}
         for e, c in self.terms.items():
             term = one
-            for i, k in enumerate(e):
+            for row, k in zip(powers, e):
                 if k:
-                    term = term * power(i, k)
+                    term = term * row[k]
             for te, tc in term.terms.items():
                 prod = f.mul(c, tc)
                 out[te] = f.add(out[te], prod) if te in out else prod
@@ -603,9 +599,14 @@ def parse_polynomial(
     Unary minus applies to the factor after it, power included; `^` takes a
     nonnegative integer literal; `/` takes a nonzero integer literal
     (invertible modulo p over F_p) and divides the term read so far.  A
-    monomial is read into one term, and one Polynomial is built per parse."""
+    monomial is read into one term, and one Polynomial is built per parse.
+    Parentheses or unary minus signs nested past Python's recursion limit
+    raise ProblemParseError."""
     parser = _Parser(_tokenize(text), field, variables)
-    terms = parser.parse_expr()
+    try:
+        terms = parser.parse_expr()
+    except RecursionError:
+        raise ProblemParseError("polynomial nests too deeply") from None
     if parser.peek() is not None:
         raise ProblemParseError(f"trailing tokens in polynomial: {parser.peek()!r}")
     return Polynomial(field, variables, terms)

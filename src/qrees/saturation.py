@@ -63,7 +63,8 @@ def nu(alg: QReesAlgebra, f: Polynomial, cap=Fraction(32)) -> Fraction | Infinit
 
 @shared_bases()
 def nu_bar_estimate(alg: QReesAlgebra, f: Polynomial, n_max: int = 4, cap=Fraction(32)):
-    """Lower bound for the saturated order: max over n <= n_max of nu(f^n)/n."""
+    """Lower bound for the saturated order: max over n <= n_max of nu(f^n)/n,
+    or CAP_REACHED at the first n whose nu(f^n) reaches cap * n."""
     cap = Fraction(cap)
     check_bound("n_max", n_max, 1)
     check_bound("cap", cap, 0)
@@ -71,16 +72,12 @@ def nu_bar_estimate(alg: QReesAlgebra, f: Polynomial, n_max: int = 4, cap=Fracti
     if f.is_zero():
         return INFINITY
     best = Fraction(0)
-    capped = False
     for n in range(1, n_max + 1):
         v = nu(alg, f**n, cap * n)
         if v == CAP_REACHED:
-            capped = True
-            continue
+            return CAP_REACHED
         assert not isinstance(v, Infinity)
         best = max(best, v / n)
-    if capped:
-        return CAP_REACHED
     return best
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -18,7 +18,7 @@ from qrees.algebra import (
 from qrees.errors import PreconditionError, ProblemParseError
 from qrees.field import QQ, FieldSpec
 from qrees.ideal import Ideal
-from qrees.poly import INFINITY, Infinity, Polynomial, parse_polynomial
+from qrees.poly import INFINITY, Infinity, Polynomial, format_polynomial, parse_polynomial
 from qrees.problem import parse_problem
 
 XY = ("x", "y")
@@ -102,8 +102,51 @@ def test_level_ideal_matches_brute_force() -> None:
             assert alg.level_ideal(a).same_as(expected), (format_algebra(alg), a)
 
 
+def minimal_products(alg: QReesAlgebra, a: Fraction) -> list[str]:
+    """The products over the multisets of generators whose weights reach a
+    and lose a when any one factor is dropped, as sorted formatted text."""
+    gens = alg.generators
+    bound = math.ceil(a / min(w for _, w in gens))
+    out = []
+    for count in range(1, bound + 1):
+        for combo in combinations_with_replacement(range(len(gens)), count):
+            weights = [gens[i][1] for i in combo]
+            if sum(weights) >= a > sum(weights) - min(weights):
+                poly = Polynomial.constant(alg.field, alg.variables, alg.field.one())
+                for i in combo:
+                    poly = poly * gens[i][0]
+                out.append(format_polynomial(poly))
+    return sorted(out)
+
+
+def test_level_ideal_emits_exactly_the_minimal_products() -> None:
+    rng = random.Random(25)
+    algebras = [A(("x", 1), ("y", 2))]
+    for _ in range(40):
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            var = rng.choice(XY)
+            text = f"{var}^{rng.randint(1, 3)} + {rng.randint(-2, 2)}*{rng.choice(XY)}"
+            gens.append((text, rng.choice(["1/2", "1", "3/2", "2", "3"])))
+        if not A(*gens).is_zero():
+            algebras.append(A(*gens))
+    for alg in algebras:
+        for a in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 2), Fraction(3)):
+            got = sorted(format_polynomial(g) for g in alg.level_ideal(a).generators)
+            assert got == minimal_products(alg, a), (format_algebra(alg), a)
+
+
+def test_level_ideal_of_a_deep_level_is_one_power() -> None:
+    alg = A(("x", 1), variables=("x",))
+    assert alg.level_ideal(3000).generators == (P("x^3000", ("x",)),)
+
+
 def test_level_ideal_at_zero_is_unit() -> None:
     assert A(("x", 1)).level_ideal(Fraction(0)).is_unit()
+
+
+def test_level_ideal_of_the_zero_algebra_is_zero() -> None:
+    assert QReesAlgebra(QQ, XY, ()).level_ideal(Fraction(1, 2)).generators == ()
 
 
 def test_odot_unions_generators() -> None:

@@ -165,6 +165,45 @@ def test_nu_and_member(umbrella, capsys) -> None:
 
 
 @pytest.mark.parametrize(
+    "gen, argv, expected",
+    [
+        ("x", ("nu", "--element", "x", "--cap", "3000"), "1"),
+        (
+            "x",
+            ("member", "--element", "x", "--weight", "2000", "--nmax", "1", "--cap", "3000"),
+            "NonMemberAtCap",
+        ),
+        ("x^1100*y", ("ord", "--point", "0,1"), "1100"),
+    ],
+    ids=["nu", "member", "ord"],
+)
+def test_deep_levels_and_high_powers(tmp_path, capsys, gen, argv, expected) -> None:
+    path = tmp_path / "deep.qr"
+    path.write_text(f"field Q\nchart x y\ngen {gen} : 1\n")
+    command, *options = argv
+    code, out = run(capsys, command, str(path), *options)
+    assert (code, out.strip()) == (0, expected)
+
+
+DEEP = "(" * 400 + "x" + ")" * 400
+
+
+@pytest.mark.parametrize(
+    "gen, element, message",
+    [
+        ("x", DEEP, "error: polynomial nests too deeply"),
+        (DEEP, "x", "error: line 3: polynomial nests too deeply"),
+    ],
+    ids=["element", "gen-line"],
+)
+def test_deep_nesting_exits_2(tmp_path, capsys, gen, element, message) -> None:
+    path = tmp_path / "nested.qr"
+    path.write_text(f"field Q\nchart x\ngen {gen} : 1\n")
+    code = main(["nu", str(path), "--element", element])
+    assert (code, capsys.readouterr().err.strip()) == (2, message)
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("nu", "--element", "x", "--cap", "abc"), "bad cap 'abc'"),

@@ -62,6 +62,10 @@ def test_parse_parentheses_and_powers() -> None:
         ("x + * y", "unexpected token '*' in polynomial"),
         ("x^y", "'^' must be followed by an integer"),
         ("x)", "trailing tokens in polynomial: ')'"),
+        pytest.param(
+            "(" * 400 + "x" + ")" * 400, "polynomial nests too deeply", id="deep-parentheses"
+        ),
+        pytest.param("-" * 1200 + "x", "polynomial nests too deeply", id="deep-unary-minus"),
     ],
 )
 def test_parse_errors_name_the_fault(text: str, message: str) -> None:
@@ -189,6 +193,10 @@ def test_taylor_shift_oracle() -> None:
         pt = {"x": Fraction(a), "y": Fraction(b)}
         moved = {"x": pt["x"] + shift["x"], "y": pt["y"] + shift["y"]}
         assert g.evaluate(pt) == f.evaluate(moved)
+
+
+def test_shift_of_a_high_power() -> None:
+    assert P("x^1100*y").shift({"y": 1}) == P("x^1100*y + x^1100")
 
 
 def test_shift_by_polynomial_outside_the_ring_rejected() -> None:
