@@ -57,14 +57,10 @@ INFINITY = Infinity()
 Exponents = tuple[int, ...]
 
 
-def grevlex_key(exps: Exponents) -> tuple:
-    """Sort key realizing graded reverse lexicographic order (ascending)."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
 def _display_key(exps: Exponents) -> tuple:
-    """Leading-first grevlex, the reverse of ascending grevlex_key, written
-    as one ascending key (exponents never tie)."""
+    """Leading-first grevlex as one ascending key: higher total degree first,
+    then the exponents read from the last variable, smaller first (exponents
+    never tie)."""
     return (-sum(exps), exps[::-1])
 
 
@@ -269,7 +265,8 @@ class Polynomial:
         """Replace variables by polynomials of the same ring."""
         f = self.field
         one = Polynomial.constant(f, self.variables, 1)
-        # powers[i][k] is the image of variables[i], raised to k <= its degree
+        # powers[i][k] is the image of variables[i], raised to k <= its degree;
+        # no product is taken by 1
         powers: list[list[Polynomial]] = []
         for v, d in zip(self.variables, self.degrees()):
             img = mapping.get(v)
@@ -277,17 +274,17 @@ class Polynomial:
                 img = Polynomial.variable(f, self.variables, v)
             else:
                 check_ring(img, f, self.variables)
-            row = [one]
-            for _ in range(d):
+            row = [one, img]
+            for _ in range(d - 1):
                 row.append(row[-1] * img)
             powers.append(row)
         out: dict[Exponents, Element] = {}
         for e, c in self.terms.items():
-            term = one
+            term = None
             for row, k in zip(powers, e):
                 if k:
-                    term = term * row[k]
-            for te, tc in term.terms.items():
+                    term = row[k] if term is None else term * row[k]
+            for te, tc in (one if term is None else term).terms.items():
                 prod = f.mul(c, tc)
                 out[te] = f.add(out[te], prod) if te in out else prod
         return Polynomial(f, self.variables, out)
@@ -365,11 +362,6 @@ class Polynomial:
 
     # -- display -------------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponents, Element]]:
-        """Terms ordered leading-first under grevlex (`_display_key`)."""
-        terms = self.terms
-        return [(e, terms[e]) for e in sorted(terms, key=_display_key)]
-
     def __str__(self) -> str:
         return format_polynomial(self)
 
@@ -394,14 +386,15 @@ def _times(f: FieldSpec, a: dict[Exponents, Element],
 
 
 def _power(one, base, n: int, times):
-    """base^n by repeated squaring, starting from `one`."""
-    out = one
+    """base^n by repeated squaring; `one` only for n = 0, so no product is
+    taken by 1."""
+    out = None
     while n:
         if n & 1:
-            out = times(out, base)
+            out = base if out is None else times(out, base)
         base = times(base, base) if n > 1 else base
         n >>= 1
-    return out
+    return one if out is None else out
 
 
 def ring_name(field: FieldSpec, variables: tuple[str, ...]) -> str:
@@ -434,7 +427,7 @@ def variable_index(var: str, field: FieldSpec, variables: tuple[str, ...]) -> in
 
 def format_polynomial(p: Polynomial) -> str:
     """The display syntax the parser reads back.  Terms run in descending
-    grevlex order (`sorted_terms`), joined by " + ", or by " - " in place of
+    grevlex order (`_display_key`), joined by " + ", or by " - " in place of
     a term's leading minus.  A coefficient that prints as "1" is left off a
     monomial, and over Q so is the 1 of "-1" ("-x"); over F_p a coefficient
     prints as stored, so an unreduced -1 stays "-1*x".  Factors are "v" or

@@ -1,0 +1,42 @@
+"""Helpers shared by the test modules: ring variables, polynomial and
+algebra builders, and a call recorder."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from qrees.algebra import QReesAlgebra
+from qrees.field import QQ, FieldSpec
+from qrees.poly import Polynomial, parse_polynomial
+
+XY = ("x", "y")
+XYZ = ("x", "y", "z")
+
+
+def P(text: str, variables: tuple[str, ...] = XY, field: FieldSpec = QQ) -> Polynomial:
+    return parse_polynomial(text, field, variables)
+
+
+def A(
+    *gens: tuple[str, object], variables: tuple[str, ...] = XY, field: FieldSpec = QQ
+) -> QReesAlgebra:
+    """The algebra of (text, weight) generators."""
+    return QReesAlgebra(
+        field,
+        variables,
+        tuple((P(t, variables, field), Fraction(w)) for t, w in gens),
+    )
+
+
+def record_calls(monkeypatch, owner, name: str) -> list:
+    """Patch owner.name to append each call's positional arguments to the
+    returned list, then return what the original returns."""
+    original = getattr(owner, name)
+    calls: list = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls

@@ -26,20 +26,7 @@ from qrees.poly import Infinity, Polynomial, parse_polynomial
 from qrees.resolve import resolve
 from qrees.saturation import diff_saturate, is_integral_member
 
-XY = ("x", "y")
-XYZ = ("x", "y", "z")
-
-
-def P(text: str, variables=XY, field=QQ) -> Polynomial:
-    return parse_polynomial(text, field, variables)
-
-
-def A(*gens, variables=XY, field=QQ) -> QReesAlgebra:
-    return QReesAlgebra(
-        field,
-        variables,
-        tuple((P(t, variables, field), Fraction(w)) for t, w in gens),
-    )
+from kit import A, P, XY, XYZ
 
 
 def test_criterion_1_characteristic_two_kernel() -> None:

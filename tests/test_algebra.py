@@ -18,43 +18,10 @@ from qrees.algebra import (
 from qrees.errors import PreconditionError, ProblemParseError
 from qrees.field import QQ, FieldSpec
 from qrees.ideal import Ideal
-from qrees.poly import INFINITY, Infinity, Polynomial, format_polynomial, parse_polynomial
+from qrees.poly import Infinity, Polynomial, format_polynomial, parse_polynomial
 from qrees.problem import parse_problem
 
-XY = ("x", "y")
-XYZ = ("x", "y", "z")
-
-
-def P(text: str, variables: tuple[str, ...] = XY) -> Polynomial:
-    return parse_polynomial(text, QQ, variables)
-
-
-def A(*gens: tuple[str, object], variables: tuple[str, ...] = XY) -> QReesAlgebra:
-    return QReesAlgebra(
-        QQ,
-        variables,
-        tuple((P(t, variables), Fraction(w)) for t, w in gens),
-    )
-
-
-def brute_level_ideal(alg: QReesAlgebra, a: Fraction, max_factors: int) -> Ideal:
-    """Every product of at most max_factors generators whose weights sum to at
-    least a.  Exhaustive, no minimality pruning: the ideals must agree."""
-    if a <= 0:
-        return Ideal.unit(alg.field, alg.variables)
-    gens = []
-    n = len(alg.generators)
-    for count in range(1, max_factors + 1):
-        for combo in product(range(n), repeat=count):
-            if list(combo) != sorted(combo):
-                continue  # multisets once
-            total = sum(alg.generators[i][1] for i in combo)
-            if total >= a:
-                poly = Polynomial.constant(alg.field, alg.variables, alg.field.one())
-                for i in combo:
-                    poly = poly * alg.generators[i][0]
-                gens.append(poly)
-    return Ideal(alg.field, alg.variables, tuple(gens))
+from kit import A, P, XY, XYZ
 
 
 def test_weights_become_fractions_and_zero_generators_drop() -> None:
@@ -81,25 +48,6 @@ def test_generator_over_another_field_rejected() -> None:
         PreconditionError, match=r"^x \+ y lives in F_3\[x, y\], not in Q\[x, y\]$"
     ):
         QReesAlgebra(QQ, XY, ((f, 1),))
-
-
-def test_level_ideal_matches_brute_force() -> None:
-    algebras = [
-        A(("x^2 + y^3", 2)),
-        A(("x", 1), ("y", 2)),
-        A(("x^2", 1), ("y^2", 1)),
-        A(("x", Fraction(1, 2)), ("y^2 + x", Fraction(3, 2))),
-        A(("x*y", 1), ("x + y", 3)),
-    ]
-    for alg in algebras:
-        min_w = min(w for _, w in alg.generators)
-        for num in range(0, 7):
-            a = Fraction(num, 2)
-            if a > 3:
-                break
-            bound = int(-(-a // min_w)) + 1 if a > 0 else 1
-            expected = brute_level_ideal(alg, a, bound)
-            assert alg.level_ideal(a).same_as(expected), (format_algebra(alg), a)
 
 
 def minimal_products(alg: QReesAlgebra, a: Fraction) -> list[str]:
@@ -422,7 +370,6 @@ def test_to_integer_grading() -> None:
 def test_monotone_closure_adds_lower_weights() -> None:
     alg = A(("x*y", 3))
     closed = alg.monotone_closure()
-    pairs = set((str(f.sorted_terms()), w) for f, w in closed.generators)
     assert len(closed.generators) == 3  # weights 3, 2, 1
     weights = sorted(w for _, w in closed.generators)
     assert weights == [Fraction(1), Fraction(2), Fraction(3)]

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from qrees.algebra import QReesAlgebra, format_algebra
+from qrees.algebra import QReesAlgebra
 from qrees.charts import (
     Chart,
     DivisorRecord,
@@ -29,20 +29,7 @@ from qrees.errors import (
 from qrees.field import QQ, FieldSpec
 from qrees.poly import Infinity, Polynomial, parse_polynomial
 
-XY = ("x", "y")
-XYZ = ("x", "y", "z")
-
-
-def P(text: str, variables: tuple[str, ...] = XY) -> Polynomial:
-    return parse_polynomial(text, QQ, variables)
-
-
-def A(*gens: tuple[str, object], variables: tuple[str, ...] = XY) -> QReesAlgebra:
-    return QReesAlgebra(
-        QQ,
-        variables,
-        tuple((P(t, variables), Fraction(w)) for t, w in gens),
-    )
+from kit import A, P, XY, XYZ, record_calls
 
 
 def test_blowup_chart_ids_and_divisors() -> None:
@@ -130,7 +117,7 @@ def test_center_inside_singular_locus() -> None:
     assert not center_inside_singular_locus(A(("1 + x", 2), ("y", 1)), ("x", "y"))
 
 
-def test_ell_value_is_normalized_valuation() -> None:
+def test_order_along_one_variable() -> None:
     alg = A(("x^2*y", 2), ("x*y^3", 1))
     assert alg.order_along(("x",)) == Fraction(1)  # min(2/2, 1/1)
     assert alg.order_along(("y",)) == Fraction(1, 2)  # min(1/2, 3/1)
@@ -151,7 +138,6 @@ def test_non_monomial_part_umbrella_chart() -> None:
     alg = A(("y*z", 2), ("2*y*z", 1), ("y", 1), variables=XYZ)
     residual, ells = non_monomial_part(alg, ["y"])
     assert ells == [Fraction(1, 2)]
-    top = [str(f.sorted_terms()) for f, _ in residual.generators]
     assert residual.generators[2][0] == P("1", XYZ)
 
 
@@ -161,17 +147,10 @@ def test_non_monomial_part_rejects_a_repeated_divisor() -> None:
 
 
 def test_non_monomial_part_reads_each_ell_once(monkeypatch) -> None:
-    calls = []
-    order_along = QReesAlgebra.order_along
-
-    def counted(self, vars):
-        calls.append(vars)
-        return order_along(self, vars)
-
-    monkeypatch.setattr(QReesAlgebra, "order_along", counted)
+    calls = record_calls(monkeypatch, QReesAlgebra, "order_along")
     alg = A(("x^2*y^3*z", 2), ("x^3*y^2 + x^4*y^2*z", 3), variables=XYZ)
     residual, ells = non_monomial_part(alg, ["x", "y", "z"])
-    assert calls == [("x",), ("y",), ("z",)]
+    assert [vars for _, vars in calls] == [("x",), ("y",), ("z",)]
     assert ells == [Fraction(1), Fraction(2, 3), Fraction(0)]
     assert [f for f, _ in residual.generators] == [P("y*z", XYZ), P("x*z + 1", XYZ)]
 

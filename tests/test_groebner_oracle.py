@@ -17,10 +17,11 @@ from qrees.field import FieldSpec
 from qrees.ideal import MonomialOrder, groebner_basis
 from qrees.poly import Polynomial
 
+from kit import XYZ, record_calls
+
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 
-XYZ = ("x", "y", "z")
 ORDER = MonomialOrder.grevlex(XYZ)
 SYMBOLS = sympy.symbols(XYZ)
 CHARACTERISTICS = (0, 3, 5)
@@ -119,14 +120,7 @@ def test_groebner_matches_sympy(p: int) -> None:
 def test_repeated_generators_cost_nothing(p: int, monkeypatch) -> None:
     """Repeats are dropped before any pair is formed: the same basis from
     the same number of S-pairs."""
-    spolys = []
-    spoly = qrees.ideal._spoly
-
-    def counted(*args):
-        spolys.append(None)
-        return spoly(*args)
-
-    monkeypatch.setattr(qrees.ideal, "_spoly", counted)
+    spolys = record_calls(monkeypatch, qrees.ideal, "_spoly")
     for gens in [gens for q, gens in _cases() if q == p]:
         polys = _polys(gens, p)
         spolys.clear()

@@ -25,12 +25,7 @@ from qrees.ideal import (
 )
 from qrees.poly import INFINITY, Polynomial, parse_polynomial
 
-XY = ("x", "y")
-XYZ = ("x", "y", "z")
-
-
-def P(text: str, variables: tuple[str, ...] = XY) -> Polynomial:
-    return parse_polynomial(text, QQ, variables)
+from kit import P, XY, XYZ, record_calls
 
 
 def I(*texts: str, variables: tuple[str, ...] = XY) -> Ideal:
@@ -547,14 +542,7 @@ def test_unit_and_membership_match_the_basis_and_skip_it_when_orders_decide(fiel
     """is_unit and contains give the answer groebner_basis and normal_form
     give; when every generator has higher order at the origin than the probe
     (1, of order 0, for is_unit), they give it without a groebner_basis call."""
-    ideal_module = importlib.import_module("qrees.ideal")
-    calls = []
-
-    def record(gens, order):
-        calls.append(gens)
-        return groebner_basis(gens, order)
-
-    monkeypatch.setattr(ideal_module, "groebner_basis", record)
+    calls = record_calls(monkeypatch, importlib.import_module("qrees.ideal"), "groebner_basis")
     rng = random.Random(1015 + field.characteristic)
     order = MonomialOrder.grevlex(XYZ)
     seen = set()
@@ -582,15 +570,7 @@ def test_unit_and_membership_match_the_basis_and_skip_it_when_orders_decide(fiel
 @pytest.fixture
 def gb_calls(monkeypatch) -> list:
     """The (generators, order) of every groebner_basis call the ideal layer makes."""
-    ideal_module = importlib.import_module("qrees.ideal")
-    calls = []
-
-    def record(gens, order):
-        calls.append((gens, order))
-        return groebner_basis(gens, order)
-
-    monkeypatch.setattr(ideal_module, "groebner_basis", record)
-    return calls
+    return record_calls(monkeypatch, importlib.import_module("qrees.ideal"), "groebner_basis")
 
 
 def test_zero_ideals_of_two_rings_share_one_basis(gb_calls: list) -> None:

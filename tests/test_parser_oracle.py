@@ -16,9 +16,10 @@ import pytest
 from qrees.field import FieldSpec
 from qrees.poly import Polynomial, parse_polynomial
 
+from kit import XYZ, record_calls
+
 sympy = pytest.importorskip("sympy")
 
-XYZ = ("x", "y", "z")
 SYMBOLS = sympy.symbols(XYZ)
 SEED = 20101018
 CASES = 100
@@ -106,14 +107,7 @@ def test_parse_matches_sympy_expansion(p: int) -> None:
 
 
 def test_parse_builds_one_polynomial(monkeypatch) -> None:
-    made = []
-    init = Polynomial.__init__
-
-    def counting_init(self, *args, **kwargs) -> None:
-        made.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    made = record_calls(monkeypatch, Polynomial, "__init__")
     text = "3x^2*y - 2*z*w^2 + x*y*z*w/2 - 7 + (y)^3"
     f = parse_polynomial(text, FieldSpec(0), ("x", "y", "z", "w"))
     assert len(f.terms) == 5

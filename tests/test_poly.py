@@ -12,20 +12,13 @@ import pytest
 from qrees.errors import PreconditionError, ProblemParseError
 from qrees.field import QQ, FieldSpec
 from qrees.poly import (
-    INFINITY,
     Infinity,
     Polynomial,
     format_polynomial,
-    grevlex_key,
     parse_polynomial,
 )
 
-XY = ("x", "y")
-XYZ = ("x", "y", "z")
-
-
-def P(text: str, variables: tuple[str, ...] = XY, field: FieldSpec = QQ) -> Polynomial:
-    return parse_polynomial(text, field, variables)
+from kit import P, XY, XYZ, record_calls
 
 
 def test_parse_format_round_trip() -> None:
@@ -199,6 +192,24 @@ def test_shift_of_a_high_power() -> None:
     assert P("x^1100*y").shift({"y": 1}) == P("x^1100*y + x^1100")
 
 
+def test_shifts_and_powers_take_no_product_by_one(monkeypatch) -> None:
+    cube, mixed, line = P("x^3", ("x",)), P("x^2*y + y^2"), P("x + 1")
+    products = record_calls(monkeypatch, Polynomial, "__mul__")
+    # each power table: img^2, ..., img^d; each term: one product per extra factor
+    assert cube.shift({"x": 1}) == P("x^3 + 3*x^2 + 3*x + 1", ("x",))
+    assert len(products) == 2
+    products.clear()
+    assert mixed.shift({"x": 1, "y": 2}) == P("(x + 1)^2*(y + 2) + (y + 2)^2")
+    assert len(products) == 3
+    products.clear()
+    assert line ** 2 == P("x^2 + 2*x + 1")
+    assert len(products) == 1
+    products.clear()
+    assert line ** 1 == line
+    assert line ** 0 == P("1")
+    assert not products
+
+
 def test_shift_by_polynomial_outside_the_ring_rejected() -> None:
     with pytest.raises(PreconditionError, match=r"^shift of x involves z, outside Q\[x, y\]$"):
         P("x^2 + y").shift({"x": P("z", XYZ)})
@@ -267,25 +278,9 @@ def test_hasse_leibniz_on_products() -> None:
         assert lhs == rhs
 
 
-def test_grevlex_key_classic_order() -> None:
+def test_format_runs_in_classic_grevlex_order() -> None:
     # degree first; within a degree the smaller power of the last variable wins
-    monos = [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]
-    ranked = sorted(monos, key=grevlex_key)
-    assert ranked == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
-
-
-def test_sorted_terms_is_descending_grevlex() -> None:
-    rng = random.Random(7)
-    for k in (1, 2, 3, 4):
-        variables = ("x", "y", "z", "w")[:k]
-        for _ in range(50):
-            terms = {
-                tuple(rng.randint(0, 4) for _ in variables): Fraction(rng.randint(1, 5))
-                for _ in range(rng.randint(1, 8))
-            }
-            p = Polynomial(QQ, variables, terms)
-            expected = sorted(p.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
-            assert p.sorted_terms() == expected
+    assert format_polynomial(P("1 + y + x + y^2 + x*y + x^2")) == "x^2 + x*y + y^2 + x + y + 1"
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec(2), FieldSpec(3), FieldSpec(5)])
@@ -326,7 +321,9 @@ def oracle_format(p: Polynomial) -> str:
         return "0"
     parts: list[str] = []
     rational = p.field.characteristic == 0
-    for e, c in sorted(p.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True):
+    # ascending grevlex is (degree, the exponents negated and reversed)
+    terms = sorted(p.terms.items(), key=lambda t: (sum(t[0]), [-k for k in t[0][::-1]]))
+    for e, c in reversed(terms):
         factors = [
             v if k == 1 else f"{v}^{k}"
             for v, k in zip(p.variables, e)

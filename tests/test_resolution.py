@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-import json
 import math
 import random
 from fractions import Fraction
@@ -39,22 +38,9 @@ from qrees.saturation import (
     nu,
     nu_bar_estimate,
 )
+
+from kit import A, P, XY, XYZ, record_calls
 from test_golden_traces import PROBLEMS, STEP_BUDGET, trace_text
-
-XY = ("x", "y")
-XYZ = ("x", "y", "z")
-
-
-def P(text: str, variables: tuple[str, ...] = XY) -> Polynomial:
-    return parse_polynomial(text, QQ, variables)
-
-
-def A(*gens: tuple[str, object], variables: tuple[str, ...] = XY) -> QReesAlgebra:
-    return QReesAlgebra(
-        QQ,
-        variables,
-        tuple((P(t, variables), Fraction(w)) for t, w in gens),
-    )
 
 
 def step_summary(trace: dict) -> list[tuple[int, str, str, str, tuple[str, ...]]]:
@@ -319,16 +305,6 @@ def test_hyperplane_gives_zero_coefficient_terminator() -> None:
     assert [l["chart"] for l in trace["leaves"]] == ["0.1x"]
 
 
-def test_traces_identical_for_redundant_generators() -> None:
-    for text, variables in (("x^2 + y^3", XY), ("x^2 - y^2*z", XYZ)):
-        f = parse_polynomial(text, QQ, variables)
-        lean = QReesAlgebra(QQ, variables, ((f, Fraction(2)),))
-        fat = QReesAlgebra(QQ, variables, ((f, Fraction(2)), (f, Fraction(1))))
-        left = json.dumps(resolve(QQ, variables, lean), indent=2)
-        right = json.dumps(resolve(QQ, variables, fat), indent=2)
-        assert left == right
-
-
 def test_resolve_rejects_zero_algebra_and_char_p() -> None:
     with pytest.raises(PreconditionError):
         resolve(QQ, XY, QReesAlgebra(QQ, XY, ()))
@@ -539,7 +515,6 @@ def test_max_locus_fc_umbrella() -> None:
     value, locus = max_locus_fc(QQ, XYZ, alg)
     assert str(value) == "[(1, 0), (3/2, 0), (1, 0)] · Point"
     assert len(locus.components) == 1
-    gens = sorted(str(g.sorted_terms()) for g in locus.components[0].basis())
     assert len(locus.components[0].basis()) == 3  # the origin
 
 
@@ -558,33 +533,29 @@ def test_trace_records_substitutions_and_divisors() -> None:
 
 
 @pytest.fixture
-def gb_inputs(monkeypatch) -> list:
-    """The (order, generator set) of every groebner_basis call, in order."""
-    ideal = importlib.import_module("qrees.ideal")
-    compute = ideal.groebner_basis
-    seen = []
+def gb_calls(monkeypatch) -> list:
+    """The (generators, order) of every groebner_basis call, in order."""
+    return record_calls(monkeypatch, importlib.import_module("qrees.ideal"), "groebner_basis")
 
-    def record(gens, order):
-        seen.append((order, frozenset(gens)))
-        return compute(gens, order)
 
-    monkeypatch.setattr(ideal, "groebner_basis", record)
-    return seen
+def basis_inputs(gb_calls: list) -> list:
+    """The (order, generator set) of each recorded groebner_basis call."""
+    return [(order, frozenset(gens)) for gens, order in gb_calls]
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_resolve_computes_each_basis_once(name: str, gb_inputs: list) -> None:
+def test_resolve_computes_each_basis_once(name: str, gb_calls: list) -> None:
     trace_text(PROBLEMS[name], STEP_BUDGET.get(name, 50))
-    assert gb_inputs
-    assert len(set(gb_inputs)) == len(gb_inputs)
+    inputs = basis_inputs(gb_calls)
+    assert inputs and len(set(inputs)) == len(inputs)
 
 
-def test_resolve_runs_share_nothing(gb_inputs: list) -> None:
+def test_resolve_runs_share_nothing(gb_calls: list) -> None:
     alg = A(("x^2 - y^2*z", 2), variables=XYZ)
     resolve(QQ, XYZ, alg)
-    first = len(gb_inputs)
+    first = len(gb_calls)
     resolve(QQ, XYZ, alg)
-    assert first and len(gb_inputs) == 2 * first
+    assert first and len(gb_calls) == 2 * first
 
 
 @pytest.mark.parametrize(
@@ -595,19 +566,19 @@ def test_resolve_runs_share_nothing(gb_inputs: list) -> None:
     ],
 )
 def test_failed_resolve_leaves_no_shared_bases(
-    text, variables, max_steps, error, gb_inputs, hasse_inputs
+    text, variables, max_steps, error, gb_calls, hasse_inputs
 ) -> None:
     """A table left behind by the failed run would hand the second of two
     equal ideals the first one's basis, and the second of two equal
     algebras the first one's Hasse rows."""
     with pytest.raises(error):
         resolve(QQ, variables, A((text, 2), variables=variables), max_steps=max_steps)
-    gb_inputs.clear()
+    gb_calls.clear()
     hasse_inputs.clear()
     for _ in range(2):
         assert not Ideal(QQ, XY, [P("x^2 + y^3 - 1"), P("x*y")]).is_unit()
         A(("x^2 + y^3 - 1", 2)).sing_ideal()
-    assert len(gb_inputs) == 2
+    assert len(gb_calls) == 2
     assert hasse_inputs and len(hasse_inputs) == 2 * len(set(hasse_inputs))
 
 
@@ -634,12 +605,12 @@ def _query_membership() -> None:
 @pytest.mark.parametrize(
     "query", [_query_nu, _query_nu_bar, _query_membership, _query_equivalence]
 )
-def test_query_computes_each_basis_once(query, gb_inputs: list) -> None:
+def test_query_computes_each_basis_once(query, gb_calls: list) -> None:
     """A search over levels, over powers or over both inclusions meets equal
     level ideals and computes their basis once."""
     query()
-    assert gb_inputs
-    assert len(set(gb_inputs)) == len(gb_inputs)
+    inputs = basis_inputs(gb_calls)
+    assert inputs and len(set(inputs)) == len(inputs)
 
 
 # -- one Hasse derivative per distinct (polynomial, alpha) and run ------------------
@@ -648,15 +619,7 @@ def test_query_computes_each_basis_once(query, gb_inputs: list) -> None:
 @pytest.fixture
 def hasse_inputs(monkeypatch) -> list:
     """The (polynomial, alpha) of every Polynomial.hasse_derivative call, in order."""
-    differentiate = Polynomial.hasse_derivative
-    seen = []
-
-    def record(f, alpha):
-        seen.append((f, alpha))
-        return differentiate(f, alpha)
-
-    monkeypatch.setattr(Polynomial, "hasse_derivative", record)
-    return seen
+    return record_calls(monkeypatch, Polynomial, "hasse_derivative")
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
@@ -688,7 +651,7 @@ def test_max_order_within_shares_rows_for_the_call_only(hasse_inputs: list) -> N
 
 
 def test_max_order_within_builds_bases_only_above_the_order_at_the_origin(
-    gb_inputs: list, hasse_inputs: list
+    gb_calls: list, hasse_inputs: list
 ) -> None:
     """The candidates 1/2, 1, 3/2 and 2 lie at or below the order 2 at the
     origin, so they are met with no basis; 5/2 is the first and only
@@ -700,7 +663,7 @@ def test_max_order_within_builds_bases_only_above_the_order_at_the_origin(
     assert omega == 2
     assert stratum.generators == alg.order_ge_ideal(2).generators
     tested = frozenset(alg.order_ge_ideal(Fraction(5, 2)).generators)
-    assert gb_inputs == [(MonomialOrder.grevlex(XY), tested)]
+    assert basis_inputs(gb_calls) == [(MonomialOrder.grevlex(XY), tested)]
     weights = dict(alg.generators)
     assert taken
     assert all(sum(alpha) < math.ceil(weights[f] * Fraction(5, 2)) for f, alpha in taken)
@@ -712,14 +675,7 @@ def test_max_order_within_builds_each_stratum_once(monkeypatch) -> None:
     rows."""
     alg = A(("x^2 + y^5", 1), ("y^6", 2))
     inside = Ideal.zero(QQ, XY)
-    build = Ideal.__init__
-    built = []
-
-    def record(self, field, variables, generators) -> None:
-        build(self, field, variables, generators)
-        built.append(self.generators)
-
-    monkeypatch.setattr(Ideal, "__init__", record)
+    built = record_calls(monkeypatch, Ideal, "__init__")
     omega, stratum = alg.max_order_within(inside)
     assert omega == 2
-    assert built == [stratum.generators, tuple(alg._hasse_gens(0, Fraction(5, 2)))]
+    assert [ideal.generators for ideal, *_ in built] == [stratum.generators, tuple(alg._hasse_gens(0, Fraction(5, 2)))]

@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from qrees.algebra import QReesAlgebra, _compositions, algebra_sample_points, format_algebra
+from qrees.algebra import QReesAlgebra, _compositions, format_algebra
 from qrees.charts import (
     coefficient_algebra,
     non_monomial_part,
@@ -27,22 +27,9 @@ from qrees.saturation import (
     nu,
     nu_bar_estimate,
 )
+
+from kit import A, P, XY, XYZ
 from test_geometry import divide_by_power
-
-XY = ("x", "y")
-XYZ = ("x", "y", "z")
-
-
-def P(text: str, variables: tuple[str, ...] = XY) -> Polynomial:
-    return parse_polynomial(text, QQ, variables)
-
-
-def A(*gens: tuple[str, object], variables: tuple[str, ...] = XY) -> QReesAlgebra:
-    return QReesAlgebra(
-        QQ,
-        variables,
-        tuple((P(t, variables), Fraction(w)) for t, w in gens),
-    )
 
 
 def test_diff_saturate_cusp() -> None:
@@ -347,36 +334,6 @@ def test_trusted_constructions_hold_no_zero(index: int) -> None:
         for built in (transform_algebra(lifted, ring, ring[0]), non_monomial_part(lifted, ring)[0]):
             for f, _ in built.generators:
                 assert_zero_free(f)
-
-
-def test_saturation_preserves_order_at_singular_points() -> None:
-    """Where the order is at least one, differentiating cannot lower it; below
-    one the saturation exposes a unit and the order drops to zero."""
-    algebras = [
-        A(("x^2 + y^3", 2)),
-        A(("x^2 - y^2", 2)),
-        A(("x^3", 2)),
-        A(("x^2 - y^2*z", 2), variables=XYZ),
-    ]
-    for alg in algebras:
-        sat = diff_saturate(alg)
-        for pt in algebra_sample_points(alg.variables):
-            base = alg.ord_at_point(pt)
-            after = sat.ord_at_point(pt)
-            if not isinstance(base, Infinity) and base >= 1:
-                assert after == base, (format_algebra(alg), pt)
-            elif not isinstance(base, Infinity) and base < 1:
-                assert after == 0, (format_algebra(alg), pt)
-
-
-def test_saturation_preserves_singular_locus() -> None:
-    for alg in (A(("x^2 + y^3", 2)), A(("x^2*y^2", 2))):
-        a = alg.sing_ideal()
-        b = diff_saturate(alg).sing_ideal()
-        for g in a.basis():
-            assert b.radical_contains(g)
-        for g in b.basis():
-            assert a.radical_contains(g)
 
 
 def nu_oracle(alg: QReesAlgebra, f: Polynomial, cap: Fraction) -> Fraction:
