@@ -138,9 +138,7 @@ class QReesAlgebra:
         """Order of the algebra at a rational point, a coordinate tuple aligned
         with the ring variables: the order at the origin after shifting the
         point there (INFINITY for the zero algebra)."""
-        if len(point) != len(self.variables):
-            raise PreconditionError("point has the wrong number of coordinates")
-        return self.shift({v: c for v, c in zip(self.variables, point) if c}).ord_at_origin()
+        return self.shift(point_shift(self.variables, point)).ord_at_origin()
 
     def ord_at_origin(self) -> Fraction | Infinity:
         return self.min_order(Polynomial.order)
@@ -366,6 +364,14 @@ def parse_generator(text: str, field: FieldSpec, variables: tuple[str, ...]) -> 
     if weight <= 0:
         raise ProblemParseError(f"weight must be positive, got {weight}")
     return poly, weight
+
+
+def point_shift(variables: tuple[str, ...], point) -> dict:
+    """The shifts v -> v + c that bring a rational point (coordinates aligned
+    with variables) to the origin, zero coordinates left out."""
+    if len(point) != len(variables):
+        raise PreconditionError("point has the wrong number of coordinates")
+    return {v: c for v, c in zip(variables, point) if c}
 
 
 def algebra_sample_points(variables: tuple[str, ...]) -> list[tuple]:

@@ -246,7 +246,7 @@ def find_maximal_contact(
             if v in frozen_vars:
                 # recentering would move the divisor off its coordinate
                 continue
-            shift = rest.scale(alg.field.div(alg.field.neg(alg.field.one()), c))
+            shift = rest.scale(-1 / c)
             return ContactChoice(v, shift)
     raise ChartSplitRequired(
         "no triangular maximal contact among the saturated generators"

@@ -25,6 +25,8 @@ from .poly import format_polynomial, parse_polynomial, parse_rational
 from .problem import Problem, parse_problem
 from .resolve import resolve, root_chart
 from .saturation import (
+    DEFAULT_CAP,
+    DEFAULT_N_MAX,
     diff_saturate,
     equivalence_check,
     is_integral_member,
@@ -109,23 +111,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("nu", "grid order of an element against the algebra", cmd_nu)
     p.add_argument("--element", required=True, help="polynomial to measure")
-    p.add_argument("--cap", default="32", help="search cap (default 32)")
+    p.add_argument("--cap", default=str(DEFAULT_CAP), help="search cap (default %(default)s)")
 
     p = add("nubar", "saturated-order lower bound via powers", cmd_nubar)
     p.add_argument("--element", required=True, help="polynomial to measure")
-    p.add_argument("--nmax", type=int, default=4, help="largest power tried (default 4)")
-    p.add_argument("--cap", default="32", help="search cap (default 32)")
+    p.add_argument("--nmax", type=int, default=DEFAULT_N_MAX, help="largest power tried (default %(default)s)")
+    p.add_argument("--cap", default=str(DEFAULT_CAP), help="search cap (default %(default)s)")
 
     p = add("member", "integral membership of an element at a weight", cmd_member)
     p.add_argument("--element", required=True, help="polynomial to test")
     p.add_argument("--weight", required=True, help="weight to test at")
-    p.add_argument("--nmax", type=int, default=4, help="largest power tried (default 4)")
-    p.add_argument("--cap", default="32", help="level cap (default 32)")
+    p.add_argument("--nmax", type=int, default=DEFAULT_N_MAX, help="largest power tried (default %(default)s)")
+    p.add_argument("--cap", default=str(DEFAULT_CAP), help="level cap (default %(default)s)")
 
     p = add("equiv", "bounded equivalence check between two named algebras", cmd_equiv)
     p.add_argument("--other", required=True, help="name of the second algebra")
-    p.add_argument("--nmax", type=int, default=4, help="largest power tried (default 4)")
-    p.add_argument("--cap", default="32", help="level cap (default 32)")
+    p.add_argument("--nmax", type=int, default=DEFAULT_N_MAX, help="largest power tried (default %(default)s)")
+    p.add_argument("--cap", default=str(DEFAULT_CAP), help="level cap (default %(default)s)")
 
     p = add("resolve", "run the resolution driver and print the trace", cmd_resolve)
     p.add_argument("--max-steps", type=int, default=50, help="step budget (default 50)")

@@ -74,15 +74,5 @@ class FieldSpec:
     def neg(self, a: Element) -> Element:
         return -a if self.characteristic == 0 else (-a) % self.characteristic
 
-    def inv(self, a: Element) -> Element:
-        if self.characteristic == 0:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return Fraction(1) / a
-        return pow(int(a), -1, self.characteristic)
-
-    def div(self, a: Element, b: Element) -> Element:
-        return self.mul(a, self.inv(b))
-
 
 QQ = FieldSpec(0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import QReesAlgebra
+from .algebra import QReesAlgebra, point_shift
 from .charts import (
     Chart,
     DivisorRecord,
@@ -548,12 +548,7 @@ def fc_at_point(
     divisor through the point counts as pre-existing."""
     if algebra.is_zero():
         raise PreconditionError("the zero algebra has no finite invariant")
-    if point is None:
-        point = tuple(Fraction(0) for _ in variables)
-    point = tuple(Fraction(c) for c in point)
-    if len(point) != len(variables):
-        raise PreconditionError("point has the wrong number of coordinates")
-    offset = {v: c for v, c in zip(variables, point) if c != 0}
+    offset = {} if point is None else point_shift(variables, tuple(Fraction(c) for c in point))
     # divisors off the point are dropped; the rest, unknown names included,
     # go to root_chart for checking, and so does the ring before the shift
     kept = tuple(d for d in divisors if d.var not in offset)

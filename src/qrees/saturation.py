@@ -14,6 +14,9 @@ from .ideal import shared_bases
 from .poly import INFINITY, Infinity, Polynomial, check_ring
 
 CAP_REACHED = "CAP_REACHED"
+# the default search bounds of the queries below and of their CLI options
+DEFAULT_CAP = Fraction(32)
+DEFAULT_N_MAX = 4
 
 
 def diff_saturate(alg: QReesAlgebra) -> QReesAlgebra:
@@ -31,7 +34,7 @@ def diff_saturate(alg: QReesAlgebra) -> QReesAlgebra:
 
 
 @shared_bases()
-def nu(alg: QReesAlgebra, f: Polynomial, cap=Fraction(32)) -> Fraction | Infinity | str:
+def nu(alg: QReesAlgebra, f: Polynomial, cap=DEFAULT_CAP) -> Fraction | Infinity | str:
     """Largest grid value a = m/N with f in the level ideal at a.
 
     The zero element has infinite order.  If f still sits inside the level
@@ -62,7 +65,7 @@ def nu(alg: QReesAlgebra, f: Polynomial, cap=Fraction(32)) -> Fraction | Infinit
 
 
 @shared_bases()
-def nu_bar_estimate(alg: QReesAlgebra, f: Polynomial, n_max: int = 4, cap=Fraction(32)):
+def nu_bar_estimate(alg: QReesAlgebra, f: Polynomial, n_max: int = DEFAULT_N_MAX, cap=DEFAULT_CAP):
     """Lower bound for the saturated order: max over n <= n_max of nu(f^n)/n,
     or CAP_REACHED at the first n whose nu(f^n) reaches cap * n."""
     cap = Fraction(cap)
@@ -93,7 +96,7 @@ class MembershipVerdict:
 
 @shared_bases()
 def is_integral_member(
-    alg: QReesAlgebra, f: Polynomial, a, n_max: int = 4, cap=Fraction(32)
+    alg: QReesAlgebra, f: Polynomial, a, n_max: int = DEFAULT_N_MAX, cap=DEFAULT_CAP
 ) -> MembershipVerdict:
     """Does f belong to the saturation at weight a?  Tests f^n against the
     level ideal at n*a for n up to n_max (or until n*a passes the cap)."""
@@ -125,7 +128,7 @@ class EquivalenceVerdict:
 
 @shared_bases()
 def equivalence_check(
-    left: QReesAlgebra, right: QReesAlgebra, n_max: int = 4, cap=Fraction(32)
+    left: QReesAlgebra, right: QReesAlgebra, n_max: int = DEFAULT_N_MAX, cap=DEFAULT_CAP
 ) -> EquivalenceVerdict:
     """Mutual integral containment on a common integer grading.
 

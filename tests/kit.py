@@ -1,11 +1,16 @@
 """Helpers shared by the test modules: ring variables, polynomial and
-algebra builders, and a call recorder."""
+algebra builders, field inverses for the oracles, the check on a rejected
+input, and a call recorder."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
 from qrees.algebra import QReesAlgebra
+from qrees.errors import PreconditionError
 from qrees.field import QQ, FieldSpec
 from qrees.poly import Polynomial, parse_polynomial
 
@@ -26,6 +31,21 @@ def A(
         variables,
         tuple((P(t, variables, field), Fraction(w)) for t, w in gens),
     )
+
+
+def inverse(field: FieldSpec, c):
+    """1/c in field, for the test oracles: a Fraction over Q, an int over F_p."""
+    p = field.characteristic
+    return pow(c, -1, p) if p else 1 / Fraction(c)
+
+
+@contextmanager
+def rejected(message: str, error: type[Exception] = PreconditionError):
+    """The block must raise error with exactly message, which names the
+    reason the input is rejected."""
+    with pytest.raises(error) as info:
+        yield
+    assert str(info.value) == message
 
 
 def record_calls(monkeypatch, owner, name: str) -> list:

@@ -15,13 +15,13 @@ from qrees.algebra import (
     format_algebra,
     parse_generator_list,
 )
-from qrees.errors import PreconditionError, ProblemParseError
+from qrees.errors import ProblemParseError
 from qrees.field import QQ, FieldSpec
 from qrees.ideal import Ideal
 from qrees.poly import Infinity, Polynomial, format_polynomial, parse_polynomial
 from qrees.problem import parse_problem
 
-from kit import A, P, XY, XYZ
+from kit import A, P, XY, XYZ, rejected
 
 
 def test_weights_become_fractions_and_zero_generators_drop() -> None:
@@ -31,22 +31,20 @@ def test_weights_become_fractions_and_zero_generators_drop() -> None:
 
 
 def test_nonpositive_weight_rejected() -> None:
-    with pytest.raises(PreconditionError):
+    with rejected("generator weight must be positive, got 0"):
         A(("x", 0))
-    with pytest.raises(PreconditionError):
+    with rejected("generator weight must be positive, got -1"):
         A(("x", -1))
 
 
 def test_generator_outside_the_ring_rejected() -> None:
-    with pytest.raises(PreconditionError, match=r"^x \+ y lives in Q\[x, y\], not in Q\[x\]$"):
+    with rejected("x + y lives in Q[x, y], not in Q[x]"):
         QReesAlgebra(QQ, ("x",), ((P("x + y"), 1),))
 
 
 def test_generator_over_another_field_rejected() -> None:
     f = parse_polynomial("x + y", FieldSpec(3), XY)
-    with pytest.raises(
-        PreconditionError, match=r"^x \+ y lives in F_3\[x, y\], not in Q\[x, y\]$"
-    ):
+    with rejected("x + y lives in F_3[x, y], not in Q[x, y]"):
         QReesAlgebra(QQ, XY, ((f, 1),))
 
 
@@ -100,9 +98,7 @@ def test_level_ideal_of_the_zero_algebra_is_zero() -> None:
 def test_odot_unions_generators() -> None:
     joined = A(("x", 1)).odot(A(("y", 2)))
     assert len(joined.generators) == 2
-    with pytest.raises(
-        PreconditionError, match=r"^odot operand lives in Q\[x, y, z\], not in Q\[x, y\]$"
-    ):
+    with rejected("odot operand lives in Q[x, y, z], not in Q[x, y]"):
         A(("x", 1)).odot(A(("z", 1), variables=XYZ))
 
 
@@ -110,9 +106,7 @@ def test_odot_unions_generators() -> None:
 def test_generator_from_another_ring_is_not_moved(ring) -> None:
     # x lies in both rings, yet only Polynomial.in_ring moves it
     x = P("x", ring)
-    with pytest.raises(
-        PreconditionError, match=rf"^x lives in Q\[{', '.join(ring)}\], not in Q\[x, y\]$"
-    ):
+    with rejected(f"x lives in Q[{', '.join(ring)}], not in Q[x, y]"):
         QReesAlgebra(QQ, XY, ((x, 1),))
     assert QReesAlgebra(QQ, XY, ((x.in_ring(XY), 1),)) == A(("x", 1))
 
@@ -171,7 +165,7 @@ def test_ord_at_point_of_weight_one_cusp() -> None:
 def test_ord_at_point_rejects_wrong_length(gens) -> None:
     alg = A(*gens)
     for point in ((0,), (0, 0, 0)):
-        with pytest.raises(PreconditionError, match="wrong number of coordinates"):
+        with rejected("point has the wrong number of coordinates"):
             alg.ord_at_point(point)
 
 
@@ -376,7 +370,7 @@ def test_monotone_closure_adds_lower_weights() -> None:
 
 
 def test_monotone_closure_rejects_fractional_weights() -> None:
-    with pytest.raises(PreconditionError):
+    with rejected("monotone closure needs integer weights"):
         A(("x", Fraction(1, 2))).monotone_closure()
 
 

@@ -154,6 +154,25 @@ def test_nonmonomial_command(tmp_path, capsys) -> None:
     assert doc["generators"] == [["1", "2"]]
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("field Q\nchart x y\ngen (x + 1/2*y)^2 - 2x(y - 1) : 2\n", "x^2 - x*y + 1/4*y^2 + 2*x : 2"),
+        ("field F 3\nchart x y\ngen -(x - y)^3 + 2^2*x/2 : 1\n", "2*x^3 + y^3 + 2*x : 1"),
+        (
+            "field Q\nchart x y z\ngen x^2*y^3*(z + 1) : 2\ngen x^3*y^2 + x^4*y^2*z : 3\n"
+            "divisor x created 1\ndivisor y created 2\n",
+            "ell(x) = 1\nell(y) = 2/3\ny*z + y : 2\nx*z + 1 : 3",
+        ),
+    ],
+    ids=["parse-Q", "parse-F_3", "strip"],
+)
+def test_nonmonomial_text(tmp_path, capsys, text, expected) -> None:
+    path = tmp_path / "gens.qr"
+    path.write_text(text)
+    assert run(capsys, "nonmonomial", str(path)) == (0, expected + "\n")
+
+
 def test_nu_and_member(umbrella, capsys) -> None:
     code, out = run(capsys, "nu", umbrella, "--element", "x^2 - y^2*z")
     assert (code, out.strip()) == (0, "2")
@@ -276,6 +295,28 @@ def test_resolve_dot_output(umbrella, capsys) -> None:
     assert code == 0
     assert out.startswith("digraph charts {")
     assert '"0" -> "0.1z"' in out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "field Q\nchart x y z\ngen x^2 : 2\ngen (y + z - 1)^2 : 2\n"
+            "divisor y created 1\ndivisor z created 1\n",
+            "maximal divisor contact is attained on several distinct loci",
+        ),
+        (
+            "field Q\nchart x\ngen (x - 1)^2 : 2\ndivisor x created 1\n",
+            "the deepest point left the divisor's coordinate hyperplane",
+        ),
+    ],
+    ids=["loci", "line"],
+)
+def test_chart_split_exits_4(tmp_path, capsys, text, message) -> None:
+    path = tmp_path / "split.qr"
+    path.write_text(text)
+    code = main(["resolve", str(path)])
+    assert (code, capsys.readouterr().err) == (4, f"error: chart 0 at step 1: {message}\n")
 
 
 def test_parse_error_exit_code(tmp_path, capsys) -> None:

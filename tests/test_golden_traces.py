@@ -323,6 +323,16 @@ def queries_text() -> str:
     return json.dumps(out, indent=1)
 
 
+# every golden besides the traces, with the function that records it
+GOLDENS = {
+    "queries.json": queries_text,
+    "chains.json": chains_text,
+    "cli.json": cli_text,
+    "sweep.json": sweep_text,
+    "classic.json": classic_text,
+}
+
+
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_trace_matches_golden(name: str) -> None:
     expected = (GOLDEN / f"{name}.json").read_text()
@@ -376,13 +386,6 @@ if __name__ == "__main__":
     for name, text in PROBLEMS.items():
         (GOLDEN / f"{name}.json").write_text(trace_text(text, STEP_BUDGET.get(name, 50)))
         print(f"wrote {name}.json")
-    (GOLDEN / "queries.json").write_text(queries_text())
-    print("wrote queries.json")
-    (GOLDEN / "chains.json").write_text(chains_text())
-    print("wrote chains.json")
-    (GOLDEN / "cli.json").write_text(cli_text())
-    print("wrote cli.json")
-    (GOLDEN / "sweep.json").write_text(sweep_text())
-    print("wrote sweep.json")
-    (GOLDEN / "classic.json").write_text(classic_text())
-    print("wrote classic.json")
+    for name, record in GOLDENS.items():
+        (GOLDEN / name).write_text(record())
+        print(f"wrote {name}")

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-from qrees.errors import PreconditionError
 from qrees.field import QQ, FieldSpec
 from qrees.ideal import (
     ClosedSet,
@@ -25,7 +24,7 @@ from qrees.ideal import (
 )
 from qrees.poly import INFINITY, Polynomial, parse_polynomial
 
-from kit import P, XY, XYZ, record_calls
+from kit import P, XY, XYZ, inverse, record_calls, rejected
 
 
 def I(*texts: str, variables: tuple[str, ...] = XY) -> Ideal:
@@ -208,7 +207,7 @@ def fraction_normal_form(p: Polynomial, basis, order: MonomialOrder, leads=None)
         for g, (ge, gc) in zip(basis, leads):
             if all(x <= y for x, y in zip(ge, e)):
                 shift = tuple(x - y for x, y in zip(e, ge))
-                _sub_scaled(work, field.div(c, gc), shift, g, field.characteristic)
+                _sub_scaled(work, field.mul(c, inverse(field, gc)), shift, g, field.characteristic)
                 break
         else:
             remainder[e] = work.pop(e)
@@ -221,8 +220,8 @@ def _spoly(f: Polynomial, g: Polynomial, f_lead, g_lead) -> Polynomial:
     lcm = tuple(max(x, y) for x, y in zip(fe, ge))
     terms = {}
     p = field.characteristic
-    _sub_scaled(terms, field.neg(field.inv(fc)), tuple(x - y for x, y in zip(lcm, fe)), f, p)
-    _sub_scaled(terms, field.inv(gc), tuple(x - y for x, y in zip(lcm, ge)), g, p)
+    _sub_scaled(terms, field.neg(inverse(field, fc)), tuple(x - y for x, y in zip(lcm, fe)), f, p)
+    _sub_scaled(terms, inverse(field, gc), tuple(x - y for x, y in zip(lcm, ge)), g, p)
     return Polynomial(field, f.variables, terms)
 
 
@@ -283,7 +282,7 @@ def buchberger_oracle(gens: list[Polynomial], order: MonomialOrder) -> list[Poly
                     basis[i] = r
                     leads[i] = leading_term(r, order)
                 break
-    monic = [(order.key(e), g.scale(field.div(field.one(), c))) for g, (e, c) in zip(basis, leads)]
+    monic = [(order.key(e), g.scale(inverse(field, c))) for g, (e, c) in zip(basis, leads)]
     monic.sort(key=lambda t: t[0])
     return [g for _, g in monic]
 
@@ -415,67 +414,70 @@ F3 = FieldSpec(3)
 @pytest.mark.parametrize(
     "gens, ring, message",
     [
-        ([P("x^2 - y")], XYZ, r"^x\^2 - y lives in Q\[x, y\], not in Q\[x, y, z\]$"),
+        ([P("x^2 - y")], XYZ, "x^2 - y lives in Q[x, y], not in Q[x, y, z]"),
         (
             [P("x^2 - y"), parse_polynomial("x", QQ, ("x",)), P("y^2")],
             XY,
-            r"^x lives in Q\[x\], not in Q\[x, y\]$",
+            "x lives in Q[x], not in Q[x, y]",
         ),
         (
             [P("x^2 - y"), parse_polynomial("x + y", F3, XY)],
             XY,
-            r"^x \+ y lives in F_3\[x, y\], not in Q\[x, y\]$",
+            "x + y lives in F_3[x, y], not in Q[x, y]",
         ),
     ],
     ids=["ring-smaller-than-order", "mixed-rings", "mixed-fields"],
 )
 def test_groebner_basis_rejects_generators_from_another_ring(gens, ring, message) -> None:
-    with pytest.raises(PreconditionError, match=message):
+    with rejected(message):
         groebner_basis(gens, MonomialOrder.grevlex(ring))
 
 
 def test_ideal_rejects_generators_over_another_field() -> None:
     gens = [parse_polynomial(t, F3, XY) for t in ("x", "y")]
-    with pytest.raises(PreconditionError, match=r"F_3\[x, y\], not in Q\[x, y\]"):
+    with rejected("x lives in F_3[x, y], not in Q[x, y]"):
         Ideal(QQ, XY, gens).basis()
 
 
 def test_contains_rejects_element_over_another_field() -> None:
-    with pytest.raises(PreconditionError, match=r"F_3\[x, y\], not in Q\[x, y\]"):
+    with rejected("x + y lives in F_3[x, y], not in Q[x, y]"):
         I("x").contains(parse_polynomial("x + y", F3, XY))
 
 
 def test_radical_contains_rejects_element_over_another_field() -> None:
-    with pytest.raises(PreconditionError, match=r"F_3\[x, y\], not in Q\[x, y\]"):
+    with rejected("x + y lives in F_3[x, y], not in Q[x, y]"):
         I("x").radical_contains(parse_polynomial("x + y", F3, XY))
 
 
 def test_ideal_rejects_generator_outside_the_ring() -> None:
-    with pytest.raises(PreconditionError, match=r"^x \+ z lives in Q\[x, y, z\], not in Q\[x, y\]$"):
+    with rejected("x + z lives in Q[x, y, z], not in Q[x, y]"):
         Ideal(QQ, XY, [P("x + z", XYZ)])
 
 
 def test_contains_rejects_element_outside_the_ring() -> None:
-    with pytest.raises(PreconditionError, match=r"^z lives in Q\[x, y, z\], not in Q\[x, y\]$"):
+    with rejected("z lives in Q[x, y, z], not in Q[x, y]"):
         I("x").contains(P("z", XYZ))
 
 
 def test_radical_contains_rejects_element_outside_the_ring() -> None:
-    with pytest.raises(PreconditionError, match=r"^y\*z lives in Q\[x, y, z\], not in Q\[x, y\]$"):
+    with rejected("y*z lives in Q[x, y, z], not in Q[x, y]"):
         I("x").radical_contains(P("y*z", XYZ))
 
 
 @pytest.mark.parametrize(
-    "compare",
+    "compare, operand",
     [
-        lambda: I("x").same_as(Ideal(F3, XY, [parse_polynomial("x", F3, XY)])),
-        lambda: ClosedSet([I("x"), Ideal(F3, XY, [parse_polynomial("y", F3, XY)])]),
-        lambda: ClosedSet([I("x")]).subset_of(ClosedSet([Ideal(F3, XY, [parse_polynomial("x", F3, XY)])])),
+        (lambda: I("x").same_as(Ideal(F3, XY, [parse_polynomial("x", F3, XY)])), "Ideal(x)"),
+        (lambda: ClosedSet([I("x"), Ideal(F3, XY, [parse_polynomial("y", F3, XY)])]), "Ideal(y)"),
+        (
+            lambda: ClosedSet([I("x")]).subset_of(ClosedSet([Ideal(F3, XY, [parse_polynomial("x", F3, XY)])])),
+            "V(x)",
+        ),
     ],
     ids=["ideal-same-as", "closed-set-components", "closed-set-subset-of"],
 )
-def test_comparisons_across_fields_name_both_rings(compare) -> None:
-    with pytest.raises(PreconditionError, match=r"lives in F_3\[x, y\], not in Q\[x, y\]$"):
+def test_comparisons_across_fields_name_both_rings(compare, operand: str) -> None:
+    with rejected(f"{operand} lives in F_3[x, y], not in Q[x, y]"):
         compare()
 
 
@@ -483,23 +485,23 @@ def test_comparisons_across_fields_name_both_rings(compare) -> None:
 def test_polynomial_from_another_ring_is_not_moved(ring) -> None:
     # x lies in both rings, yet only Polynomial.in_ring moves it
     x = P("x", ring)
-    message = rf"^x lives in Q\[{', '.join(ring)}\], not in Q\[x, y\]$"
-    with pytest.raises(PreconditionError, match=message):
+    message = f"x lives in Q[{', '.join(ring)}], not in Q[x, y]"
+    with rejected(message):
         Ideal(QQ, XY, [x])
-    with pytest.raises(PreconditionError, match=message):
+    with rejected(message):
         I("x").contains(x)
     assert I("x").contains(x.in_ring(XY))
 
 
 def test_eliminate_rejects_unknown_variable() -> None:
-    with pytest.raises(PreconditionError, match="^cannot eliminate w: not a ring variable$"):
+    with rejected("cannot eliminate w: not a ring variable"):
         I("x").eliminate(("w",))
 
 
 def test_comparisons_across_variables_name_both_rings() -> None:
-    with pytest.raises(PreconditionError, match=r"^Ideal\(x\) lives in Q\[x, y, z\], not in Q\[x, y\]$"):
+    with rejected("Ideal(x) lives in Q[x, y, z], not in Q[x, y]"):
         I("x").same_as(I("x", variables=XYZ))
-    with pytest.raises(PreconditionError, match=r"^Ideal\(x\) lives in Q\[x, y, z\], not in Q\[x, y\]$"):
+    with rejected("Ideal(x) lives in Q[x, y, z], not in Q[x, y]"):
         ClosedSet([I("x"), I("x", variables=XYZ)])
 
 

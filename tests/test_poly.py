@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from qrees.errors import PreconditionError, ProblemParseError
+from qrees.errors import ProblemParseError
 from qrees.field import QQ, FieldSpec
 from qrees.poly import (
     Infinity,
@@ -18,7 +18,7 @@ from qrees.poly import (
     parse_polynomial,
 )
 
-from kit import P, XY, XYZ, record_calls
+from kit import P, XY, XYZ, record_calls, rejected
 
 
 def test_parse_format_round_trip() -> None:
@@ -150,20 +150,20 @@ def test_in_ring_moves_by_name() -> None:
 @pytest.mark.parametrize(
     "other, ring",
     [
-        (P("x", ("y", "x")), r"Q\[y, x\]"),
-        (P("x", XYZ), r"Q\[x, y, z\]"),
-        (P("x", XY, FieldSpec(3)), r"F_3\[x, y\]"),
+        (P("x", ("y", "x")), "Q[y, x]"),
+        (P("x", XYZ), "Q[x, y, z]"),
+        (P("x", XY, FieldSpec(3)), "F_3[x, y]"),
     ],
     ids=["reordered", "larger", "other-field"],
 )
 def test_arithmetic_across_rings_names_both_rings(other: Polynomial, ring: str) -> None:
-    message = rf"^x lives in {ring}, not in Q\[x, y\]$"
+    message = f"x lives in {ring}, not in Q[x, y]"
     f = P("x + y")
-    with pytest.raises(PreconditionError, match=message):
+    with rejected(message):
         f + other
-    with pytest.raises(PreconditionError, match=message):
+    with rejected(message):
         f * other
-    with pytest.raises(PreconditionError, match=message):
+    with rejected(message):
         f.substitute({"y": other})
 
 
@@ -211,12 +211,12 @@ def test_shifts_and_powers_take_no_product_by_one(monkeypatch) -> None:
 
 
 def test_shift_by_polynomial_outside_the_ring_rejected() -> None:
-    with pytest.raises(PreconditionError, match=r"^shift of x involves z, outside Q\[x, y\]$"):
+    with rejected("shift of x involves z, outside Q[x, y]"):
         P("x^2 + y").shift({"x": P("z", XYZ)})
 
 
 def test_shift_of_variable_outside_the_ring_rejected() -> None:
-    with pytest.raises(PreconditionError, match=r"^cannot shift w: not a variable of Q\[x, y\]$"):
+    with rejected("cannot shift w: not a variable of Q[x, y]"):
         P("x^2 + y").shift({"w": 1})
 
 

@@ -22,7 +22,6 @@ from qrees.errors import (
     ChartSplitRequired,
     InvariantNotDecreasing,
     NotTerminated,
-    PreconditionError,
     UnsupportedCharacteristic,
 )
 from qrees.field import QQ, FieldSpec
@@ -39,7 +38,7 @@ from qrees.saturation import (
     nu_bar_estimate,
 )
 
-from kit import A, P, XY, XYZ, record_calls
+from kit import A, P, XY, XYZ, inverse, record_calls, rejected
 from test_golden_traces import PROBLEMS, STEP_BUDGET, trace_text
 
 
@@ -235,7 +234,7 @@ def _poly_divmod_univariate(
     while not remainder.is_zero() and remainder.degree_in(u) >= db:
         dr = remainder.degree_in(u)
         lead_r = remainder.coefficient_in_var(u, dr).constant_value()
-        c = field.div(lead_r, lead_b)
+        c = field.mul(lead_r, inverse(field, lead_b))
         mono = Polynomial(field, ring, {tuple(dr - db if v == u else 0 for v in ring): c})
         quotient = quotient + mono
         remainder = remainder - mono * b
@@ -250,7 +249,7 @@ def _oracle_point(g: Polynomial, u: str) -> Polynomial | None:
     if g.degree_in(u) != 1:
         return None
     lead = g.coefficient_in_var(u, 1).constant_value()
-    return g.coefficient_in_var(u, 0).scale(field.div(field.neg(field.one()), lead))
+    return g.coefficient_in_var(u, 0).scale(field.neg(inverse(field, lead)))
 
 
 def _read_point(g: Polynomial, u: str) -> Polynomial | None:
@@ -306,37 +305,37 @@ def test_hyperplane_gives_zero_coefficient_terminator() -> None:
 
 
 def test_resolve_rejects_zero_algebra_and_char_p() -> None:
-    with pytest.raises(PreconditionError):
+    with rejected("cannot resolve the zero algebra"):
         resolve(QQ, XY, QReesAlgebra(QQ, XY, ()))
     F2 = FieldSpec(2)
     alg = QReesAlgebra(F2, XY, ((parse_polynomial("x", F2, XY), Fraction(1)),))
-    with pytest.raises(UnsupportedCharacteristic):
+    with rejected("resolution is only implemented in characteristic zero", UnsupportedCharacteristic):
         resolve(F2, XY, alg)
 
 
 @pytest.mark.parametrize("query", [resolve, fc_at_point, max_locus_fc])
 @pytest.mark.parametrize(
-    "divisors",
+    "divisors, message",
     [
-        (DivisorRecord("z", 1),),
-        (DivisorRecord("x", 1), DivisorRecord("x", 2)),
+        ((DivisorRecord("z", 1),), "divisor variable z is not a chart variable"),
+        ((DivisorRecord("x", 1), DivisorRecord("x", 2)), "divisor variable x declared twice"),
     ],
     ids=["unknown-variable", "declared-twice"],
 )
-def test_entry_points_reject_bad_divisors(query, divisors) -> None:
-    with pytest.raises(PreconditionError):
+def test_entry_points_reject_bad_divisors(query, divisors, message: str) -> None:
+    with rejected(message):
         query(QQ, XY, A(("x^2 + y^3", 2)), divisors)
 
 
 @pytest.mark.parametrize("point", [(0,), (0, 0, 0)], ids=["short", "long"])
 def test_fc_at_point_rejects_point_of_wrong_length(point) -> None:
-    with pytest.raises(PreconditionError, match="^point has the wrong number of coordinates$"):
+    with rejected("point has the wrong number of coordinates"):
         fc_at_point(QQ, XY, A(("x^2 + y^3", 2)), point=point)
 
 
 @pytest.mark.parametrize("query", [fc_at_point, max_locus_fc])
 def test_queries_reject_zero_algebra_up_front(query) -> None:
-    with pytest.raises(PreconditionError, match="^the zero algebra has no finite invariant$"):
+    with rejected("the zero algebra has no finite invariant"):
         query(QQ, XY, QReesAlgebra(QQ, XY, ()))
 
 
@@ -352,7 +351,7 @@ def test_queries_reject_zero_algebra_up_front(query) -> None:
     ids=["resolve", "fc_at_point", "fc_at_point-shifted", "max_locus_fc"],
 )
 def test_entry_points_reject_algebra_on_another_ring(query) -> None:
-    with pytest.raises(PreconditionError, match=r"^algebra lives in Q\[x, y\], not in Q\[x, y, z\]$"):
+    with rejected("algebra lives in Q[x, y], not in Q[x, y, z]"):
         query(QQ, XYZ, A(("x^2 + y^3", 2)))
 
 
@@ -360,7 +359,7 @@ def test_entry_points_reject_algebra_on_another_ring(query) -> None:
 def test_entry_points_reject_algebra_over_another_field(query) -> None:
     F3 = FieldSpec(3)
     over_f3 = QReesAlgebra(F3, XY, ((parse_polynomial("x^2 + y^3", F3, XY), Fraction(2)),))
-    with pytest.raises(PreconditionError, match=r"^algebra lives in F_3\[x, y\], not in Q\[x, y\]$"):
+    with rejected("algebra lives in F_3[x, y], not in Q[x, y]"):
         query(QQ, XY, over_f3)
 
 
@@ -421,7 +420,7 @@ def test_resolve_nonsingular_input_is_immediate() -> None:
 
 
 def test_negative_step_budget_rejected() -> None:
-    with pytest.raises(PreconditionError, match=r"^max_steps must be at least 0, got -1$"):
+    with rejected("max_steps must be at least 0, got -1"):
         resolve(QQ, XY, A(("x^2 + y^3", 2)), max_steps=-1)
 
 
@@ -459,16 +458,6 @@ def test_invariant_not_decreasing_is_typed(monkeypatch) -> None:
     assert trace["leaves"] and all(lf["fc"] == root_fc for lf in trace["leaves"])
 
 
-def test_strictly_decreasing_maxima() -> None:
-    trace = resolve(QQ, XYZ, A(("x^2 - y^2*z", 2), variables=XYZ))
-    seen = []
-    for s in trace["steps"]:
-        if not seen or s["step"] > seen[-1][0]:
-            seen.append((s["step"], s["fc"]))
-    values = [InvariantValue.from_json(fc) for _, fc in seen]
-    assert all(a > b for a, b in zip(values, values[1:]))
-
-
 # -- pointwise invariants -------------------------------------------------------
 
 
@@ -503,11 +492,6 @@ def test_fc_at_point_counts_divisors_through_point() -> None:
     assert doc["levels"] == [["0", 1]]
     assert doc["terminator"]["monomial"]["indices"] == [1]
     assert at_origin > elsewhere
-
-
-def test_fc_at_point_rejects_zero_algebra() -> None:
-    with pytest.raises(PreconditionError):
-        fc_at_point(QQ, XY, QReesAlgebra(QQ, XY, ()))
 
 
 def test_max_locus_fc_umbrella() -> None:

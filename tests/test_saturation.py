@@ -16,7 +16,6 @@ from qrees.charts import (
     non_monomial_part,
     transform_algebra,
 )
-from qrees.errors import PreconditionError
 from qrees.field import QQ, FieldSpec
 from qrees.poly import Infinity, Polynomial, parse_polynomial
 from qrees.saturation import (
@@ -28,7 +27,7 @@ from qrees.saturation import (
     nu_bar_estimate,
 )
 
-from kit import A, P, XY, XYZ
+from kit import A, P, XY, XYZ, rejected
 from test_geometry import divide_by_power
 
 
@@ -469,7 +468,7 @@ def test_nu_bar_estimate_improves_on_nu() -> None:
 def test_search_bounds_checked_up_front(query, message) -> None:
     # before any shortcut: the zero element and equal algebras are checked too
     alg = A(("x^2", 1))
-    with pytest.raises(PreconditionError, match=f"^{message}$"):
+    with rejected(message):
         query(alg, P("x*y"))
 
 
@@ -484,7 +483,7 @@ def test_search_bounds_checked_up_front(query, message) -> None:
 )
 def test_element_outside_the_ring_rejected(query) -> None:
     alg = A(("x", 1), variables=("x",))
-    with pytest.raises(PreconditionError, match=r"^x \+ y lives in Q\[x, y\], not in Q\[x\]$"):
+    with rejected("x + y lives in Q[x, y], not in Q[x]"):
         query(alg, P("x + y"))
 
 
@@ -492,9 +491,7 @@ def test_element_outside_the_ring_rejected(query) -> None:
 def test_nu_moves_no_element(ring) -> None:
     # x lies in both rings, yet only Polynomial.in_ring moves it
     x = P("x", ring)
-    with pytest.raises(
-        PreconditionError, match=rf"^x lives in Q\[{', '.join(ring)}\], not in Q\[x, y\]$"
-    ):
+    with rejected(f"x lives in Q[{', '.join(ring)}], not in Q[x, y]"):
         nu(A(("x", 1)), x)
     assert nu(A(("x", 1)), x.in_ring(XY)) == 1
 
@@ -502,11 +499,7 @@ def test_nu_moves_no_element(ring) -> None:
 def test_equivalence_check_across_rings_names_both_rings() -> None:
     f3 = FieldSpec(3)
     over_f3 = QReesAlgebra(f3, XY, ((parse_polynomial("x", f3, XY), Fraction(1)),))
-    with pytest.raises(
-        PreconditionError, match=r"^right-hand algebra lives in F_3\[x, y\], not in Q\[x, y\]$"
-    ):
+    with rejected("right-hand algebra lives in F_3[x, y], not in Q[x, y]"):
         equivalence_check(A(("x", 1)), over_f3)
-    with pytest.raises(
-        PreconditionError, match=r"^right-hand algebra lives in Q\[x, y, z\], not in Q\[x, y\]$"
-    ):
+    with rejected("right-hand algebra lives in Q[x, y, z], not in Q[x, y]"):
         equivalence_check(A(("x", 1)), A(("x", 1), variables=XYZ))
