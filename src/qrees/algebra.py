@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -367,11 +368,19 @@ def parse_generator(text: str, field: FieldSpec, variables: tuple[str, ...]) -> 
 
 
 def point_shift(variables: tuple[str, ...], point) -> dict:
-    """The shifts v -> v + c that bring a rational point (coordinates aligned
-    with variables) to the origin, zero coordinates left out."""
+    """The shifts v -> v + c, each c a Fraction, that bring a rational point
+    (coordinates aligned with variables) to the origin, zero coordinates left
+    out.  PreconditionError for a point that is not a sequence, has the
+    wrong length or has a coordinate that is not rational."""
+    if not isinstance(point, Sequence):
+        raise PreconditionError(f"point {point!r} is not a sequence of coordinates")
     if len(point) != len(variables):
         raise PreconditionError("point has the wrong number of coordinates")
-    return {v: c for v, c in zip(variables, point) if c}
+    try:
+        coords = [Fraction(c) for c in point]
+    except (TypeError, ValueError, ArithmeticError):
+        raise PreconditionError(f"point {point!r} has a coordinate that is not rational") from None
+    return {v: c for v, c in zip(variables, coords) if c}
 
 
 def algebra_sample_points(variables: tuple[str, ...]) -> list[tuple]:

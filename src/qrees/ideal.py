@@ -7,26 +7,28 @@ makes ideal equality and the closed-set comparisons deterministic.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 from .errors import PreconditionError
-from .field import Element, FieldSpec
-from .poly import INFINITY, Exponents, Infinity, Polynomial, check_ring, format_polynomial
+from .field import FieldSpec
+from .poly import INFINITY, Exponents, Infinity, Polynomial, _clear, check_ring, format_polynomial
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
     """Block order: compare total degree then graded reverse lex inside each block.
 
-    A single block is plain grevlex.  Two blocks give an elimination order for
+    A single block is plain grevlex, listing the variables in ring order, and
+    its key is built in one step.  Two blocks give an elimination order for
     the variables of the first block.
     """
 
@@ -46,6 +48,8 @@ class MonomialOrder:
         return MonomialOrder(variables, (head, tail))
 
     def key(self, exponents: Exponents):
+        if len(self.blocks) == 1:
+            return (sum(exponents), tuple([-x for x in exponents[::-1]]))
         parts = []
         for block in self.blocks:
             part = [exponents[i] for i in block]
@@ -54,53 +58,17 @@ class MonomialOrder:
         return tuple(parts)
 
 
-def leading_term(p: Polynomial, order: MonomialOrder) -> tuple[Exponents, Element]:
-    if not p.terms:
-        raise ValueError("zero polynomial has no leading term")
-    e = max(p.terms, key=order.key)
-    return e, p.terms[e]
-
-
-def _divides(a: Exponents, b: Exponents) -> bool:
-    return all(map(le, a, b))
-
-
-def _exp_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
-
-
 # -- the integer core ------------------------------------------------------------
 #
 # Groebner computations run on dicts from exponents to ints.  Over Q an element
 # is kept as its primitive integer multiple with a positive leading
 # coefficient; over F_p it is kept monic, with residues in [0, p).  A reducer
 # is an element split as (lead, lead coefficient, tail), the one form in which
-# groebner_basis holds each element.
+# groebner_basis holds each element.  Each groebner_basis or normal_form call
+# reads order keys through its own `functools.cache` of `MonomialOrder.key`.
 
 _Reducer = tuple[Exponents, int, list[tuple[Exponents, int]]]
-
-
-class _Keys(dict):
-    """Order keys by exponent tuple, each computed on first use; one instance
-    serves one groebner_basis or normal_form call."""
-
-    def __init__(self, order: MonomialOrder) -> None:
-        super().__init__()
-        self.order = order
-
-    def __missing__(self, e: Exponents) -> tuple:
-        k = self[e] = self.order.key(e)
-        return k
-
-
-def _clear(p: Polynomial) -> tuple[dict[Exponents, int], int]:
-    """(n*p as ints, n): over Q n is the lcm of the denominators, over F_p
-    n = 1 and the ints are the residues."""
-    char = p.field.characteristic
-    if char:
-        return {e: c % char for e, c in p.terms.items()}, 1
-    n = math.lcm(*[c.denominator for c in p.terms.values()])
-    return {e: c.numerator * (n // c.denominator) for e, c in p.terms.items()}, n
+_Keys = Callable[[Exponents], tuple]
 
 
 def _normalize(terms: dict[Exponents, int], lead: Exponents, p: int) -> dict[Exponents, int]:
@@ -156,9 +124,8 @@ def _reduce(
     """
     remainder: dict[Exponents, int] = {}
     m = 1
-    key = keys.__getitem__
     while work:
-        e = max(work, key=key)
+        e = max(work, key=keys)
         c = work.pop(e)
         for ge, gc, tail in reducers:
             if all(map(le, ge, e)):
@@ -178,12 +145,11 @@ def _reduce(
     return remainder, m
 
 
-def _spoly(f: _Reducer, g: _Reducer, p: int) -> dict[Exponents, int]:
-    """a*x^u*f - b*x^v*g with the leading terms cancelled, where
-    (a, b) = (lc(g), lc(f)) / gcd(lc(f), lc(g)): a = b = 1 over F_p, whose
-    reducers are monic."""
+def _spoly(f: _Reducer, g: _Reducer, lcm: Exponents, p: int) -> dict[Exponents, int]:
+    """a*x^u*f - b*x^v*g with the leading terms cancelled at lcm, the lcm of
+    their leads, where (a, b) = (lc(g), lc(f)) / gcd(lc(f), lc(g)): a = b = 1
+    over F_p, whose reducers are monic."""
     (fe, fc, ftail), (ge, gc, gtail) = f, g
-    lcm = _exp_lcm(fe, ge)
     d = math.gcd(fc, gc)
     a, b = gc // d, fc // d
     u = tuple(map(sub, lcm, fe))
@@ -201,13 +167,14 @@ def normal_form(p: Polynomial, basis: list[Polynomial], order: MonomialOrder) ->
     is exactly the one that division with Fraction coefficients gives.  Over
     F_p the basis is made monic and coefficients are residues in [0, p).
     """
-    keys = _Keys(order)
+    keys = functools.cache(order.key)
     char = p.field.characteristic
     reducers = []
     for g in basis:
-        lead = leading_term(g, order)[0]
-        reducers.append(_reducer(_normalize(_clear(g)[0], lead, char), lead))
-    work, n = _clear(p)
+        h = _clear(g.field, g.terms)[0]
+        lead = max(h, key=keys)
+        reducers.append(_reducer(_normalize(h, lead, char), lead))
+    work, n = _clear(p.field, p.terms)
     remainder, m = _reduce(work, reducers, keys, char)
     if not char:
         n *= m
@@ -250,6 +217,11 @@ def groebner_basis(gens: list[Polynomial], order: MonomialOrder) -> list[Polynom
     - every element whose leading monomial LM(h) divides is retired: it forms
       no new pairs, but its queued pairs stay and it still reduces.
 
+    Degrees settle what they can: lcm(f, h) = LM(f)*LM(h) exactly when its
+    degree is the sum of theirs, LM(h) | LM(f) exactly when lcm(f, h) has the
+    degree of LM(f), and only a lcm of lower degree can properly divide
+    another.  Leads and their degrees are kept in flat lists.
+
     S-pairs are reduced against every element found so far.  Reducing against
     the active (non-retired) ones alone is also correct, but it lets
     coefficients swell: a three-generator ideal over Q in an elimination order
@@ -258,59 +230,68 @@ def groebner_basis(gens: list[Polynomial], order: MonomialOrder) -> list[Polynom
     """
     for g in gens:
         check_ring(g, gens[0].field, order.variables)
-    gens = [g for g in dict.fromkeys(gens) if not g.is_zero()]
+    gens = [g for g in dict.fromkeys(gens) if g.terms]
     if not gens:
         return []
     for g in gens:
-        if g.is_constant():
+        if len(g.terms) == 1 and not any(next(iter(g.terms))):
             return _unit(g)
 
     char = gens[0].field.characteristic
-    keys = _Keys(order)
+    keys = functools.cache(order.key)
     reducers: list[_Reducer] = []
+    leads: list[Exponents] = []
+    degs: list[int] = []
     sugars: list[int] = []
     active: list[int] = []
     live: dict[tuple[int, int], Exponents] = {}
     pairs: list[tuple[tuple, int, int]] = []
 
     def update(h: dict[Exponents, int], he: Exponents, sugar: int) -> None:
-        j = len(reducers)
+        j, hdeg = len(reducers), sum(he)
         reducers.append(_reducer(_normalize(h, he, char), he))
+        leads.append(he)
+        degs.append(hdeg)
         sugars.append(sugar)
-        for pair, lcm in list(live.items()):
-            if (
-                _divides(he, lcm)
-                and _exp_lcm(reducers[pair[0]][0], he) != lcm
-                and _exp_lcm(reducers[pair[1]][0], he) != lcm
-            ):
-                del live[pair]
-        # one candidate per lcm; None marks a class holding a coprime pair
-        chosen: dict[Exponents, int | None] = {}
+        dead = [
+            pair
+            for pair, lcm in live.items()
+            if all(map(le, he, lcm))
+            and tuple(map(max, leads[pair[0]], he)) != lcm
+            and tuple(map(max, leads[pair[1]], he)) != lcm
+        ]
+        for pair in dead:
+            del live[pair]
+        # one candidate per lcm, with its degree; None marks a coprime class
+        chosen: dict[Exponents, tuple[int, int | None]] = {}
+        kept = []
         for i in active:
-            fe = reducers[i][0]
-            lcm = _exp_lcm(fe, he)
+            lcm = tuple(map(max, leads[i], he))
+            deg = sum(lcm)
             # a coprime g and a non-coprime f of one lcm have LM(g) | LM(f), so
             # g joined first (joining later, it would have retired f)
-            chosen.setdefault(lcm, None if lcm == tuple(map(add, fe, he)) else i)
-        for lcm, i in chosen.items():
-            if i is None or any(m != lcm and _divides(m, lcm) for m in chosen):
+            if lcm not in chosen:
+                chosen[lcm] = deg, None if deg == degs[i] + hdeg else i
+            if deg != degs[i]:
+                kept.append(i)
+        for lcm, (deg, i) in chosen.items():
+            if i is None or any(low < deg and all(map(le, m, lcm)) for m, (low, _) in chosen.items()):
                 continue
-            deg = sum(lcm)
-            pair_sugar = max(sugars[i] + deg - sum(reducers[i][0]), sugar + deg - sum(he))
             live[i, j] = lcm
-            heapq.heappush(pairs, ((pair_sugar, keys[lcm], i, j), i, j))
-        active[:] = [i for i in active if not _divides(he, reducers[i][0])]
-        active.append(j)
+            pair_sugar = max(sugars[i] + deg - degs[i], sugar + deg - hdeg)
+            heapq.heappush(pairs, ((pair_sugar, keys(lcm), i, j), i, j))
+        active[:] = kept + [j]
 
     for g in gens:
-        h = _clear(g)[0]
-        update(h, max(h, key=keys.__getitem__), g.total_degree())
+        h = _clear(g.field, g.terms)[0]
+        update(h, max(h, key=keys), g.total_degree())
 
     while pairs:
         key, i, j = heapq.heappop(pairs)
-        if live.pop((i, j), None) is None:
+        lcm = live.pop((i, j), None)
+        if lcm is None:
             continue
-        r = _reduce(_spoly(reducers[i], reducers[j], char), reducers, keys, char)[0]
+        r = _reduce(_spoly(reducers[i], reducers[j], lcm, char), reducers, keys, char)[0]
         if not r:
             continue
         # the remainder's terms come out in descending order
@@ -323,30 +304,29 @@ def groebner_basis(gens: list[Polynomial], order: MonomialOrder) -> list[Polynom
 
 
 def _interreduce(reducers: list[_Reducer], keys: _Keys, like: Polynomial) -> list[Polynomial]:
-    """Reduced basis from a Groebner basis of integer elements: keep a minimal
-    set of leads, tail-reduce each element once against the others, make it
-    monic over the field of `like` and sort by leading term."""
+    """Reduced basis from a Groebner basis of integer elements, sorted by
+    leading term: walk the leads upwards, drop a lead that a kept smaller one
+    divides, and tail-reduce a kept element against the kept smaller ones,
+    already reduced.  A tail term lies below its lead, so no larger lead
+    divides it.  Each kept element is made monic over the field of `like`;
+    with two or more, each lists its terms in descending order."""
     char = like.field.characteristic
-    leads = [r[0] for r in reducers]
-    # active leads are distinct: a joining element retires every lead it divides
-    keep = [
-        k
-        for k, e in enumerate(leads)
-        if not any(_divides(f, e) for m, f in enumerate(leads) if m != k)
-    ]
+    keep: list[_Reducer] = []
+    for r in sorted(reducers, key=lambda r: keys(r[0])):
+        if not any(all(map(le, f[0], r[0])) for f in keep):
+            keep.append(r)
+    reduced: list[_Reducer] = []
     monic = []
-    for k in keep:
-        lead, lc, tail = reducers[k]
+    for lead, lc, tail in keep:
         terms = {lead: lc, **dict(tail)}
-        others = [reducers[m] for m in keep if m != k]
-        if others:
-            terms = _reduce(terms, others, keys, char)[0]
+        if len(keep) > 1:
+            terms = _reduce(terms, reduced, keys, char)[0]
+            reduced.append(_reducer(_normalize(terms, lead, char), lead))
         if not char:  # over F_p the elements are monic already
             lc = terms[lead]  # the tail reduction may have scaled it
             terms = {e: Fraction(c, lc) for e, c in terms.items()}
-        monic.append((keys[lead], Polynomial(like.field, like.variables, terms)))
-    monic.sort(key=lambda t: t[0])
-    return [g for _, g in monic]
+        monic.append(Polynomial(like.field, like.variables, terms))
+    return monic
 
 
 _run_bases: ContextVar[dict | None] = ContextVar("qrees_run_bases", default=None)
@@ -538,10 +518,7 @@ class ClosedSet:
             if comp.is_zero_ideal():
                 return False
             for pick in itertools.product(*(c.generators for c in theirs)):
-                prod = pick[0]
-                for q in pick[1:]:
-                    prod = prod * q
-                if not comp.radical_contains(prod):
+                if not comp.radical_contains(functools.reduce(mul, pick)):
                     return False
         return True
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 
 from .errors import PreconditionError, ProblemParseError
 from .field import Element, FieldSpec
@@ -372,17 +373,30 @@ class Polynomial:
 def _times(f: FieldSpec, a: dict[Exponents, Element],
            b: dict[Exponents, Element]) -> dict[Exponents, Element]:
     """The terms of a product, each exponent where its first (a, b) pair
-    puts it; sums that vanish stay, for the caller to drop."""
-    terms: dict[Exponents, Element] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            prod = f.mul(c1, c2)
-            if e in terms:
-                terms[e] = f.add(terms[e], prod)
-            else:
-                terms[e] = prod
-    return terms
+    puts it; sums that vanish stay, for the caller to drop.  The pairs
+    multiply integers: the residues over F_p, reduced once per term, and
+    over Q the numerators left by `_clear`, divided once per term."""
+    p = f.characteristic
+    (ia, da), (ib, db) = ((a, 1), (b, 1)) if p else (_clear(f, a), _clear(f, b))
+    sums: dict[Exponents, int] = {}
+    for e1, c1 in ia.items():
+        for e2, c2 in ib.items():
+            e = tuple(map(add, e1, e2))
+            sums[e] = sums[e] + c1 * c2 if e in sums else c1 * c2
+    if p:
+        return {e: c % p for e, c in sums.items()}
+    n = da * db
+    return {e: Fraction(c, n) for e, c in sums.items()}
+
+
+def _clear(f: FieldSpec, terms: dict[Exponents, Element]) -> tuple[dict[Exponents, int], int]:
+    """(n*terms as ints, n): over Q n is the lcm of the denominators, over
+    F_p n = 1 and the ints are the residues."""
+    p = f.characteristic
+    if p:
+        return {e: c % p for e, c in terms.items()}, 1
+    n = math.lcm(*[c.denominator for c in terms.values()])
+    return {e: c.numerator * (n // c.denominator) for e, c in terms.items()}, n
 
 
 def _power(one, base, n: int, times):

@@ -548,7 +548,7 @@ def fc_at_point(
     divisor through the point counts as pre-existing."""
     if algebra.is_zero():
         raise PreconditionError("the zero algebra has no finite invariant")
-    offset = {} if point is None else point_shift(variables, tuple(Fraction(c) for c in point))
+    offset = {} if point is None else point_shift(variables, point)
     # divisors off the point are dropped; the rest, unknown names included,
     # go to root_chart for checking, and so does the ring before the shift
     kept = tuple(d for d in divisors if d.var not in offset)

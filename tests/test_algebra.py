@@ -169,6 +169,19 @@ def test_ord_at_point_rejects_wrong_length(gens) -> None:
             alg.ord_at_point(point)
 
 
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        (("a", 0), "point ('a', 0) has a coordinate that is not rational"),
+        (0, "point 0 is not a sequence of coordinates"),
+    ],
+    ids=["not-rational", "not-a-sequence"],
+)
+def test_ord_at_point_rejects_malformed_point(point, message: str) -> None:
+    with rejected(message):
+        A(("x^2 + y^3", 2)).ord_at_point(point)
+
+
 def order_ge_oracle(alg: QReesAlgebra, omega: Fraction, pt: tuple) -> bool:
     o = alg.ord_at_point(pt)
     return isinstance(o, Infinity) or o >= omega

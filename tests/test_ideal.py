@@ -18,7 +18,6 @@ from qrees.ideal import (
     _unit,
     coordinate_ideal,
     groebner_basis,
-    leading_term,
     normal_form,
     shared_bases,
 )
@@ -180,6 +179,14 @@ def test_closed_set_with_fat_components() -> None:
 # integer core, kept as an independent oracle.
 
 
+def leading_term(p: Polynomial, order: MonomialOrder):
+    """(exponents, coefficient) of p's largest term under order."""
+    if not p.terms:
+        raise ValueError("zero polynomial has no leading term")
+    e = max(p.terms, key=order.key)
+    return e, p.terms[e]
+
+
 def _sub_scaled(terms, coeff, shift, g: Polynomial, p: int) -> None:
     """terms -= coeff * x^shift * g in place over F_p (Q when p == 0);
     cancelled terms are removed."""
@@ -320,19 +327,39 @@ def _random_generators(rng: random.Random):
     return gens, order
 
 
-def test_groebner_matches_buchberger_oracle() -> None:
+def _oracle_cases() -> list:
     rng = random.Random(20101008)
+    return [_random_generators(rng) for _ in range(200)]
+
+
+def test_groebner_matches_buchberger_oracle() -> None:
+    """Equal bases, and in the order of terms, which equality cannot see:
+    every element lists its lead first, and in a basis of two or more
+    elements each lists its terms in descending order."""
     seen = set()
-    for _ in range(200):
-        gens, order = _random_generators(rng)
+    for gens, order in _oracle_cases():
         ours = groebner_basis(list(gens), order)
         assert ours == buchberger_oracle(list(gens), order), (gens, order)
+        for g in ours:
+            exps = list(g.terms)
+            assert exps[0] == leading_term(g, order)[0], (gens, order, g)
+            if len(ours) > 1:
+                assert exps == sorted(exps, key=order.key, reverse=True), (gens, order, g)
         field = gens[0].field.characteristic
         seen.add((field, len(order.blocks), len(ours) > 1))
     # every field and both orders gave bases of more than one element
     assert {(p, b) for p, b, many in seen if many} == {
         (p, b) for p in (0, 2, 3, 5) for b in (1, 2)
     }
+
+
+def test_groebner_pair_work_is_pinned(monkeypatch) -> None:
+    """The oracle's cases form exactly 619 S-pairs.  An update that prunes
+    fewer pairs gives the same bases, so only this count can see it."""
+    spolys = record_calls(monkeypatch, importlib.import_module("qrees.ideal"), "_spoly")
+    for gens, order in _oracle_cases():
+        groebner_basis(list(gens), order)
+    assert len(spolys) == 619
 
 
 # -- the integer core ----------------------------------------------------------------

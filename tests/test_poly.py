@@ -101,6 +101,42 @@ def test_arithmetic_matches_evaluation() -> None:
         assert (f**3).evaluate(pt) == f.evaluate(pt) ** 3
 
 
+def product_oracle(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The per-pair field.mul/field.add loop that `Polynomial.__mul__` ran
+    before it multiplied integers: each exponent where its first pair puts
+    it."""
+    field = f.field
+    terms = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            prod = field.mul(c1, c2)
+            terms[e] = field.add(terms[e], prod) if e in terms else prod
+    return Polynomial(field, f.variables, terms)
+
+
+@pytest.mark.parametrize(
+    "field, f, g",
+    [
+        (QQ, "x/2 - 2*y/3 + 5", "3*x/4 + y + 7/6"),
+        (QQ, "x/2 + y/3", "x/2 - y/3"),
+        (QQ, "x^2/6 - x*y/10 + 1/15", "5*x - y/4 + 3/7"),
+        (QQ, "x - 1", "x^3 + x^2 + x + 1"),
+        (QQ, "2*x*y", "3*y"),
+        (FieldSpec(3), "x + 2*y + 1", "2*x + y + 2"),
+        (FieldSpec(3), "x + y", "x - y"),
+        (FieldSpec(3), "x^2 + x*y + y^2", "x - y"),
+    ],
+)
+def test_product_matches_per_pair_oracle(field: FieldSpec, f: str, g: str) -> None:
+    """Same terms, same order and same coefficient types, also where mixed
+    denominators meet and where terms cancel."""
+    a, b = P(f, XY, field), P(g, XY, field)
+    got, want = list((a * b).terms.items()), list(product_oracle(a, b).terms.items())
+    assert got == want
+    assert [type(c) for _, c in got] == [type(c) for _, c in want]
+
+
 def test_zero_polynomial_conventions() -> None:
     z = Polynomial.zero(QQ, XY)
     assert z.is_zero()

@@ -333,6 +333,11 @@ def test_fc_at_point_rejects_point_of_wrong_length(point) -> None:
         fc_at_point(QQ, XY, A(("x^2 + y^3", 2)), point=point)
 
 
+def test_fc_at_point_rejects_point_that_is_not_rational() -> None:
+    with rejected("point ('a', 0) has a coordinate that is not rational"):
+        fc_at_point(QQ, XY, A(("x^2 + y^3", 2)), point=("a", 0))
+
+
 @pytest.mark.parametrize("query", [fc_at_point, max_locus_fc])
 def test_queries_reject_zero_algebra_up_front(query) -> None:
     with rejected("the zero algebra has no finite invariant"):
