@@ -107,13 +107,12 @@ class QReesAlgebra:
         # when that factor reaches a are exactly the minimal ones.
         gens = sorted(self.generators, key=lambda g: g[1], reverse=True)
         products: list[Polynomial] = []
-        one = Polynomial.constant(self.field, self.variables, self.field.one())
-        stack = [(0, one, Fraction(0))]
+        stack = [(0, None, Fraction(0))]
         while stack:
             start, poly, total = stack.pop()
             for i in range(start, len(gens)):
                 f, w = gens[i]
-                product, weight = poly * f, total + w
+                product, weight = f if poly is None else poly * f, total + w
                 if weight >= a:
                     products.append(product)
                 else:

@@ -23,7 +23,7 @@ from .errors import ProblemParseError, QreesError
 from .invariant import InvariantValue
 from .poly import format_polynomial, parse_polynomial, parse_rational
 from .problem import Problem, parse_problem
-from .resolve import resolve, root_chart
+from .resolve import DEFAULT_MAX_STEPS, resolve, root_chart
 from .saturation import (
     DEFAULT_CAP,
     DEFAULT_N_MAX,
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", default=str(DEFAULT_CAP), help="level cap (default %(default)s)")
 
     p = add("resolve", "run the resolution driver and print the trace", cmd_resolve)
-    p.add_argument("--max-steps", type=int, default=50, help="step budget (default 50)")
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS, help="step budget (default %(default)s)")
     p.add_argument("--dot", action="store_true", help="emit the chart tree as DOT")
 
     return parser

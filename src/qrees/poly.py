@@ -15,21 +15,16 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import total_ordering
 from operator import add
 
 from .errors import PreconditionError, ProblemParseError
 from .field import Element, FieldSpec
 
 
+@total_ordering
 class Infinity:
     """Sentinel that compares greater than every number (and equal to itself)."""
-
-    _instance: Infinity | None = None
-
-    def __new__(cls) -> Infinity:
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Infinity)
@@ -39,15 +34,6 @@ class Infinity:
 
     def __lt__(self, other: object) -> bool:
         return False
-
-    def __le__(self, other: object) -> bool:
-        return isinstance(other, Infinity)
-
-    def __gt__(self, other: object) -> bool:
-        return not isinstance(other, Infinity)
-
-    def __ge__(self, other: object) -> bool:
-        return True
 
     def __repr__(self) -> str:
         return "INFINITY"

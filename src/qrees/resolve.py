@@ -50,6 +50,9 @@ from .invariant import (
 from .poly import Polynomial, check_ring, format_polynomial
 from .saturation import diff_saturate
 
+# the default step budget of `resolve` and of the CLI's --max-steps
+DEFAULT_MAX_STEPS = 50
+
 
 @dataclass(frozen=True)
 class LevelState:
@@ -179,7 +182,7 @@ def analyze_chart(
             del levels[k + 1 :]
 
         old = [d for d in divisors if d.created <= world.run_start]
-        winners, stratum = _divisor_phase(field, ring, stratum, old)
+        winners, stratum = _divisor_phase(stratum, old)
         out_levels.append((omega, len(winners)))
 
         if omega == 0:
@@ -296,15 +299,13 @@ def _push_down(stratum: Ideal, var: str) -> Ideal:
 
 
 def _divisor_phase(
-    field: FieldSpec,
-    variables: tuple[str, ...],
-    stratum: Ideal,
-    old: list[DivisorRecord],
+    stratum: Ideal, old: list[DivisorRecord]
 ) -> tuple[tuple[DivisorRecord, ...], Ideal]:
     """Find the largest set of old divisors still meeting the stratum, and
     refine the stratum by their intersection.  Two such sets of one size
     always meet it on different loci: S1 != S2 on one locus L would put L
     inside V(stratum + S1 | S2), a larger set already found infeasible."""
+    field, variables = stratum.field, stratum.variables
     for size in range(len(old), 0, -1):
         feasible = []
         for subset in combinations(old, size):
@@ -397,7 +398,7 @@ def _apply_shift(
     for j in range(k + 1):
         levels[j] = replace(levels[j], algebra=levels[j].algebra.shift({var: shift}))
     field, ring = stratum.field, stratum.variables
-    image = Polynomial.variable(field, ring, var).shift({var: shift})
+    image = Polynomial.variable(field, ring, var) + shift
     changes.append((var, format_polynomial(image)))
     return Ideal(field, ring, [g.shift({var: shift}) for g in stratum.generators])
 
@@ -439,7 +440,7 @@ def resolve(
     variables: tuple[str, ...],
     algebra: QReesAlgebra,
     divisors: tuple[DivisorRecord, ...] = (),
-    max_steps: int = 50,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> dict:
     """Blow up worst loci until no singular points remain; returns the trace.
 

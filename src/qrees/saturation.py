@@ -145,7 +145,7 @@ def equivalence_check(
     if left.is_zero() != right.is_zero():
         return EquivalenceVerdict("Inequivalent", None, "exactly one side is the zero algebra")
 
-    n = left.odot(right).denominator()
+    n = math.lcm(left.denominator(), right.denominator())
     lg = left.scale(Fraction(1, n))
     rg = right.scale(Fraction(1, n))
 

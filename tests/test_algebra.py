@@ -21,7 +21,7 @@ from qrees.ideal import Ideal
 from qrees.poly import Infinity, Polynomial, format_polynomial, parse_polynomial
 from qrees.problem import parse_problem
 
-from kit import A, P, XY, XYZ, rejected
+from kit import A, P, XY, XYZ, record_calls, rejected
 
 
 def test_weights_become_fractions_and_zero_generators_drop() -> None:
@@ -82,9 +82,17 @@ def test_level_ideal_emits_exactly_the_minimal_products() -> None:
             assert got == minimal_products(alg, a), (format_algebra(alg), a)
 
 
-def test_level_ideal_of_a_deep_level_is_one_power() -> None:
+def test_level_ideal_of_a_deep_level_is_one_power(monkeypatch) -> None:
     alg = A(("x", 1), variables=("x",))
+    mixed = A(("x^2 + y", 1), ("y^3", Fraction(3, 2)), ("x*y", Fraction(1, 2)))
+    products = record_calls(monkeypatch, Polynomial, "__mul__")
     assert alg.level_ideal(3000).generators == (P("x^3000", ("x",)),)
+    # each product starts from its first factor: none is taken by 1
+    assert len(products) == 2999
+    products.clear()
+    mixed.level_ideal(2)
+    assert len(products) == 9
+    assert not any(left.is_constant() for left, _ in products)
 
 
 def test_level_ideal_at_zero_is_unit() -> None:
