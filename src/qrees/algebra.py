@@ -4,6 +4,7 @@ filtration used everywhere else in the package."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections.abc import Sequence
@@ -102,18 +103,26 @@ class QReesAlgebra:
             raise PreconditionError(f"level must be nonnegative, got {a}")
         if a == 0:
             return Ideal.unit(self.field, self.variables)
-        # Heaviest first (a stable sort), each multiset read with nondecreasing
-        # indices: its last factor is its lightest, so the products emitted
-        # when that factor reaches a are exactly the minimal ones.
-        gens = sorted(self.generators, key=lambda g: g[1], reverse=True)
+        # Weights and level are compared as integers over d, the lcm of their
+        # denominators.  Heaviest first (a stable sort), each multiset read
+        # with nondecreasing indices: its last factor is its lightest, so the
+        # products emitted when that factor reaches a are exactly the minimal
+        # ones.
+        d = math.lcm(a.denominator, self.denominator())
+        level = a.numerator * (d // a.denominator)
+        gens = sorted(
+            ((f, w.numerator * (d // w.denominator)) for f, w in self.generators),
+            key=lambda g: g[1],
+            reverse=True,
+        )
         products: list[Polynomial] = []
-        stack = [(0, None, Fraction(0))]
+        stack = [(0, None, 0)]
         while stack:
             start, poly, total = stack.pop()
             for i in range(start, len(gens)):
                 f, w = gens[i]
                 product, weight = f if poly is None else poly * f, total + w
-                if weight >= a:
+                if weight >= level:
                     products.append(product)
                 else:
                     stack.append((i, product, weight))
@@ -171,7 +180,7 @@ class QReesAlgebra:
         return [
             d
             for f, a in self.generators
-            for row in _hasse_rows(f, math.ceil(a * omega))[math.ceil(a * low) :]
+            for row in _hasse_rows(f, _ceil_times(a, omega))[_ceil_times(a, low) :]
             for d in row
         ]
 
@@ -184,15 +193,22 @@ class QReesAlgebra:
         the order of the generators, then |alpha|, then alpha descending
         (_hasse_rows).  A derivative equal to one already kept at the same
         weight is dropped.
+
+        Kept derivatives are filed by weight, one lookup per |alpha|, under
+        the integer pair (p - m*q, q) of a - m for a = p/q and m = |alpha|:
+        the pair is in lowest terms, as gcd(p - m*q, q) = gcd(p, q) = 1, so
+        equal weights give equal keys, and each distinct weight becomes a
+        Fraction once.
         """
         gens: list[Generator] = []
-        # kept derivatives by weight: one weight lookup per |alpha|, not one
-        # Fraction hash per derivative
-        seen: dict[Fraction, set[Polynomial]] = {}
+        seen: dict[tuple[int, int], tuple[Fraction, set[Polynomial]]] = {}
         for f, a in self.generators:
-            for m, row in enumerate(_hasse_rows(f, math.ceil(a))):
-                w = a - m
-                kept = seen.setdefault(w, set())
+            p, q = a.numerator, a.denominator
+            for m, row in enumerate(_hasse_rows(f, _ceil_times(a, 1))):
+                key = (p - m * q, q)
+                if key not in seen:
+                    seen[key] = Fraction(*key), set()
+                w, kept = seen[key]
                 for d in row:
                     if d not in kept:
                         kept.add(d)
@@ -223,6 +239,11 @@ class QReesAlgebra:
         characteristic: the ideal is the unit ideal and omega is not met.  A
         constant generator gives B = 0, so nothing is tested.
 
+        Candidates are kept as integer numerators k of k/L, L the lcm of the
+        weight numerators: with a_i = p_i/q_i, m/a_i = m * q_i * (L/p_i) / L.
+        They are deduplicated, sorted and cut at B and at ord_at_origin() as
+        ints, and only a candidate the scan reaches becomes a Fraction.
+
         The candidate ideals are nested: order_ge_ideal(omega) takes the
         first ceil(a_i*omega) Hasse rows of each f_i, a prefix that grows with
         omega.  So "is unit" is monotone in omega, and the answer is the last
@@ -243,14 +264,11 @@ class QReesAlgebra:
         """
         if self.is_zero():
             raise PreconditionError("max order of the zero algebra is infinite")
-        bound = min(Fraction(f.total_degree()) / a for f, a in self.generators)
-        candidates = sorted(
-            {
-                Fraction(m) / a
-                for _, a in self.generators
-                for m in range(1, math.floor(a * bound) + 1)
-            }
-        )
+        # m/a_i = k/L for k = m * step_i, and B = top/L
+        lcm = math.lcm(*(a.numerator for a in self.weights()))
+        steps = [(f, a.denominator * (lcm // a.numerator)) for f, a in self.generators]
+        top = min(f.total_degree() * step for f, step in steps)
+        candidates = sorted({k for _, step in steps for k in range(step, top + 1, step)})
 
         def stratum_at(omega: Fraction) -> Ideal:
             gens = self._hasse_gens(0, omega) + list(inside.generators)
@@ -258,14 +276,17 @@ class QReesAlgebra:
 
         omega, stratum = Fraction(0), inside
         if inside._excludes_order(0):
-            top = self.ord_at_origin()
-            certified = [c for c in candidates if c <= top]
+            origin = self.ord_at_origin()
+            certified = bisect.bisect_right(
+                candidates, origin.numerator * lcm // origin.denominator
+            )
             if certified:
-                omega = certified[-1]
+                omega = Fraction(candidates[certified - 1], lcm)
                 stratum = stratum_at(omega)
-                candidates = candidates[len(certified) :]
+                candidates = candidates[certified:]
         basis = list(stratum.generators)
-        for c in candidates:
+        for k in candidates:
+            c = Fraction(k, lcm)
             ideal = stratum_at(c)
             basis = ideal._basis_from(basis + self._hasse_gens(omega, c))
             if basis[0].is_constant():
@@ -296,6 +317,12 @@ class QReesAlgebra:
             return "QReesAlgebra(0)"
         inner = ", ".join(f"({format_polynomial(f)} : {a})" for f, a in self.generators)
         return f"QReesAlgebra({inner})"
+
+
+def _ceil_times(a: Fraction | int, b: Fraction | int) -> int:
+    """ceil(a * b) for Fractions or ints a and b, on their numerators and
+    denominators: every ceiling on a weight goes through here."""
+    return -(-a.numerator * b.numerator // (a.denominator * b.denominator))
 
 
 def _hasse_rows(f: Polynomial, n: int) -> list[list[Polynomial]]:

@@ -5,11 +5,10 @@ and the search for a triangular maximal-contact variable."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import QReesAlgebra
+from .algebra import QReesAlgebra, _ceil_times
 from .errors import ChartSplitRequired, PreconditionError, UnsupportedCharacteristic
 from .field import FieldSpec
 from .poly import Infinity, Polynomial, variable_index
@@ -101,7 +100,7 @@ def transform_algebra(
     moved = [i for i, v in enumerate(ring) if v in center_vars and v != chart_var]
     gens = []
     for f, a in alg.generators:
-        k = math.ceil(a)
+        k = _ceil_times(a, 1)
         terms = {
             e[:t] + (e[t] + sum(e[i] for i in moved) - k,) + e[t + 1 :]: c
             for e, c in f.terms.items()
@@ -155,7 +154,7 @@ def non_monomial_part(
     ells = [alg.order_along((v,)) for v in divisor_vars]
     gens = []
     for f, a in alg.generators:
-        cut = [(i, math.ceil(a * ell)) for i, ell in zip(idx, ells) if ell]
+        cut = [(i, _ceil_times(a, ell)) for i, ell in zip(idx, ells) if ell]
         if cut:
             terms = {}
             for e, c in f.terms.items():

@@ -11,6 +11,7 @@ import pytest
 
 from qrees.algebra import (
     QReesAlgebra,
+    _ceil_times,
     algebra_sample_points,
     format_algebra,
     parse_generator_list,
@@ -278,6 +279,9 @@ CORPUS_ALGEBRAS = [
 ]
 F3 = FieldSpec(3)
 ORACLE_WEIGHTS = tuple(map(Fraction, ("1/2", "2/3", "1", "3/2", "2", "3")))
+# numerators past 3, so that the lcm of the numerators differs from the lcm
+# of the denominators and from every single numerator
+WIDE_WEIGHTS = tuple(map(Fraction, ("5/3", "7/4", "2/5", "9/2", "1", "3/7")))
 
 
 def reference_max_order_within(alg: QReesAlgebra, inside: Ideal) -> tuple[Fraction, Ideal]:
@@ -310,23 +314,38 @@ def random_oracle_polynomial(rng: random.Random, field: FieldSpec, variables) ->
 
 
 def oracle_cases() -> list[tuple[QReesAlgebra, Ideal]]:
-    """The corpus inside its singular loci, then 50 seeded algebras over Q
-    and F_3 with fractional weights, a constant generator in every tenth,
-    and an inside that is zero, the singular locus or a random ideal."""
+    """The corpus inside its singular loci, 50 seeded algebras with
+    ORACLE_WEIGHTS and 30 with WIDE_WEIGHTS, then each seeded algebra of
+    positive order divided by that order, as analyze_chart scales a residual
+    before it searches for maximal contact."""
     cases = []
     for variables, gens in CORPUS_ALGEBRAS:
         alg = A(*gens, variables=variables)
         cases.append((alg, alg.sing_ideal()))
-    rng = random.Random(20101008)
-    for i in range(50):
+    seeded = seeded_oracle_cases(ORACLE_WEIGHTS, 20101008, 50)
+    seeded += seeded_oracle_cases(WIDE_WEIGHTS, 30, 30)
+    for alg, inside in seeded:
+        omega = alg.max_order_within(inside)[0]
+        if omega:
+            cases.append((alg.scale(1 / omega), inside))
+    return cases + seeded
+
+
+def seeded_oracle_cases(weights, seed: int, count: int) -> list[tuple[QReesAlgebra, Ideal]]:
+    """count seeded algebras over Q and F_3 with weights drawn from weights,
+    a constant generator in every tenth, and an inside that is zero, the
+    singular locus or a random ideal."""
+    cases = []
+    rng = random.Random(seed)
+    for i in range(count):
         field = (QQ, F3)[i % 2]
         variables = XYZ[: rng.randint(2, 3)]
         gens = [
-            (random_oracle_polynomial(rng, field, variables), rng.choice(ORACLE_WEIGHTS))
+            (random_oracle_polynomial(rng, field, variables), rng.choice(weights))
             for _ in range(rng.randint(1, 2))
         ]
         if i % 10 == 9:
-            gens.append((Polynomial.constant(field, variables, 2), rng.choice(ORACLE_WEIGHTS)))
+            gens.append((Polynomial.constant(field, variables, 2), rng.choice(weights)))
         alg = QReesAlgebra(field, variables, tuple(gens))
         kind = i % 3
         if kind == 0:
@@ -340,18 +359,40 @@ def oracle_cases() -> list[tuple[QReesAlgebra, Ideal]]:
 
 
 def test_max_order_within_matches_unbounded_scan() -> None:
-    """Skipping candidates above min deg(f_i)/a_i and building each
-    derivative once changes neither omega nor the stratum's generators."""
+    """Skipping candidates above min deg(f_i)/a_i, scanning the rest as
+    integer numerators over the lcm of the weight numerators and building
+    each derivative once changes neither omega nor the stratum's generators."""
+    cases = oracle_cases()
     omegas = set()
-    for alg, inside in oracle_cases():
+    for alg, inside in cases:
         omega, stratum = alg.max_order_within(inside)
         ref_omega, ref_stratum = reference_max_order_within(alg, inside)
         assert omega == ref_omega, format_algebra(alg)
         assert stratum.generators == ref_stratum.generators, format_algebra(alg)
         assert stratum.basis() == ref_stratum.basis(), format_algebra(alg)
         omegas.add(omega)
-    # the cases reach fractional orders and order zero, not one value alone
-    assert 0 in omegas and any(o.denominator > 1 for o in omegas)
+    # the cases reach fractional orders, order one and order zero, not one
+    # value alone, and weights whose numerators pass 9
+    assert 0 in omegas and 1 in omegas and any(o.denominator > 1 for o in omegas)
+    assert any(a.numerator > 9 for alg, _ in cases for a in alg.weights())
+
+
+def test_orders_and_weights_stay_fractions() -> None:
+    """==, hash and str cannot tell Fraction(2) from 2, so the type itself is
+    checked: on integral orders too, and on the order 0 of a unit algebra."""
+    cases = oracle_cases() + [(A(("1", 1)), Ideal.zero(QQ, XY))]
+    orders = []
+    for alg, inside in cases:
+        orders += [alg.max_order_within(inside)[0], alg.max_order_stratum()[0]]
+    assert all(type(o) is Fraction for o in orders)
+    assert 0 in orders and 1 in orders
+
+
+def test_ceil_times_is_the_ceiling_of_the_product() -> None:
+    grid = [Fraction(n, d) for n in range(13) for d in range(1, 13)] + list(range(13))
+    for a in grid:
+        for b in grid:
+            assert _ceil_times(a, b) == math.ceil(Fraction(a) * Fraction(b)), (a, b)
 
 
 @pytest.mark.parametrize(

@@ -176,6 +176,18 @@ def test_diff_saturate_matches_oracle(index: int) -> None:
             assert coefficient_algebra(alg, var) == oracle_coefficient_algebra(alg, var)
 
 
+def test_saturation_weights_stay_fractions() -> None:
+    """==, hash and str cannot tell Fraction(2) from 2, so the type itself is
+    checked, on the integral weights a - |alpha| too."""
+    weights = []
+    for alg in SEEDED:
+        weights += diff_saturate(alg).weights()
+        for var in alg.variables:
+            weights += coefficient_algebra(alg, var).weights()
+    assert all(type(w) is Fraction for w in weights)
+    assert 1 in weights and any(w.denominator > 1 for w in weights)
+
+
 def test_diff_saturate_keeps_equal_derivatives_once_per_weight() -> None:
     """D_x and D_y of x + y are both 1: one copy at weight 1.  A repeated
     generator adds nothing; a scalar multiple is a different polynomial."""
