@@ -396,9 +396,10 @@ def parse_generator(text: str, field: FieldSpec, variables: tuple[str, ...]) -> 
 def point_shift(variables: tuple[str, ...], point) -> dict:
     """The shifts v -> v + c, each c a Fraction, that bring a rational point
     (coordinates aligned with variables) to the origin, zero coordinates left
-    out.  PreconditionError for a point that is not a sequence, has the
-    wrong length or has a coordinate that is not rational."""
-    if not isinstance(point, Sequence):
+    out.  PreconditionError for a point that is not a sequence (text and
+    bytes are not read as one), has the wrong length or has a coordinate that
+    is not rational."""
+    if not isinstance(point, Sequence) or isinstance(point, (str, bytes, bytearray)):
         raise PreconditionError(f"point {point!r} is not a sequence of coordinates")
     if len(point) != len(variables):
         raise PreconditionError("point has the wrong number of coordinates")

@@ -16,7 +16,8 @@ import math
 import re
 from fractions import Fraction
 from functools import total_ordering
-from operator import add
+from itertools import accumulate
+from operator import add, mul
 
 from .errors import PreconditionError, ProblemParseError
 from .field import Element, FieldSpec
@@ -249,32 +250,29 @@ class Polynomial:
         return Polynomial._trusted(self.field, self.variables, terms)
 
     def substitute(self, mapping: dict[str, Polynomial]) -> Polynomial:
-        """Replace variables by polynomials of the same ring."""
-        f = self.field
-        one = Polynomial.constant(f, self.variables, 1)
-        # powers[i][k] is the image of variables[i], raised to k <= its degree;
-        # no product is taken by 1
-        powers: list[list[Polynomial]] = []
-        for v, d in zip(self.variables, self.degrees()):
-            img = mapping.get(v)
-            if img is None:
-                img = Polynomial.variable(f, self.variables, v)
-            else:
-                check_ring(img, f, self.variables)
-            row = [one, img]
-            for _ in range(d - 1):
-                row.append(row[-1] * img)
-            powers.append(row)
+        """Replace the mapped variables by polynomials of the same ring, all at
+        once (PreconditionError for a key outside the ring).  Every other
+        variable keeps its exponent, so it costs no power and no product."""
+        f, ring = self.field, self.variables
+        degrees = self.degrees()
+        # (i, row) per mapped variable in ring order; row[k - 1] is its image^k
+        rows = []
+        for i, img in sorted((variable_index(v, f, ring), img) for v, img in mapping.items()):
+            check_ring(img, f, ring)
+            rows.append((i, list(accumulate([img] * degrees[i], mul))))
+        unit = {(0,) * len(ring): f.one()}  # the image of a term no mapping moves
         out: dict[Exponents, Element] = {}
         for e, c in self.terms.items():
-            term = None
-            for row, k in zip(powers, e):
-                if k:
-                    term = row[k] if term is None else term * row[k]
-            for te, tc in (one if term is None else term).terms.items():
+            term, kept = None, list(e)
+            for i, row in rows:
+                if e[i]:
+                    term = row[e[i] - 1] if term is None else term * row[e[i] - 1]
+                    kept[i] = 0
+            for te, tc in (unit if term is None else term.terms).items():
+                te = tuple(map(add, te, kept))
                 prod = f.mul(c, tc)
                 out[te] = f.add(out[te], prod) if te in out else prod
-        return Polynomial(f, self.variables, out)
+        return Polynomial(f, ring, out)
 
     def evaluate(self, point: dict[str, Element]) -> Element:
         f = self.field

@@ -166,7 +166,7 @@ def analyze_chart(
                         raise ChartSplitRequired(
                             "the deepest point left the divisor's coordinate hyperplane"
                         )
-                    _apply_shift(levels, k, changes, u, root, stratum)
+                    _apply_shift(levels, k, changes, u, root)
                 bottom_vars = [u]
             break
 
@@ -208,8 +208,10 @@ def analyze_chart(
             )
             v = choice.var
             if choice.shift is not None:
-                stratum = _apply_shift(levels, k, changes, v, choice.shift, stratum)
-                contact_input = contact_input.shift({v: choice.shift})
+                moved = {v: choice.shift}
+                _apply_shift(levels, k, changes, v, choice.shift)
+                stratum = Ideal(field, ring, [g.shift(moved) for g in stratum.generators])
+                contact_input = contact_input.shift(moved)
             coeff = coefficient_algebra(contact_input, v)
             if coeff.is_zero():
                 # infinite order below: the stratum itself is the center
@@ -391,16 +393,14 @@ def _apply_shift(
     changes: list[tuple[str, str]],
     var: str,
     shift: Polynomial,
-    stratum: Ideal,
-) -> Ideal:
-    """Triangular change of coordinates: rewrite all data on levels 0..k under
-    var -> var + shift (the new coordinate is var - shift)."""
+) -> None:
+    """Triangular change of coordinates: rewrite the algebras of levels 0..k
+    under var -> var + shift (the new coordinate is var - shift) and record
+    the change.  A caller that keeps level k's stratum shifts it itself."""
     for j in range(k + 1):
         levels[j] = replace(levels[j], algebra=levels[j].algebra.shift({var: shift}))
-    field, ring = stratum.field, stratum.variables
-    image = Polynomial.variable(field, ring, var) + shift
+    image = Polynomial.variable(shift.field, shift.variables, var) + shift
     changes.append((var, format_polynomial(image)))
-    return Ideal(field, ring, [g.shift({var: shift}) for g in stratum.generators])
 
 
 # ---------------------------------------------------------------------------

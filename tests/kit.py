@@ -1,9 +1,10 @@
 """Helpers shared by the test modules: ring variables, polynomial and
 algebra builders, field inverses for the oracles, the check on a rejected
-input, and a call recorder."""
+input, a call recorder and the `gb_calls` fixture built on it."""
 
 from __future__ import annotations
 
+import importlib
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -60,3 +61,10 @@ def record_calls(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, recorded)
     return calls
+
+
+@pytest.fixture
+def gb_calls(monkeypatch) -> list:
+    """The (generators, order) of every groebner_basis call, in order; a test
+    module that imports this name can request it."""
+    return record_calls(monkeypatch, importlib.import_module("qrees.ideal"), "groebner_basis")

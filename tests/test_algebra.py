@@ -183,8 +183,12 @@ def test_ord_at_point_rejects_wrong_length(gens) -> None:
     [
         (("a", 0), "point ('a', 0) has a coordinate that is not rational"),
         (0, "point 0 is not a sequence of coordinates"),
+        # text and bytes are sequences of characters, not of coordinates
+        ("01", "point '01' is not a sequence of coordinates"),
+        (b"01", "point b'01' is not a sequence of coordinates"),
+        (bytearray(b"01"), "point bytearray(b'01') is not a sequence of coordinates"),
     ],
-    ids=["not-rational", "not-a-sequence"],
+    ids=["not-rational", "not-a-sequence", "str", "bytes", "bytearray"],
 )
 def test_ord_at_point_rejects_malformed_point(point, message: str) -> None:
     with rejected(message):

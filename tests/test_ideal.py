@@ -23,7 +23,7 @@ from qrees.ideal import (
 )
 from qrees.poly import INFINITY, Polynomial, parse_polynomial
 
-from kit import P, XY, XYZ, inverse, record_calls, rejected
+from kit import P, XY, XYZ, gb_calls, inverse, record_calls, rejected
 
 
 def I(*texts: str, variables: tuple[str, ...] = XY) -> Ideal:
@@ -567,11 +567,10 @@ def _origin_cases(rng: random.Random, field: FieldSpec):
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec(2), F3], ids=["Q", "F_2", "F_3"])
-def test_unit_and_membership_match_the_basis_and_skip_it_when_orders_decide(field, monkeypatch) -> None:
+def test_unit_and_membership_match_the_basis_and_skip_it_when_orders_decide(field, gb_calls: list) -> None:
     """is_unit and contains give the answer groebner_basis and normal_form
     give; when every generator has higher order at the origin than the probe
     (1, of order 0, for is_unit), they give it without a groebner_basis call."""
-    calls = record_calls(monkeypatch, importlib.import_module("qrees.ideal"), "groebner_basis")
     rng = random.Random(1015 + field.characteristic)
     order = MonomialOrder.grevlex(XYZ)
     seen = set()
@@ -583,23 +582,17 @@ def test_unit_and_membership_match_the_basis_and_skip_it_when_orders_decide(fiel
             expected = normal_form(p, gb, order).is_zero()
             queries.append((p.order(), lambda p=p: Ideal(field, XYZ, gens).contains(p), expected))
         for k, ask, expected in queries:
-            del calls[:]
+            del gb_calls[:]
             assert ask() == expected, (gens, k)
             certified = k < least
             if certified:
-                assert not calls, (gens, k)
+                assert not gb_calls, (gens, k)
             seen.add((certified, expected))
     # the basis answered yes and no, and the orders alone answered no
     assert seen == {(False, True), (False, False), (True, False)}
 
 
 # -- one basis per ideal ----------------------------------------------------------------
-
-
-@pytest.fixture
-def gb_calls(monkeypatch) -> list:
-    """The (generators, order) of every groebner_basis call the ideal layer makes."""
-    return record_calls(monkeypatch, importlib.import_module("qrees.ideal"), "groebner_basis")
 
 
 def test_zero_ideals_of_two_rings_share_one_basis(gb_calls: list) -> None:

@@ -204,13 +204,19 @@ def test_arithmetic_across_rings_names_both_rings(other: Polynomial, ring: str) 
 
 
 def test_substitute_matches_composition() -> None:
-    f = P("x^2 + y")
-    image = {"x": P("x*y"), "y": P("y + 1")}
-    g = f.substitute(image)
-    for a, b in product((-1, 0, 1, 2), repeat=2):
-        pt = {"x": Fraction(a), "y": Fraction(b)}
-        inner = {k: image[k].evaluate(pt) for k in image}
-        assert g.evaluate(pt) == f.evaluate(inner)
+    f = P("x^2*y + y")
+    # both variables mapped, then y left out while x's image holds it
+    for image in ({"x": P("x*y"), "y": P("y + 1")}, {"x": P("x*y + y")}):
+        g = f.substitute(image)
+        for a, b in product((-1, 0, 1, 2), repeat=2):
+            pt = {"x": Fraction(a), "y": Fraction(b)}
+            inner = pt | {k: image[k].evaluate(pt) for k in image}
+            assert g.evaluate(pt) == f.evaluate(inner)
+
+
+def test_substitute_of_variable_outside_the_ring_rejected() -> None:
+    with rejected("w is not a variable of Q[x, y, z]"):
+        P("x", XYZ).substitute({"w": P("x", XYZ)})
 
 
 def test_taylor_shift_oracle() -> None:
@@ -237,6 +243,12 @@ def test_shifts_and_powers_take_no_product_by_one(monkeypatch) -> None:
     products.clear()
     assert mixed.shift({"x": 1, "y": 2}) == P("(x + 1)^2*(y + 2) + (y + 2)^2")
     assert len(products) == 3
+    products.clear()
+    # an unmoved variable keeps its exponent: only (y + 1)^2 is a product
+    assert P("x^2*y*z^3 + x*y^2", XYZ).shift({"y": 1}) == P(
+        "x^2*(y + 1)*z^3 + x*(y + 1)^2", XYZ
+    )
+    assert len(products) == 1
     products.clear()
     assert line ** 2 == P("x^2 + 2*x + 1")
     assert len(products) == 1

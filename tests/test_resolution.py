@@ -38,7 +38,7 @@ from qrees.saturation import (
     nu_bar_estimate,
 )
 
-from kit import A, P, XY, XYZ, inverse, record_calls, rejected
+from kit import A, P, XY, XYZ, gb_calls, inverse, record_calls, rejected
 from test_golden_traces import PROBLEMS, STEP_BUDGET, trace_text
 
 
@@ -338,6 +338,13 @@ def test_fc_at_point_rejects_point_that_is_not_rational() -> None:
         fc_at_point(QQ, XY, A(("x^2 + y^3", 2)), point=("a", 0))
 
 
+@pytest.mark.parametrize("point", ["01", b"01"], ids=["str", "bytes"])
+def test_fc_at_point_rejects_text_and_bytes_points(point) -> None:
+    # read one character at a time, b"01" would be the point (48, 49)
+    with rejected(f"point {point!r} is not a sequence of coordinates"):
+        fc_at_point(QQ, XY, A(("x^2 + (y - 1)^3", 2)), point=point)
+
+
 @pytest.mark.parametrize("query", [fc_at_point, max_locus_fc])
 def test_queries_reject_zero_algebra_up_front(query) -> None:
     with rejected("the zero algebra has no finite invariant"):
@@ -519,12 +526,6 @@ def test_trace_records_substitutions_and_divisors() -> None:
 
 
 # -- one Groebner basis per distinct ideal and run --------------------------------
-
-
-@pytest.fixture
-def gb_calls(monkeypatch) -> list:
-    """The (generators, order) of every groebner_basis call, in order."""
-    return record_calls(monkeypatch, importlib.import_module("qrees.ideal"), "groebner_basis")
 
 
 def basis_inputs(gb_calls: list) -> list:
