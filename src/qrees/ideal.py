@@ -35,6 +35,20 @@ class MonomialOrder:
     variables: tuple[str, ...]
     blocks: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self) -> None:
+        # `key` reads one block as the ring in order, so only the forms that
+        # grevlex and eliminating build are orders: that one block, or
+        # non-empty ascending blocks that split the indices between them
+        n = len(self.variables)
+        if self.blocks != (tuple(range(n)),) and not (
+            all(block and list(block) == sorted(block) for block in self.blocks)
+            and sorted(i for block in self.blocks for i in block) == list(range(n))
+        ):
+            raise PreconditionError(
+                f"blocks {self.blocks} do not split the indices of "
+                f"({', '.join(self.variables)}) into non-empty ascending runs"
+            )
+
     @staticmethod
     def grevlex(variables: tuple[str, ...]) -> MonomialOrder:
         return MonomialOrder(variables, (tuple(range(len(variables))),))
@@ -167,6 +181,8 @@ def normal_form(p: Polynomial, basis: list[Polynomial], order: MonomialOrder) ->
     is exactly the one that division with Fraction coefficients gives.  Over
     F_p the basis is made monic and coefficients are residues in [0, p).
     """
+    for q in (p, *basis):
+        check_ring(q, p.field, order.variables)
     keys = functools.cache(order.key)
     char = p.field.characteristic
     reducers = []

@@ -16,6 +16,8 @@ from functools import total_ordering
 NON_SINGULAR = "NonSingular"
 POINT = "Point"
 ZERO_COEFF = "ZeroCoeff"
+# the rank of each named terminator; a Monomial ranks 2 and a level 3
+_RANK = {NON_SINGULAR: 0, POINT: 1, ZERO_COEFF: 4}
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,13 @@ class MonomialData:
         # shorter tuple that is a prefix of a longer one compare as bigger.
         return (-self.p, self.s, tuple(-i for i in self.indices) + (1,))
 
+    def __str__(self) -> str:
+        created = ", ".join(str(i) for i in self.indices)
+        return f"Monomial(p={self.p}, s={self.s}, created=({created}))"
+
+    def to_json(self) -> dict:
+        return {"monomial": {"p": self.p, "s": str(self.s), "indices": list(self.indices)}}
+
 
 @total_ordering
 @dataclass(frozen=True)
@@ -42,21 +51,14 @@ class InvariantValue:
     terminator: object
 
     def components(self) -> tuple:
-        parts: list[tuple] = []
-        for omega, n in self.levels:
-            parts.append((3, omega, n))
         t = self.terminator
-        if t == NON_SINGULAR:
-            parts.append((0,))
-        elif t == POINT:
-            parts.append((1,))
-        elif t == ZERO_COEFF:
-            parts.append((4,))
-        elif isinstance(t, MonomialData):
-            parts.append((2,) + t.sort_key())
+        if isinstance(t, MonomialData):
+            tail = (2,) + t.sort_key()
+        elif isinstance(t, str) and t in _RANK:
+            tail = (_RANK[t],)
         else:
             raise ValueError(f"unknown terminator {t!r}")
-        return tuple(parts)
+        return tuple((3, omega, n) for omega, n in self.levels) + (tail,)
 
     def is_singular(self) -> bool:
         return self.terminator != NON_SINGULAR
@@ -66,31 +68,13 @@ class InvariantValue:
 
     def __str__(self) -> str:
         body = ", ".join(f"({omega}, {n})" for omega, n in self.levels)
-        t = self.terminator
-        if isinstance(t, MonomialData):
-            idx = ", ".join(str(i) for i in t.indices)
-            tail = f"Monomial(p={t.p}, s={t.s}, created=({idx}))"
-        else:
-            tail = str(t)
-        if body:
-            return f"[{body}] · {tail}"
-        return tail
+        return f"[{body}] · {self.terminator}" if body else str(self.terminator)
 
     def to_json(self) -> dict:
         t = self.terminator
-        if isinstance(t, MonomialData):
-            term: object = {
-                "monomial": {
-                    "p": t.p,
-                    "s": str(t.s),
-                    "indices": list(t.indices),
-                }
-            }
-        else:
-            term = t
         return {
             "levels": [[str(omega), n] for omega, n in self.levels],
-            "terminator": term,
+            "terminator": t.to_json() if isinstance(t, MonomialData) else t,
         }
 
     @classmethod

@@ -78,7 +78,7 @@ class Leaf:
     chart: Chart
     tower: tuple[LevelState, ...]
     value: InvariantValue
-    center_vars: tuple[str, ...] | None  # None exactly when non-singular
+    center_vars: tuple[str, ...]  # empty exactly when non-singular
 
 
 def root_chart(
@@ -135,7 +135,7 @@ def analyze_chart(
         incoming = top.algebra.sing_ideal()
         singular = not incoming.is_unit()
     if not singular:
-        return Leaf(chart, tuple(levels), non_singular_value(), None)
+        return Leaf(chart, tuple(levels), non_singular_value(), ())
 
     out_levels: list[tuple[Fraction, int]] = []
     center_accum: list[str] = []
@@ -492,7 +492,7 @@ def resolve(
                 "parent": leaf.chart.parent,
                 "substitution": [[v, image] for v, image in leaf.chart.substitution],
                 "changes": [[v, image] for v, image in leaf.chart.changes],
-                "center": list(leaf.center_vars or ()),
+                "center": list(leaf.center_vars),
                 "fc": leaf.value.to_json(),
                 "divisors": _divisor_report(leaf),
                 "children": [],
@@ -569,6 +569,6 @@ def max_locus_fc(
         raise PreconditionError("the zero algebra has no finite invariant")
     start, chart, tower = root_chart(field, variables, algebra, divisors)
     leaf = analyze_chart(chart, tower, start)
-    if leaf.center_vars is None:
+    if not leaf.center_vars:
         return leaf.value, ClosedSet([Ideal.unit(field, variables)])
     return leaf.value, ClosedSet([coordinate_ideal(field, variables, leaf.center_vars)])

@@ -460,6 +460,35 @@ def test_groebner_basis_rejects_generators_from_another_ring(gens, ring, message
         groebner_basis(gens, MonomialOrder.grevlex(ring))
 
 
+@pytest.mark.parametrize(
+    "basis, ring, message",
+    [
+        # without the check the first reads this y as x and returns 1
+        ([P("y", ("y", "x"))], XY, "y lives in Q[y, x], not in Q[x, y]"),
+        ([P("y", XYZ)], XY, "y lives in Q[x, y, z], not in Q[x, y]"),
+        ([parse_polynomial("y", F3, XY)], XY, "y lives in F_3[x, y], not in Q[x, y]"),
+        ([P("y")], XYZ, "x + 1 lives in Q[x, y], not in Q[x, y, z]"),
+    ],
+    ids=["reordered-ring", "larger-ring", "another-field", "order-over-another-ring"],
+)
+def test_normal_form_rejects_operands_from_another_ring(basis, ring, message) -> None:
+    with rejected(message):
+        normal_form(P("x + 1"), basis, MonomialOrder.grevlex(ring))
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [((1, 0),), ((0,),), ((0, 1), (1,)), ((0,), ()), ((0, 1, 2),)],
+    ids=["descending", "missing-index", "repeated-index", "empty-block", "index-outside"],
+)
+def test_monomial_order_rejects_blocks_its_key_misreads(blocks) -> None:
+    # the one-block key reads its block as (x, y) in order: each of the
+    # first two would order (x + y, y^2) x-first
+    message = f"blocks {blocks} do not split the indices of (x, y) into non-empty ascending runs"
+    with rejected(message):
+        MonomialOrder(XY, blocks)
+
+
 def test_ideal_rejects_generators_over_another_field() -> None:
     gens = [parse_polynomial(t, F3, XY) for t in ("x", "y")]
     with rejected("x lives in F_3[x, y], not in Q[x, y]"):

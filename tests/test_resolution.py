@@ -77,6 +77,12 @@ def test_invariant_order_terminators() -> None:
     assert deeper > pt
 
 
+@pytest.mark.parametrize("terminator", ["Smooth", None, ["Point"]])
+def test_invariant_rejects_an_unknown_terminator(terminator) -> None:
+    with pytest.raises(ValueError, match="unknown terminator"):
+        InvariantValue((), terminator).components()
+
+
 def test_monomial_data_ordering() -> None:
     a = MonomialData(1, Fraction(1), (1,))
     b = MonomialData(2, Fraction(1), (1, 2))
