@@ -25,51 +25,35 @@ from .poly import INFINITY, Exponents, Infinity, Polynomial, _clear, check_ring,
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Block order: compare total degree then graded reverse lex inside each block.
-
-    A single block is plain grevlex, listing the variables in ring order, and
-    its key is built in one step.  Two blocks give an elimination order for
-    the variables of the first block.
+    """Graded reverse lex, or with `first` the elimination order for those
+    variables: total degree then reverse lex on the variables of `first`, in
+    ring order, then the same on the rest (Cox, Little and O'Shea, Ideals,
+    Varieties, and Algorithms, section 3.1).  An empty `first` is grevlex.
     """
 
     variables: tuple[str, ...]
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        # `key` reads one block as the ring in order, so only the forms that
-        # grevlex and eliminating build are orders: that one block, or
-        # non-empty ascending blocks that split the indices between them
-        n = len(self.variables)
-        if self.blocks != (tuple(range(n)),) and not (
-            all(block and list(block) == sorted(block) for block in self.blocks)
-            and sorted(i for block in self.blocks for i in block) == list(range(n))
-        ):
-            raise PreconditionError(
-                f"blocks {self.blocks} do not split the indices of "
-                f"({', '.join(self.variables)}) into non-empty ascending runs"
-            )
+    first: frozenset[str] = frozenset()
 
     @staticmethod
     def grevlex(variables: tuple[str, ...]) -> MonomialOrder:
-        return MonomialOrder(variables, (tuple(range(len(variables))),))
+        return MonomialOrder(variables)
 
     @staticmethod
     def eliminating(variables: tuple[str, ...], first: tuple[str, ...]) -> MonomialOrder:
-        head = tuple(i for i, v in enumerate(variables) if v in first)
-        tail = tuple(i for i, v in enumerate(variables) if v not in first)
-        if not head or not tail:
-            return MonomialOrder.grevlex(variables)
-        return MonomialOrder(variables, (head, tail))
+        """The elimination order for the names of `first` in the ring;
+        grevlex when that is none or all of them."""
+        names = frozenset(first).intersection(variables)
+        return MonomialOrder(variables, names if len(names) < len(variables) else frozenset())
 
     def key(self, exponents: Exponents):
-        if len(self.blocks) == 1:
+        if not self.first:
             return (sum(exponents), tuple([-x for x in exponents[::-1]]))
-        parts = []
-        for block in self.blocks:
-            part = [exponents[i] for i in block]
-            parts.append(sum(part))
-            parts.append(tuple([-x for x in reversed(part)]))
-        return tuple(parts)
+        head = [x for v, x in zip(self.variables, exponents) if v in self.first]
+        tail = [x for v, x in zip(self.variables, exponents) if v not in self.first]
+        return (
+            sum(head), tuple([-x for x in head[::-1]]),
+            sum(tail), tuple([-x for x in tail[::-1]]),
+        )
 
 
 # -- the integer core ------------------------------------------------------------
@@ -85,19 +69,19 @@ _Reducer = tuple[Exponents, int, list[tuple[Exponents, int]]]
 _Keys = Callable[[Exponents], tuple]
 
 
-def _normalize(terms: dict[Exponents, int], lead: Exponents, p: int) -> dict[Exponents, int]:
-    """The primitive multiple with a positive leading coefficient over Q, the
-    monic multiple over F_p."""
+def _reducer(terms: dict[Exponents, int], lead: Exponents, p: int) -> _Reducer:
+    """`terms` split at `lead` as a reducer, scaled to its primitive multiple
+    with a positive leading coefficient over Q, its monic multiple over F_p."""
     if p:
         inv = pow(terms[lead], -1, p)
-        return terms if inv == 1 else {e: c * inv % p for e, c in terms.items()}
-    d = math.gcd(*terms.values())
-    if terms[lead] < 0:
-        d = -d
-    return terms if d == 1 else {e: c // d for e, c in terms.items()}
-
-
-def _reducer(terms: dict[Exponents, int], lead: Exponents) -> _Reducer:
+        if inv != 1:
+            terms = {e: c * inv % p for e, c in terms.items()}
+    else:
+        d = math.gcd(*terms.values())
+        if terms[lead] < 0:
+            d = -d
+        if d != 1:
+            terms = {e: c // d for e, c in terms.items()}
     return lead, terms[lead], [(e, c) for e, c in terms.items() if e != lead]
 
 
@@ -130,7 +114,7 @@ def _reduce(
     Each step is terms <- a*terms - b*x^s*g, which cancels the largest term
     c*x^e against a reducer g with leading term lc(g)*x^(e - s), where
     a = lc(g)/d and b = c/d with d = gcd(c, lc(g)).  Every F_p reducer is
-    monic (`_normalize`), so there d = 1, a = 1 and b = c: one path serves
+    monic (`_reducer`), so there d = 1, a = 1 and b = c: one path serves
     both fields, and only `_subtract`'s reduction mod p tells them apart.
     Returns the remainder, its terms in descending order, and the product m
     of the multipliers a: the remainder is m times the one division over the
@@ -189,7 +173,7 @@ def normal_form(p: Polynomial, basis: list[Polynomial], order: MonomialOrder) ->
     for g in basis:
         h = _clear(g.field, g.terms)[0]
         lead = max(h, key=keys)
-        reducers.append(_reducer(_normalize(h, lead, char), lead))
+        reducers.append(_reducer(h, lead, char))
     work, n = _clear(p.field, p.terms)
     remainder, m = _reduce(work, reducers, keys, char)
     if not char:
@@ -265,7 +249,7 @@ def groebner_basis(gens: list[Polynomial], order: MonomialOrder) -> list[Polynom
 
     def update(h: dict[Exponents, int], he: Exponents, sugar: int) -> None:
         j, hdeg = len(reducers), sum(he)
-        reducers.append(_reducer(_normalize(h, he, char), he))
+        reducers.append(_reducer(h, he, char))
         leads.append(he)
         degs.append(hdeg)
         sugars.append(sugar)
@@ -337,7 +321,7 @@ def _interreduce(reducers: list[_Reducer], keys: _Keys, like: Polynomial) -> lis
         terms = {lead: lc, **dict(tail)}
         if len(keep) > 1:
             terms = _reduce(terms, reduced, keys, char)[0]
-            reduced.append(_reducer(_normalize(terms, lead, char), lead))
+            reduced.append(_reducer(terms, lead, char))
         if not char:  # over F_p the elements are monic already
             lc = terms[lead]  # the tail reduction may have scaled it
             terms = {e: Fraction(c, lc) for e, c in terms.items()}

@@ -224,7 +224,8 @@ class Polynomial:
         return Polynomial._trusted(self.field, new_vars, terms)
 
     def in_ring(self, variables: tuple[str, ...]) -> Polynomial:
-        """Move to another ring by variable name; dropped names must be unused."""
+        """Move to another ring by variable name; a dropped name that this
+        polynomial involves raises PreconditionError."""
         position = {v: i for i, v in enumerate(variables)}
         terms: dict[Exponents, Element] = {}
         for e, c in self.terms.items():
@@ -234,7 +235,9 @@ class Polynomial:
                     continue
                 v = self.variables[i]
                 if v not in position:
-                    raise ValueError(f"{self} involves {v}, absent from target ring")
+                    raise PreconditionError(
+                        f"{self} involves {v}, outside {ring_name(self.field, variables)}"
+                    )
                 ne[position[v]] = k
             terms[tuple(ne)] = c
         return Polynomial(self.field, variables, terms)

@@ -375,11 +375,11 @@ def _line_point(g: Polynomial, u: str) -> Polynomial:
     """The constant r with V(g) = {u = r}, for g monic in the line's ring.
 
     g = u^n + b*u^(n-1) + ... is a single rational point exactly when
-    g == (u - r)^n with r = -b/n.  In positive characteristic only n == 1 is
-    read, since n may vanish there.  Otherwise raise ChartSplitRequired."""
+    g == (u - r)^n with r = -b/n, read in characteristic zero, where every
+    entry point runs.  Otherwise raise ChartSplitRequired."""
     field, ring = g.field, g.variables
     n = g.degree_in(u)
-    if n >= 1 and (field.characteristic == 0 or n == 1):
+    if n >= 1:
         b = g.coefficient_in_var(u, n - 1).constant_value()
         root = Polynomial.constant(field, ring, -Fraction(b, n))
         if g == (Polynomial.variable(field, ring, u) - root) ** n:
@@ -434,6 +434,16 @@ def blow_leaf(leaf: Leaf, step: int) -> list[tuple[Chart, tuple[LevelState, ...]
 # driver
 
 
+def _require_characteristic_zero(field: FieldSpec) -> None:
+    """The one characteristic check of `resolve`, `fc_at_point` and
+    `max_locus_fc`, made up front: the driver reads maximal contact and
+    rational points as in characteristic zero."""
+    if field.characteristic != 0:
+        raise UnsupportedCharacteristic(
+            "resolution is only implemented in characteristic zero"
+        )
+
+
 @shared_bases()
 def resolve(
     field: FieldSpec,
@@ -453,10 +463,7 @@ def resolve(
     and no longer (`shared_bases`).
     """
     check_bound("max_steps", max_steps, 0)
-    if field.characteristic != 0:
-        raise UnsupportedCharacteristic(
-            "resolution is only implemented in characteristic zero"
-        )
+    _require_characteristic_zero(field)
     if algebra.is_zero():
         raise PreconditionError("cannot resolve the zero algebra")
     start, root, tower = root_chart(field, variables, algebra, divisors)
@@ -547,6 +554,7 @@ def fc_at_point(
 ) -> InvariantValue:
     """The invariant at one rational point, computed as a fresh run: every
     divisor through the point counts as pre-existing."""
+    _require_characteristic_zero(field)
     if algebra.is_zero():
         raise PreconditionError("the zero algebra has no finite invariant")
     offset = {} if point is None else point_shift(variables, point)
@@ -565,6 +573,7 @@ def max_locus_fc(
     divisors: tuple[DivisorRecord, ...] = (),
 ) -> tuple[InvariantValue, ClosedSet]:
     """The maximal invariant over the chart together with its center locus."""
+    _require_characteristic_zero(field)
     if algebra.is_zero():
         raise PreconditionError("the zero algebra has no finite invariant")
     start, chart, tower = root_chart(field, variables, algebra, divisors)

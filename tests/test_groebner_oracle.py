@@ -82,8 +82,9 @@ def _ours(gens: list[Terms], p: int, order: MonomialOrder = ORDER) -> set:
 
 
 def _sympy(gens: list[Terms], p: int, order: MonomialOrder = ORDER) -> set:
-    """sympy's basis in grevlex, or for a two-block order in the product of
-    grevlex on the first block and grevlex on the rest."""
+    """sympy's basis in grevlex, or for an elimination order in the product
+    of grevlex on the eliminated variables and grevlex on the rest, each
+    read in ring order."""
     exprs = []
     for g in gens:
         expr = sum(c * sympy.prod(s**k for s, k in zip(SYMBOLS, e)) for e, c in g.items())
@@ -92,9 +93,13 @@ def _sympy(gens: list[Terms], p: int, order: MonomialOrder = ORDER) -> set:
     if not exprs:
         return set()
     options = {"modulus": p} if p else {}
-    if len(order.blocks) == 2:
-        k = len(order.blocks[0])
-        options["order"] = ProductOrder((grevlex, lambda m: m[:k]), (grevlex, lambda m: m[k:]))
+    if order.first:
+        head = [i for i, v in enumerate(XYZ) if v in order.first]
+        tail = [i for i, v in enumerate(XYZ) if v not in order.first]
+        options["order"] = ProductOrder(
+            (grevlex, lambda m: tuple(m[i] for i in head)),
+            (grevlex, lambda m: tuple(m[i] for i in tail)),
+        )
     else:
         options["order"] = "grevlex"
     basis = sympy.groebner(exprs, *SYMBOLS, **options)
@@ -131,17 +136,22 @@ def test_repeated_generators_cost_nothing(p: int, monkeypatch) -> None:
         assert len(spolys) == work, gens
 
 
+# the variables eliminated, prefixes of the ring and the other subsets
+ELIMINATED = (("x",), ("x", "y"), ("y",), ("z",), ("x", "z"), ("y", "z"))
+
+
 @pytest.mark.parametrize("p", CHARACTERISTICS)
 def test_eliminating_groebner_matches_sympy(p: int) -> None:
-    """The orders Ideal.eliminate builds, eliminating x or x, y.  Exponents
-    stay below 3: sympy takes up to a minute on some of the ideals above."""
+    """The orders Ideal.eliminate builds, eliminating each set in
+    ELIMINATED.  Exponents stay below 3: sympy takes up to a minute on some
+    of the ideals above."""
     rng = random.Random(SEED + p)
     mismatches = []
-    for n in range(24):
+    for n in range(48):
         gens = [_random_terms(rng, top=2) for _ in range(rng.randint(1, 3))]
-        k = 1 + n % 2
-        order = MonomialOrder.eliminating(XYZ, XYZ[:k])
-        assert order.blocks == (tuple(range(k)), tuple(range(k, 3)))
+        first = ELIMINATED[n % len(ELIMINATED)]
+        order = MonomialOrder.eliminating(XYZ, first)
+        assert order.first == frozenset(first)
         if _ours(gens, p, order) != _sympy(gens, p, order):
-            mismatches.append((k, gens))
+            mismatches.append((first, gens))
     assert not mismatches, mismatches[:3]

@@ -250,8 +250,7 @@ def _poly_divmod_univariate(
 def _oracle_point(g: Polynomial, u: str) -> Polynomial | None:
     """The root as a constant polynomial, or None for "not a rational point"."""
     field = g.field
-    if field.characteristic == 0:
-        g = _squarefree_univariate(g, u)
+    g = _squarefree_univariate(g, u)
     if g.degree_in(u) != 1:
         return None
     lead = g.coefficient_in_var(u, 1).constant_value()
@@ -289,17 +288,15 @@ def test_line_point_matches_squarefree_oracle() -> None:
         read += expected is not None
     assert 50 < read < 250  # both verdicts are well exercised
 
-    # positive characteristic reads only degree one
-    for p in (3, 5):
-        field = FieldSpec(p)
-        v = Polynomial.variable(field, ring, "u")
-        for r in range(p):
-            line = v - Polynomial.constant(field, ring, r)
-            assert _read_point(line, "u") == Polynomial.constant(field, ring, r)
-            assert _oracle_point(line, "u") == Polynomial.constant(field, ring, r)
-            for n in (2, p):
-                assert _read_point(line**n, "u") is None
-                assert _oracle_point(line**n, "u") is None
+
+@pytest.mark.parametrize("query", [resolve, fc_at_point, max_locus_fc])
+def test_entry_points_reject_positive_characteristic(query) -> None:
+    # the driver reads lines and maximal contact as in characteristic zero,
+    # so over F_3 even the line x^2 is refused before it is read
+    F3 = FieldSpec(3)
+    line = QReesAlgebra(F3, ("x",), ((parse_polynomial("x^2", F3, ("x",)), Fraction(1)),))
+    with rejected("resolution is only implemented in characteristic zero", UnsupportedCharacteristic):
+        query(F3, ("x",), line)
 
 
 def test_hyperplane_gives_zero_coefficient_terminator() -> None:
