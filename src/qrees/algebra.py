@@ -8,7 +8,6 @@ import bisect
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -30,41 +29,55 @@ Weight = Fraction
 Generator = tuple[Polynomial, Weight]
 
 
-@dataclass(frozen=True)
 class QReesAlgebra:
     """Generators (f_i, a_i) with f_i nonzero and a_i a positive rational.
 
     Zero polynomials are dropped on construction; an algebra with no
-    generators is the zero algebra (order infinity everywhere).
+    generators is the zero algebra (order infinity everywhere).  Immutable
+    by convention; the `__dict__` slot holds the `_saturation` memo only.
     """
 
-    field: FieldSpec
-    variables: tuple[str, ...]
-    generators: tuple[Generator, ...]
+    __slots__ = ("field", "variables", "generators", "__dict__")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, field: FieldSpec, variables: tuple[str, ...], generators: tuple[Generator, ...]
+    ) -> None:
         kept = []
-        for f, a in self.generators:
+        for f, a in generators:
             a = Fraction(a)
             if a <= 0:
                 raise PreconditionError(f"generator weight must be positive, got {a}")
-            check_ring(f, self.field, self.variables)
+            check_ring(f, field, variables)
             if not f.is_zero():
                 kept.append((f, a))
-        object.__setattr__(self, "generators", tuple(kept))
+        self.field = field
+        self.variables = variables
+        self.generators = tuple(kept)
 
     @classmethod
     def _trusted(
         cls, field: FieldSpec, variables: tuple[str, ...], generators: tuple[Generator, ...]
     ) -> QReesAlgebra:
-        """Build without __post_init__'s checks.  The caller guarantees that
+        """Build without __init__'s checks.  The caller guarantees that
         every polynomial is nonzero and lives in `variables`, and that every
         weight is a positive Fraction."""
         alg = object.__new__(cls)
-        object.__setattr__(alg, "field", field)
-        object.__setattr__(alg, "variables", variables)
-        object.__setattr__(alg, "generators", generators)
+        alg.field = field
+        alg.variables = variables
+        alg.generators = generators
         return alg
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not QReesAlgebra:
+            return NotImplemented
+        return (
+            self.field == other.field
+            and self.variables == other.variables
+            and self.generators == other.generators
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.variables, self.generators))
 
     # -- basic structure ---------------------------------------------------
 

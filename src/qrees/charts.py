@@ -5,7 +5,6 @@ and the search for a triangular maximal-contact variable."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import QReesAlgebra, _ceil_times
@@ -15,15 +14,24 @@ from .poly import Infinity, Polynomial, variable_index
 from .saturation import diff_saturate
 
 
-@dataclass(frozen=True)
 class DivisorRecord:
     """An exceptional divisor visible in this chart as a coordinate hyperplane."""
 
-    var: str
-    created: int
+    __slots__ = ("var", "created")
+
+    def __init__(self, var: str, created: int) -> None:
+        self.var = var
+        self.created = created
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DivisorRecord:
+            return NotImplemented
+        return self.var == other.var and self.created == other.created
+
+    def __hash__(self) -> int:
+        return hash((self.var, self.created))
 
 
-@dataclass(frozen=True)
 class Chart:
     """One affine chart of the evolving ambient space.
 
@@ -32,13 +40,25 @@ class Chart:
     newest last.  Both are kept for the trace only.
     """
 
-    id: str
-    field: FieldSpec
-    variables: tuple[str, ...]
-    parent: str | None = None
-    substitution: tuple[tuple[str, str], ...] = ()
-    divisors: tuple[DivisorRecord, ...] = ()
-    changes: tuple[tuple[str, str], ...] = ()
+    __slots__ = ("id", "field", "variables", "parent", "substitution", "divisors", "changes")
+
+    def __init__(
+        self,
+        id: str,
+        field: FieldSpec,
+        variables: tuple[str, ...],
+        parent: str | None = None,
+        substitution: tuple[tuple[str, str], ...] = (),
+        divisors: tuple[DivisorRecord, ...] = (),
+        changes: tuple[tuple[str, str], ...] = (),
+    ) -> None:
+        self.id = id
+        self.field = field
+        self.variables = variables
+        self.parent = parent
+        self.substitution = substitution
+        self.divisors = divisors
+        self.changes = changes
 
 
 def validate_center(chart_vars: tuple[str, ...], center_vars: tuple[str, ...], chart_var: str) -> None:
@@ -195,10 +215,12 @@ def elimination_algebra(alg: QReesAlgebra, var: str) -> QReesAlgebra:
     return QReesAlgebra(alg.field, sub, tuple(gens))
 
 
-@dataclass(frozen=True)
 class ContactChoice:
-    var: str
-    shift: Polynomial | None  # substitute var -> var + shift to straighten
+    __slots__ = ("var", "shift")
+
+    def __init__(self, var: str, shift: Polynomial | None) -> None:
+        self.var = var
+        self.shift = shift  # substitute var -> var + shift to straighten
 
 
 def find_maximal_contact(

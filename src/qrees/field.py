@@ -7,7 +7,6 @@ elements unboxed keeps polynomial arithmetic cheap and hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -28,17 +27,25 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """A coefficient field, either Q (characteristic 0) or F_p."""
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
 
-    def __post_init__(self) -> None:
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
+    def __init__(self, characteristic: int = 0) -> None:
+        if characteristic != 0 and not _is_prime(characteristic):
             raise PreconditionError(
-                f"characteristic must be 0 or a prime, got {self.characteristic}"
+                f"characteristic must be 0 or a prime, got {characteristic}"
             )
+        self.characteristic = characteristic
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self) -> int:
+        return hash(self.characteristic)
 
     @property
     def is_rational(self) -> bool:

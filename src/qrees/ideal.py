@@ -14,7 +14,6 @@ import math
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, mul, sub
 
@@ -23,7 +22,6 @@ from .field import FieldSpec
 from .poly import INFINITY, Exponents, Infinity, Polynomial, _clear, check_ring, format_polynomial
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """Graded reverse lex, or with `first` the elimination order for those
     variables: total degree then reverse lex on the variables of `first`, in
@@ -31,8 +29,19 @@ class MonomialOrder:
     Varieties, and Algorithms, section 3.1).  An empty `first` is grevlex.
     """
 
-    variables: tuple[str, ...]
-    first: frozenset[str] = frozenset()
+    __slots__ = ("variables", "first")
+
+    def __init__(self, variables: tuple[str, ...], first: frozenset[str] = frozenset()) -> None:
+        self.variables = variables
+        self.first = first
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not MonomialOrder:
+            return NotImplemented
+        return self.variables == other.variables and self.first == other.first
+
+    def __hash__(self) -> int:
+        return hash((self.variables, self.first))
 
     @staticmethod
     def grevlex(variables: tuple[str, ...]) -> MonomialOrder:

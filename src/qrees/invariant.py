@@ -9,7 +9,6 @@ stands for an infinite order at the next level down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
@@ -20,15 +19,25 @@ ZERO_COEFF = "ZeroCoeff"
 _RANK = {NON_SINGULAR: 0, POINT: 1, ZERO_COEFF: 4}
 
 
-@dataclass(frozen=True)
 class MonomialData:
     """Combinatorial tail of the invariant in the monomial case: the chosen
     center uses p divisors with multiplicity total s; indices are the creation
     steps of those divisors (may be empty for a fallback center)."""
 
-    p: int
-    s: Fraction
-    indices: tuple[int, ...]
+    __slots__ = ("p", "s", "indices")
+
+    def __init__(self, p: int, s: Fraction, indices: tuple[int, ...]) -> None:
+        self.p = p
+        self.s = s
+        self.indices = indices
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not MonomialData:
+            return NotImplemented
+        return self.p == other.p and self.s == other.s and self.indices == other.indices
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.s, self.indices))
 
     def sort_key(self):
         # fewer divisors is bigger; then larger multiplicity; then
@@ -45,10 +54,20 @@ class MonomialData:
 
 
 @total_ordering
-@dataclass(frozen=True)
 class InvariantValue:
-    levels: tuple[tuple[Fraction, int], ...]
-    terminator: object
+    __slots__ = ("levels", "terminator")
+
+    def __init__(self, levels: tuple[tuple[Fraction, int], ...], terminator: object) -> None:
+        self.levels = levels
+        self.terminator = terminator
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not InvariantValue:
+            return NotImplemented
+        return self.levels == other.levels and self.terminator == other.terminator
+
+    def __hash__(self) -> int:
+        return hash((self.levels, self.terminator))
 
     def components(self) -> tuple:
         t = self.terminator

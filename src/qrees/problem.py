@@ -17,8 +17,6 @@ line go to a default algebra named J.  Divisors attach to the chart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import Generator, QReesAlgebra, parse_generator
 from .charts import DivisorRecord
 from .errors import PreconditionError, ProblemParseError
@@ -26,12 +24,20 @@ from .field import FieldSpec
 from .poly import VARIABLE_NAME
 
 
-@dataclass
 class Problem:
-    field: FieldSpec
-    variables: tuple[str, ...]
-    algebras: dict[str, QReesAlgebra]
-    divisors: tuple[DivisorRecord, ...]
+    __slots__ = ("field", "variables", "algebras", "divisors")
+
+    def __init__(
+        self,
+        field: FieldSpec,
+        variables: tuple[str, ...],
+        algebras: dict[str, QReesAlgebra],
+        divisors: tuple[DivisorRecord, ...],
+    ) -> None:
+        self.field = field
+        self.variables = variables
+        self.algebras = algebras
+        self.divisors = divisors
 
     def algebra(self, name: str | None = None) -> QReesAlgebra:
         if not self.algebras:

@@ -16,7 +16,6 @@ above it moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -54,7 +53,6 @@ from .saturation import diff_saturate
 DEFAULT_MAX_STEPS = 50
 
 
-@dataclass(frozen=True)
 class LevelState:
     """One floor of a chart's tower; its world coordinates are its algebra's
     ring.  The divisors it sees are derived, not stored (`_divisors_below`).
@@ -65,20 +63,41 @@ class LevelState:
     divisors it sees, and `blow_leaf` dropping it.  So a contact shift,
     which rewrites only the levels above, leaves it alone."""
 
-    algebra: QReesAlgebra
-    run_value: Fraction | None = None  # order that opened the current run, if any
-    run_start: int = 0
-    contact_var: str | None = None  # the variable this level is the zero set of
+    __slots__ = ("algebra", "run_value", "run_start", "contact_var")
+
+    def __init__(
+        self,
+        algebra: QReesAlgebra,
+        run_value: Fraction | None = None,
+        run_start: int = 0,
+        contact_var: str | None = None,
+    ) -> None:
+        self.algebra = algebra
+        self.run_value = run_value  # order that opened the current run, if any
+        self.run_start = run_start
+        self.contact_var = contact_var  # the variable this level is the zero set of
+
+    def with_algebra(self, algebra: QReesAlgebra) -> LevelState:
+        """This level with its algebra moved by a shift or a blowup."""
+        return LevelState(algebra, self.run_value, self.run_start, self.contact_var)
 
 
-@dataclass(frozen=True)
 class Leaf:
     """A fully analyzed chart: its invariant, chosen center, and updated tower."""
 
-    chart: Chart
-    tower: tuple[LevelState, ...]
-    value: InvariantValue
-    center_vars: tuple[str, ...]  # empty exactly when non-singular
+    __slots__ = ("chart", "tower", "value", "center_vars")
+
+    def __init__(
+        self,
+        chart: Chart,
+        tower: tuple[LevelState, ...],
+        value: InvariantValue,
+        center_vars: tuple[str, ...],
+    ) -> None:
+        self.chart = chart
+        self.tower = tower
+        self.value = value
+        self.center_vars = center_vars  # empty exactly when non-singular
 
 
 def root_chart(
@@ -177,7 +196,7 @@ def analyze_chart(
         # run exactly when it was built at an earlier step
         built_earlier = world.run_value is not None
         if world.run_value != omega:
-            world = replace(world, run_value=omega, run_start=step)
+            world = LevelState(world.algebra, omega, step, world.contact_var)
             levels[k] = world
             del levels[k + 1 :]
 
@@ -234,7 +253,10 @@ def analyze_chart(
     # so the center needs neither deduplication nor an emptiness check
     vars_used = center_accum + bottom_vars
     if changes:
-        chart = replace(chart, changes=chart.changes + tuple(changes))
+        chart = Chart(
+            chart.id, chart.field, chart.variables, chart.parent, chart.substitution,
+            chart.divisors, chart.changes + tuple(changes),
+        )
     return Leaf(
         chart,
         tuple(levels),
@@ -398,7 +420,7 @@ def _apply_shift(
     under var -> var + shift (the new coordinate is var - shift) and record
     the change.  A caller that keeps level k's stratum shifts it itself."""
     for j in range(k + 1):
-        levels[j] = replace(levels[j], algebra=levels[j].algebra.shift({var: shift}))
+        levels[j] = levels[j].with_algebra(levels[j].algebra.shift({var: shift}))
     image = Polynomial.variable(shift.field, shift.variables, var) + shift
     changes.append((var, format_polynomial(image)))
 
@@ -424,7 +446,7 @@ def blow_leaf(leaf: Leaf, step: int) -> list[tuple[Chart, tuple[LevelState, ...]
                 # divisor in this chart: it and the levels below it vanish
                 break
             new_levels.append(
-                replace(level, algebra=transform_algebra(level.algebra, center, chart_var))
+                level.with_algebra(transform_algebra(level.algebra, center, chart_var))
             )
         children.append((child, tuple(new_levels)))
     return children
@@ -562,7 +584,7 @@ def fc_at_point(
     # go to root_chart for checking, and so does the ring before the shift
     kept = tuple(d for d in divisors if d.var not in offset)
     start, chart, (top,) = root_chart(field, variables, algebra, kept)
-    tower = (replace(top, algebra=algebra.shift(offset)),)
+    tower = (top.with_algebra(algebra.shift(offset)),)
     return analyze_chart(chart, tower, start, at_point=True).value
 
 

@@ -5,7 +5,6 @@ equivalence check between two algebras on a common integer grading."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import QReesAlgebra, algebra_sample_points
@@ -28,7 +27,7 @@ def diff_saturate(alg: QReesAlgebra) -> QReesAlgebra:
     second call on the same instance returns the same object.  The memo lives
     and dies with that instance and takes no part in its equality, hash or
     repr; a new instance, even an equal one, such as the result of shift,
-    scale, odot or dataclasses.replace, is saturated afresh.
+    scale or odot, is saturated afresh.
     """
     return alg._saturation
 
@@ -84,11 +83,15 @@ def nu_bar_estimate(alg: QReesAlgebra, f: Polynomial, n_max: int = DEFAULT_N_MAX
     return best
 
 
-@dataclass(frozen=True)
 class MembershipVerdict:
-    status: str  # "Member" | "MemberWitness" | "NonMemberAtCap"
-    power: int | None = None
-    level: Fraction | None = None
+    __slots__ = ("status", "power", "level")
+
+    def __init__(
+        self, status: str, power: int | None = None, level: Fraction | None = None
+    ) -> None:
+        self.status = status  # "Member" | "MemberWitness" | "NonMemberAtCap"
+        self.power = power
+        self.level = level
 
     def holds(self) -> bool:
         return self.status in ("Member", "MemberWitness")
@@ -119,11 +122,13 @@ def is_integral_member(
     return MembershipVerdict("NonMemberAtCap", None, a)
 
 
-@dataclass(frozen=True)
 class EquivalenceVerdict:
-    status: str  # "Equivalent" | "Inequivalent" | "Unknown"
-    witness_point: tuple | None = None
-    detail: str = ""
+    __slots__ = ("status", "witness_point", "detail")
+
+    def __init__(self, status: str, witness_point: tuple | None = None, detail: str = "") -> None:
+        self.status = status  # "Equivalent" | "Inequivalent" | "Unknown"
+        self.witness_point = witness_point
+        self.detail = detail
 
 
 @shared_bases()

@@ -7,7 +7,6 @@ assertions fails the driver is wrong, not the test.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import math
 import random
@@ -29,7 +28,7 @@ from qrees.ideal import Ideal, MonomialOrder
 from qrees.invariant import InvariantValue, MonomialData, non_singular_value
 from qrees.poly import Polynomial, parse_polynomial
 from qrees.problem import parse_problem
-from qrees.resolve import fc_at_point, max_locus_fc, resolve
+from qrees.resolve import Leaf, fc_at_point, max_locus_fc, resolve
 from qrees.saturation import (
     diff_saturate,
     equivalence_check,
@@ -459,7 +458,7 @@ def test_invariant_not_decreasing_is_typed(monkeypatch) -> None:
         if not roots:
             roots.append(leaf)
             return leaf
-        return dataclasses.replace(leaf, value=roots[0].value)
+        return Leaf(leaf.chart, leaf.tower, roots[0].value, leaf.center_vars)
 
     monkeypatch.setattr(driver, "analyze_chart", repeat_root)
     with pytest.raises(InvariantNotDecreasing, match="failed to decrease") as info:
