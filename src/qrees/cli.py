@@ -137,8 +137,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load(args) -> tuple[Problem, QReesAlgebra]:
-    with open(args.file, encoding="utf-8") as handle:
-        problem = parse_problem(handle.read())
+    """The problem file and its named algebra; a file that cannot be opened
+    or is not UTF-8 text is a ProblemParseError naming it."""
+    try:
+        with open(args.file, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ProblemParseError(f"cannot read {args.file}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ProblemParseError(f"cannot read {args.file}: {exc}") from None
+    problem = parse_problem(text)
     return problem, problem.algebra(args.algebra)
 
 

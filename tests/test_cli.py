@@ -329,6 +329,25 @@ def test_parse_error_exit_code(tmp_path, capsys) -> None:
 
 
 @pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+        (
+            lambda path: path.write_bytes(b"field Q\n\xff\n"),
+            "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte",
+        ),
+    ],
+    ids=["missing", "directory", "not-utf8"],
+)
+def test_unreadable_file_exits_2(tmp_path, capsys, make, reason) -> None:
+    path = tmp_path / "problem.qr"
+    make(path)
+    code = main(["sing", str(path)])
+    assert (code, capsys.readouterr().err) == (2, f"error: cannot read {path}: {reason}\n")
+
+
+@pytest.mark.parametrize(
     "text, line",
     [
         ("field F 4\nchart x y\ngen x^2 : 2\n", 1),

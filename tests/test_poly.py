@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from qrees.errors import ProblemParseError
 from qrees.field import QQ, FieldSpec
 from qrees.poly import (
+    INFINITY,
     Infinity,
     Polynomial,
     format_polynomial,
@@ -165,6 +166,65 @@ def test_divisor_valuation() -> None:
     assert p.order_in_vars(("x",)) == 2
     assert p.order_in_vars(("y",)) == 2
     assert isinstance(Polynomial.zero(QQ, XY).order_in_vars(("x",)), Infinity)
+
+
+# Reference scans: the generator-expression bodies that the map/itemgetter
+# scans of Polynomial replaced.
+def scan_oracle(p: Polynomial) -> dict:
+    terms = p.terms
+    return {
+        "is_constant": all(sum(e) == 0 for e in terms),
+        "total_degree": max(sum(e) for e in terms) if terms else -1,
+        "order": min(sum(e) for e in terms) if terms else INFINITY,
+    }
+
+
+def degree_in_oracle(p: Polynomial, var: str) -> int:
+    i = p.variables.index(var)
+    return max(e[i] for e in p.terms) if p.terms else -1
+
+
+def order_in_vars_oracle(p: Polynomial, vars: tuple[str, ...]):
+    idx = [p.variables.index(v) for v in vars]
+    return min(sum(e[i] for i in idx) for e in p.terms) if p.terms else INFINITY
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(3)])
+def test_exponent_scans_match_oracle(field: FieldSpec) -> None:
+    """On seeded polynomials in 1-4 variables, the zero polynomial and
+    constants, every scan equals its generator-expression reference, and
+    order_in_vars does so on every subset of the variables, on () and on a
+    repeated name."""
+    rng = random.Random(35 + field.characteristic)
+    for k in range(1, 5):
+        variables = ("x", "y", "z", "w")[:k]
+        subsets = [s for r in range(k + 1) for s in combinations(variables, r)]
+        polys = [Polynomial.zero(field, variables), Polynomial.constant(field, variables, 2)]
+        for _ in range(40):
+            terms = {
+                tuple(rng.choice((0, 0, 1, 2, 5)) for _ in variables): field.coerce(rng.randint(1, 4))
+                for _ in range(rng.randint(1, 6))
+            }
+            polys.append(Polynomial(field, variables, terms))
+        for p in polys:
+            got = {
+                "is_constant": p.is_constant(),
+                "total_degree": p.total_degree(),
+                "order": p.order(),
+            }
+            assert got == scan_oracle(p), p.terms
+            for v in variables:
+                assert p.degree_in(v) == degree_in_oracle(p, v), (p.terms, v)
+            for s in [*subsets, ("x", "x")]:
+                assert p.order_in_vars(s) == order_in_vars_oracle(p, s), (p.terms, s)
+        assert polys[0].order_in_vars(()) == INFINITY
+        assert polys[1].order_in_vars(()) == 0
+        ring = f"{'Q' if field.is_rational else 'F_3'}[{', '.join(variables)}]"
+        for p in polys[:3]:
+            with rejected(f"v is not a variable of {ring}"):
+                p.order_in_vars(("x", "v"))
+            with rejected(f"v is not a variable of {ring}"):
+                p.degree_in("v")
 
 
 def test_restrict_zero_drops_variable_from_ring() -> None:
@@ -398,9 +458,10 @@ def oracle_format(p: Polynomial) -> str:
 @pytest.mark.parametrize("field", [QQ, FieldSpec(2), FieldSpec(3), FieldSpec(5)])
 def test_format_matches_oracle(field: FieldSpec) -> None:
     """Byte for byte on seeded polynomials in 0-4 variables: zero,
-    constants, exponents up to 12, and coefficients 1, -1, p - 1, other
-    negatives and fractions.  Over F_p the negatives are passed to the
-    constructor unreduced, as a caller may."""
+    constants, coefficients 1, -1, p - 1, other negatives and fractions, and
+    two exponent sets: up to 12, and at and past the end of the formatter's
+    suffix table (63, 64, 65, 146, 1100).  Over F_p the negatives are passed
+    to the constructor unreduced, as a caller may."""
     p = field.characteristic
     if p:
         coeffs = [1, p - 1, -1, -2, 2, 3]
@@ -408,18 +469,19 @@ def test_format_matches_oracle(field: FieldSpec) -> None:
         coeffs = [Fraction(c) for c in (1, -1, 2, -3, 10)] + [Fraction(1, 2), Fraction(-7, 3)]
     rng = random.Random(417 + p)
     printed = 0
-    for k in range(5):
-        variables = ("x", "y", "z", "w")[:k]
-        assert format_polynomial(Polynomial.zero(field, variables)) == "0"
-        for c in coeffs:
-            const = Polynomial(field, variables, {(0,) * k: c})
-            assert format_polynomial(const) == oracle_format(const)
-        for _ in range(60):
-            terms = {
-                tuple(rng.choice((0, 0, 1, 2, 3, 10, 12)) for _ in variables): rng.choice(coeffs)
-                for _ in range(rng.randint(1, 6))
-            }
-            poly = Polynomial(field, variables, terms)
-            assert format_polynomial(poly) == oracle_format(poly), terms
-            printed += len(poly.terms) > 1
-    assert printed >= 100
+    for exponents in ((0, 0, 1, 2, 3, 10, 12), (0, 0, 1, 2, 63, 64, 65, 146, 1100)):
+        for k in range(5):
+            variables = ("x", "y", "z", "w")[:k]
+            assert format_polynomial(Polynomial.zero(field, variables)) == "0"
+            for c in coeffs:
+                const = Polynomial(field, variables, {(0,) * k: c})
+                assert format_polynomial(const) == oracle_format(const)
+            for _ in range(60):
+                terms = {
+                    tuple(rng.choice(exponents) for _ in variables): rng.choice(coeffs)
+                    for _ in range(rng.randint(1, 6))
+                }
+                poly = Polynomial(field, variables, terms)
+                assert format_polynomial(poly) == oracle_format(poly), terms
+                printed += len(poly.terms) > 1
+    assert printed >= 200
