@@ -14,7 +14,6 @@ from .charts import (
     ContactChoice,
     DivisorRecord,
     blowup_chart,
-    center_inside_singular_locus,
     coefficient_algebra,
     elimination_algebra,
     find_maximal_contact,
@@ -82,7 +81,6 @@ __all__ = [
     "UnsupportedCharacteristic",
     "algebra_sample_points",
     "blowup_chart",
-    "center_inside_singular_locus",
     "coefficient_algebra",
     "coordinate_ideal",
     "diff_saturate",

@@ -6,6 +6,7 @@ and the search for a triangular maximal-contact variable."""
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .algebra import QReesAlgebra, _ceil_times
 from .errors import ChartSplitRequired, PreconditionError, UnsupportedCharacteristic
@@ -106,16 +107,24 @@ def transform_algebra(
     outside it are ignored; the chart variable must lie in both.  The
     blowup map v -> v * chart_var is monomial, so both steps are one rewrite
     of each exponent: chart_var's exponent becomes the term's degree in the
-    center minus ceil(a_i).  That is never negative once the center lies in
-    the singular locus, and the rewrite is injective, so no two terms merge.
+    center C (its variables in the ring) minus ceil(a_i).  The rewrite is
+    injective, so no two terms merge.
+
+    No exponent goes negative iff V(C) lies in the singular locus
+    {ord >= 1}, in every characteristic, so the rewrite is the center check.
+    {ord >= 1} is cut out by the Hasse derivatives D^alpha f with
+    |alpha| < ceil(a).  If every term of f has C-degree at least ceil(a),
+    each D^alpha f keeps a center variable in every term and vanishes on
+    V(C).  If some term e0 has C-degree s < ceil(a), take alpha = e0|_C:
+    D^alpha f restricted to C = 0 keeps the term e0 - alpha with coefficient
+    C(e0, alpha) = 1 (no other term lands there), so it is nonzero even
+    modulo p.
     """
     ring = alg.variables
     if chart_var not in ring:
         raise PreconditionError(f"chart variable {chart_var} is not in the ring")
     if chart_var not in center_vars:
         raise PreconditionError(f"chart variable {chart_var} must lie in the center")
-    if not center_inside_singular_locus(alg, center_vars):
-        raise PreconditionError("blowup center is not inside the singular locus")
     t = ring.index(chart_var)
     moved = [i for i, v in enumerate(ring) if v in center_vars and v != chart_var]
     gens = []
@@ -125,28 +134,10 @@ def transform_algebra(
             e[:t] + (e[t] + sum(e[i] for i in moved) - k,) + e[t + 1 :]: c
             for e, c in f.terms.items()
         }
+        if min(map(itemgetter(t), terms)) < 0:
+            raise PreconditionError("blowup center is not inside the singular locus")
         gens.append((Polynomial._trusted(alg.field, ring, terms), a))
     return QReesAlgebra._trusted(alg.field, ring, tuple(gens))
-
-
-def center_inside_singular_locus(alg: QReesAlgebra, center_vars: tuple[str, ...]) -> bool:
-    """Does V(C) lie in {ord >= 1}, for C the center variables in the ring?
-    It does iff every generator (f, a) has order at least ceil(a) along C,
-    in every characteristic: since orders are integers, iff the algebra's
-    order along C is at least 1.
-
-    {ord >= 1} is cut out by the Hasse derivatives D^alpha f with
-    |alpha| < ceil(a).  If every term of f has C-degree at least ceil(a),
-    each D^alpha f keeps a center variable in every term and vanishes on
-    V(C).  If some term e0 has C-degree s < ceil(a), take alpha = e0|_C:
-    D^alpha f restricted to C = 0 keeps the term e0 - alpha with coefficient
-    C(e0, alpha) = 1 (no other term lands there), so it is nonzero even
-    modulo p.
-    """
-    c = tuple(v for v in center_vars if v in alg.variables)
-    if not c:
-        return True
-    return alg.order_along(c) >= 1
 
 
 # -- divisorial content ------------------------------------------------------

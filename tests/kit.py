@@ -1,6 +1,7 @@
 """Helpers shared by the test modules: ring variables, polynomial and
-algebra builders, field inverses for the oracles, the check on a rejected
-input, a call recorder and the `gb_calls` fixture built on it."""
+algebra builders, field inverses for the oracles, the blowup-center oracle,
+the check on a rejected input, a call recorder and the `gb_calls` fixture
+built on it."""
 
 from __future__ import annotations
 
@@ -38,6 +39,16 @@ def inverse(field: FieldSpec, c):
     """1/c in field, for the test oracles: a Fraction over Q, an int over F_p."""
     p = field.characteristic
     return pow(c, -1, p) if p else 1 / Fraction(c)
+
+
+def center_oracle(alg: QReesAlgebra, center_vars) -> bool:
+    """The definition: every generator of the singular ideal (Hasse
+    derivatives below each weight) vanishes once the center is set to 0."""
+    ring = alg.variables
+    zeros = {v: Polynomial.zero(alg.field, ring) for v in center_vars if v in ring}
+    if not zeros:
+        return True
+    return all(g.substitute(zeros).is_zero() for g in alg.sing_ideal().generators)
 
 
 @contextmanager

@@ -104,6 +104,11 @@ def test_level_ideal_of_the_zero_algebra_is_zero() -> None:
     assert QReesAlgebra(QQ, XY, ()).level_ideal(Fraction(1, 2)).generators == ()
 
 
+def test_level_ideal_rejects_a_negative_level() -> None:
+    with rejected("level must be nonnegative, got -1"):
+        A(("x", 1)).level_ideal(-1)
+
+
 def test_odot_unions_generators() -> None:
     joined = A(("x", 1)).odot(A(("y", 2)))
     assert len(joined.generators) == 2
@@ -126,6 +131,8 @@ def test_scale_divides_weights() -> None:
     assert halved.generators[0][1] == Fraction(4)
     doubled = alg.scale(Fraction(2))
     assert doubled.generators[0][1] == Fraction(1)
+    with rejected("scale factor must be positive, got 0"):
+        alg.scale(0)
 
 
 def test_scale_law_on_orders() -> None:
@@ -445,6 +452,11 @@ def test_parse_generator_list() -> None:
     assert len(alg.generators) == 2
     assert alg.generators[1][1] == Fraction(1, 2)
     assert parse_generator_list("0", QQ, XY).is_zero()
+
+
+def test_parse_generator_list_rejects_a_missing_weight() -> None:
+    with rejected("generator 'x^2' lacks ': WEIGHT'", ProblemParseError):
+        parse_generator_list("x^2", QQ, XY)
 
 
 @pytest.mark.parametrize("weight", ["abc", "1/0", ""])

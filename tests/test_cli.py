@@ -383,8 +383,8 @@ def test_characteristic_error_exit_code(tmp_path, capsys) -> None:
 
 
 def test_unknown_algebra_exit_code(umbrella, capsys) -> None:
-    code = main(["sing", umbrella, "--algebra", "missing"])
-    assert code == 2
+    code = main(["sing", umbrella, "--algebra", "K"])
+    assert (code, capsys.readouterr().err) == (2, "error: no algebra named K (have: J)\n")
 
 
 def test_closed_stdout_exits_quietly(umbrella) -> None:

@@ -24,10 +24,10 @@ files plus a unit and a zero algebra.
 0-99 of the ROADMAP outcome-sweep generator (``random.Random(1)``): the
 SHA-256 of ``json.dumps(trace)`` and the step count, or the error class and
 message.
-``chains.json`` pins one or two blowup steps (center check, transform, divisorial
-content, differential saturation, coefficient algebra) on fixed algebras over
-Q, F_2 and F_3, so the positive-characteristic side of those kernels is
-covered too.
+``chains.json`` pins one or two blowup steps (the center verdict by its
+definition, transform, divisorial content, differential saturation,
+coefficient algebra) on fixed algebras over Q, F_2 and F_3, so the
+positive-characteristic side of those kernels is covered too.
 
 Regenerate the files (only when a trace change is intended) with:
 
@@ -50,7 +50,6 @@ import pytest
 from qrees.algebra import format_algebra, parse_generator_list
 from qrees.cli import main
 from qrees.charts import (
-    center_inside_singular_locus,
     coefficient_algebra,
     non_monomial_part,
     transform_algebra,
@@ -60,6 +59,7 @@ from qrees.field import FieldSpec
 from qrees.problem import parse_problem
 from qrees.resolve import fc_at_point, max_locus_fc, resolve
 from qrees.saturation import diff_saturate
+from kit import center_oracle
 from test_acceptance import CORPUS
 from test_cli import CHAR2, MONOMIAL, PAIR, UMBRELLA
 
@@ -222,7 +222,7 @@ def chains_text() -> str:
         divisors: list[str] = []
         steps = []
         for t in chart_vars.split():
-            step = {"center_ok": center_inside_singular_locus(alg, center)}
+            step = {"center_ok": center_oracle(alg, center)}
             try:
                 alg = transform_algebra(alg, center, t)
             except QreesError as exc:

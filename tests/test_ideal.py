@@ -103,6 +103,18 @@ def test_radical_contains_over_finite_field() -> None:
     assert not ideal.radical_contains(parse_polynomial("y", F2, XY))
 
 
+@pytest.mark.parametrize(
+    "ring, fresh", [(("x", "t_"), "t__"), (("x", "t_", "t__"), "t___")], ids=["t_", "t__"]
+)
+def test_radical_contains_avoids_ring_variable_names(monkeypatch, ring, fresh) -> None:
+    # the Rabinowitsch variable must not be one the ring already has
+    units = record_calls(monkeypatch, Ideal, "is_unit")
+    ideal = I("x^2", variables=ring)
+    assert ideal.radical_contains(P("x", ring))
+    assert not ideal.radical_contains(P("t_", ring))
+    assert [u.variables for (u,) in units] == [ring + (fresh,)] * 2
+
+
 def test_eliminate_drops_variable() -> None:
     # project the twisted pair onto (y, z): y^3 = z^2 survives
     ideal = Ideal(
@@ -155,6 +167,11 @@ def test_closed_set_strict_containment() -> None:
 def test_closed_set_empty() -> None:
     assert ClosedSet([Ideal.unit(QQ, XY)]).is_empty()
     assert not ClosedSet([I("x")]).is_empty()
+
+
+def test_closed_set_needs_a_component() -> None:
+    with rejected("closed set needs at least one component"):
+        ClosedSet([])
 
 
 def test_elimination_order_blocks() -> None:

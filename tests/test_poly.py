@@ -147,6 +147,13 @@ def test_zero_polynomial_conventions() -> None:
     assert z * P("x") == z
 
 
+def test_negative_power_and_constant_value_of_a_variable_rejected() -> None:
+    with rejected("negative power of a polynomial", ValueError):
+        P("x") ** -1
+    with rejected("x is not constant", ValueError):
+        P("x").constant_value()
+
+
 def test_order_is_minimal_term_degree() -> None:
     assert P("x^2 + y^3").order() == 2
     assert P("x*y + x^5").order() == 2

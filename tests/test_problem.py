@@ -54,8 +54,11 @@ def test_fractional_weights() -> None:
 
 def test_unknown_algebra_name_raises() -> None:
     problem = parse_problem(GOOD)
-    with pytest.raises(ProblemParseError):
+    with rejected("no algebra named missing (have: J, D)", ProblemParseError):
         problem.algebra("missing")
+    problem = parse_problem("field Q\nchart x y\ngen x : 1\n")
+    with rejected("no algebra named K (have: J)", ProblemParseError):
+        problem.algebra("K")
 
 
 def test_error_reports_line_number() -> None:
@@ -132,6 +135,8 @@ def test_polynomial_denominator_must_be_invertible_mod_p() -> None:
     # the library's own field constructor keeps its precondition error
     with rejected("characteristic must be 0 or a prime, got 4"):
         FieldSpec(4)
+    with rejected("denominator of 1/3 vanishes modulo 3"):
+        F3.coerce(Fraction(1, 3))
 
 
 def test_gen_before_chart_rejected() -> None:
@@ -162,6 +167,11 @@ def test_comments_and_blank_lines_ignored() -> None:
     text = "# header\n\nfield Q\n  # indented comment\nchart x y\ngen x : 1\n"
     problem = parse_problem(text)
     assert problem.variables == ("x", "y")
+
+
+def test_gen_line_without_a_weight_rejected() -> None:
+    with rejected("line 3: generator 'x^2' lacks ': WEIGHT'", ProblemParseError):
+        parse_problem("field Q\nchart x y\ngen x^2\n")
 
 
 def test_bad_weight_rejected() -> None:

@@ -413,6 +413,8 @@ def test_is_integral_member_trivial_cases() -> None:
     alg = A(("x", 1))
     assert is_integral_member(alg, Polynomial.zero(QQ, XY), Fraction(1)).holds()
     assert is_integral_member(alg, P("y"), Fraction(0)).holds()
+    with rejected("membership weight must be nonnegative"):
+        is_integral_member(alg, P("y"), -1)
 
 
 def test_equivalence_of_redundant_presentation() -> None:
