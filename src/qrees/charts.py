@@ -36,12 +36,11 @@ class DivisorRecord:
 class Chart:
     """One affine chart of the evolving ambient space.
 
-    The substitution strings record how this chart maps to its parent; the
-    coordinate changes record triangular renamings applied during analysis,
-    newest last.  Both are kept for the trace only.
+    The substitution strings record how this chart maps to its parent, for
+    the trace only.
     """
 
-    __slots__ = ("id", "field", "variables", "parent", "substitution", "divisors", "changes")
+    __slots__ = ("id", "field", "variables", "parent", "substitution", "divisors")
 
     def __init__(
         self,
@@ -51,7 +50,6 @@ class Chart:
         parent: str | None = None,
         substitution: tuple[tuple[str, str], ...] = (),
         divisors: tuple[DivisorRecord, ...] = (),
-        changes: tuple[tuple[str, str], ...] = (),
     ) -> None:
         self.id = id
         self.field = field
@@ -59,7 +57,6 @@ class Chart:
         self.parent = parent
         self.substitution = substitution
         self.divisors = divisors
-        self.changes = changes
 
 
 def validate_center(chart_vars: tuple[str, ...], center_vars: tuple[str, ...], chart_var: str) -> None:

@@ -204,7 +204,7 @@ def cmd_eliminate(args) -> Output:
 
 def cmd_blowup(args) -> Output:
     problem, alg = load(args)
-    _, parent, _ = root_chart(problem.field, problem.variables, alg, problem.divisors)
+    _, parent = root_chart(problem.field, problem.variables, alg, problem.divisors)
     center = tuple(v.strip() for v in args.center.split(","))
     child = blowup_chart(parent, center, args.chart_var, created=1)
     payload = {

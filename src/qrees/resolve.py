@@ -83,9 +83,11 @@ class LevelState:
 
 
 class Leaf:
-    """A fully analyzed chart: its invariant, chosen center, and updated tower."""
+    """A fully analyzed chart: its invariant, chosen center, updated tower,
+    and the triangular coordinate changes the analysis applied, as
+    (var, image) pairs newest last, kept for the trace only."""
 
-    __slots__ = ("chart", "tower", "value", "center_vars")
+    __slots__ = ("chart", "tower", "value", "center_vars", "changes")
 
     def __init__(
         self,
@@ -93,11 +95,13 @@ class Leaf:
         tower: tuple[LevelState, ...],
         value: InvariantValue,
         center_vars: tuple[str, ...],
+        changes: tuple[tuple[str, str], ...],
     ) -> None:
         self.chart = chart
         self.tower = tower
         self.value = value
         self.center_vars = center_vars  # empty exactly when non-singular
+        self.changes = changes
 
 
 def root_chart(
@@ -105,11 +109,10 @@ def root_chart(
     variables: tuple[str, ...],
     algebra: QReesAlgebra,
     divisors: tuple[DivisorRecord, ...],
-) -> tuple[int, Chart, tuple[LevelState, ...]]:
-    """The chart "0" before any blowup, with its one-level tower, starting at
-    the newest divisor's creation step.  The algebra must live on the
-    chart's field and variables, and every divisor must be a distinct chart
-    variable."""
+) -> tuple[int, Chart]:
+    """The chart "0" before any blowup, starting at the newest divisor's
+    creation step.  The algebra must live on the chart's field and
+    variables, and every divisor must be a distinct chart variable."""
     check_ring(algebra, field, variables, "algebra")
     divisors = tuple(divisors)
     seen_vars = set()
@@ -120,8 +123,7 @@ def root_chart(
             raise PreconditionError(f"divisor variable {d.var} declared twice")
         seen_vars.add(d.var)
     start = max([0] + [d.created for d in divisors])
-    chart = Chart(id="0", field=field, variables=variables, divisors=divisors)
-    return start, chart, (LevelState(algebra),)
+    return start, Chart(id="0", field=field, variables=variables, divisors=divisors)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +156,7 @@ def analyze_chart(
         incoming = top.algebra.sing_ideal()
         singular = not incoming.is_unit()
     if not singular:
-        return Leaf(chart, tuple(levels), non_singular_value(), ())
+        return Leaf(chart, tuple(levels), non_singular_value(), (), ())
 
     out_levels: list[tuple[Fraction, int]] = []
     center_accum: list[str] = []
@@ -252,16 +254,12 @@ def analyze_chart(
     # variables of its own ring, which lacks the contact variables above it,
     # so the center needs neither deduplication nor an emptiness check
     vars_used = center_accum + bottom_vars
-    if changes:
-        chart = Chart(
-            chart.id, chart.field, chart.variables, chart.parent, chart.substitution,
-            chart.divisors, chart.changes + tuple(changes),
-        )
     return Leaf(
         chart,
         tuple(levels),
         InvariantValue(tuple(out_levels), terminator),
         tuple(v for v in chart.variables if v in vars_used),
+        tuple(changes),
     )
 
 
@@ -488,8 +486,8 @@ def resolve(
     _require_characteristic_zero(field)
     if algebra.is_zero():
         raise PreconditionError("cannot resolve the zero algebra")
-    start, root, tower = root_chart(field, variables, algebra, divisors)
-    leaves: dict[str, Leaf] = {"0": _analyze_or_name(root, tower, start)}
+    start, root = root_chart(field, variables, algebra, divisors)
+    leaves: dict[str, Leaf] = {"0": _analyze_or_name(root, (LevelState(algebra),), start)}
 
     steps_json: list[dict] = []
     previous_max: InvariantValue | None = None
@@ -520,7 +518,7 @@ def resolve(
                 "chart": cid,
                 "parent": leaf.chart.parent,
                 "substitution": [[v, image] for v, image in leaf.chart.substitution],
-                "changes": [[v, image] for v, image in leaf.chart.changes],
+                "changes": [[v, image] for v, image in leaf.changes],
                 "center": list(leaf.center_vars),
                 "fc": leaf.value.to_json(),
                 "divisors": _divisor_report(leaf),
@@ -583,8 +581,8 @@ def fc_at_point(
     # divisors off the point are dropped; the rest, unknown names included,
     # go to root_chart for checking, and so does the ring before the shift
     kept = tuple(d for d in divisors if d.var not in offset)
-    start, chart, (top,) = root_chart(field, variables, algebra, kept)
-    tower = (top.with_algebra(algebra.shift(offset)),)
+    start, chart = root_chart(field, variables, algebra, kept)
+    tower = (LevelState(algebra.shift(offset)),)
     return analyze_chart(chart, tower, start, at_point=True).value
 
 
@@ -598,8 +596,8 @@ def max_locus_fc(
     _require_characteristic_zero(field)
     if algebra.is_zero():
         raise PreconditionError("the zero algebra has no finite invariant")
-    start, chart, tower = root_chart(field, variables, algebra, divisors)
-    leaf = analyze_chart(chart, tower, start)
+    start, chart = root_chart(field, variables, algebra, divisors)
+    leaf = analyze_chart(chart, (LevelState(algebra),), start)
     if not leaf.center_vars:
         return leaf.value, ClosedSet([Ideal.unit(field, variables)])
     return leaf.value, ClosedSet([coordinate_ideal(field, variables, leaf.center_vars)])

@@ -163,14 +163,9 @@ def equivalence_check(
     if contained(lg, rg) and contained(rg, lg):
         return EquivalenceVerdict("Equivalent")
 
-    if left.field.is_rational:
-        for point in algebra_sample_points(left.variables):
-            lo = left.ord_at_point(point)
-            ro = right.ord_at_point(point)
-            if lo != ro:
-                return EquivalenceVerdict(
-                    "Inequivalent",
-                    point,
-                    f"orders {lo} and {ro} disagree",
-                )
+    for point in algebra_sample_points(left.variables):
+        lo = left.ord_at_point(point)
+        ro = right.ord_at_point(point)
+        if lo != ro:
+            return EquivalenceVerdict("Inequivalent", point, f"orders {lo} and {ro} disagree")
     return EquivalenceVerdict("Unknown")

@@ -102,6 +102,12 @@ def test_arithmetic_matches_evaluation() -> None:
         assert (f**3).evaluate(pt) == f.evaluate(pt) ** 3
 
 
+@pytest.mark.parametrize("field, value", [(QQ, 74), (FieldSpec(5), 4)], ids=["Q", "F_5"])
+def test_evaluate_at_a_point(field: FieldSpec, value: int) -> None:
+    f = P("2*x^3 + 3*x*y^2 + 4", XY, field)
+    assert f.evaluate({"x": 2, "y": 3}) == value
+
+
 def product_oracle(f: Polynomial, g: Polynomial) -> Polynomial:
     """The per-pair field.mul/field.add loop that `Polynomial.__mul__` ran
     before it multiplied integers: each exponent where its first pair puts

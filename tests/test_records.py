@@ -64,7 +64,7 @@ def test_value_records_equal_no_tuple_and_no_other_record(name: str) -> None:
 
 def test_record_defaults() -> None:
     chart = Chart("0", QQ, XY)
-    assert (chart.parent, chart.substitution, chart.divisors, chart.changes) == (None, (), (), ())
+    assert (chart.parent, chart.substitution, chart.divisors) == (None, (), ())
     level = LevelState(A(("x", 1)))
     assert (level.run_value, level.run_start, level.contact_var) == (None, 0, None)
     member = MembershipVerdict("Member")

@@ -28,7 +28,15 @@ from qrees.ideal import Ideal, MonomialOrder
 from qrees.invariant import InvariantValue, MonomialData, non_singular_value
 from qrees.poly import Polynomial, parse_polynomial
 from qrees.problem import parse_problem
-from qrees.resolve import Leaf, fc_at_point, max_locus_fc, resolve
+from qrees.resolve import (
+    Leaf,
+    LevelState,
+    analyze_chart,
+    fc_at_point,
+    max_locus_fc,
+    resolve,
+    root_chart,
+)
 from qrees.saturation import (
     diff_saturate,
     equivalence_check,
@@ -391,6 +399,17 @@ def test_shift_never_moves_a_divisor() -> None:
         resolve(QQ, XY, alg, (DivisorRecord("y", 1),))
 
 
+def test_contact_shift_is_recorded_on_the_leaf() -> None:
+    # maximal contact at the root is x - y^2: the analysis shifts x and
+    # keeps the change on the leaf, leaving the chart it was given alone
+    problem = parse_problem(PROBLEMS["shift-contact"])
+    alg = problem.algebra()
+    start, chart = root_chart(problem.field, problem.variables, alg, problem.divisors)
+    leaf = analyze_chart(chart, (LevelState(alg),), start)
+    assert leaf.chart is chart
+    assert leaf.changes == (("x", "y^2 + x"),)
+
+
 TWO_LOCI = (
     "field Q\nchart x y z\ngen x^2 : 2\ngen (y + z - 1)^2 : 2\n"
     "divisor y created 1\ndivisor z created 1\n"
@@ -458,7 +477,7 @@ def test_invariant_not_decreasing_is_typed(monkeypatch) -> None:
         if not roots:
             roots.append(leaf)
             return leaf
-        return Leaf(leaf.chart, leaf.tower, roots[0].value, leaf.center_vars)
+        return Leaf(leaf.chart, leaf.tower, roots[0].value, leaf.center_vars, leaf.changes)
 
     monkeypatch.setattr(driver, "analyze_chart", repeat_root)
     with pytest.raises(InvariantNotDecreasing, match="failed to decrease") as info:

@@ -16,7 +16,7 @@ from qrees.charts import (
     transform_algebra,
 )
 from qrees.field import QQ, FieldSpec
-from qrees.poly import Infinity, Polynomial, parse_polynomial
+from qrees.poly import INFINITY, Infinity, Polynomial, parse_polynomial
 from qrees.saturation import (
     CAP_REACHED,
     diff_saturate,
@@ -407,6 +407,9 @@ def test_is_integral_member_rejects() -> None:
     v = is_integral_member(alg, P("y"), Fraction(1))
     assert v.status == "NonMemberAtCap"
     assert not v.holds()
+    # the first power's level already passes the cap: nothing is tested
+    v = is_integral_member(A(("x^2 + y^3", 2)), P("x"), 5, cap=2)
+    assert (v.status, v.power, v.level) == ("NonMemberAtCap", None, 5)
 
 
 def test_is_integral_member_trivial_cases() -> None:
@@ -426,11 +429,19 @@ def test_equivalence_of_redundant_presentation() -> None:
 
 
 def test_equivalence_detects_order_mismatch() -> None:
-    a = A(("x", 1))
-    b = A(("y", 1))
-    verdict = equivalence_check(a, b)
-    assert verdict.status == "Inequivalent"
-    assert verdict.witness_point is not None
+    # the order at a rational point is the same invariant in every characteristic
+    for field in (QQ, F2, F3):
+        verdict = equivalence_check(A(("x", 1), field=field), A(("y", 1), field=field))
+        assert verdict.status == "Inequivalent"
+        assert verdict.witness_point == (0, 1)
+        assert verdict.detail == "orders 1 and 0 disagree"
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(7)], ids=["Q", "F_7"])
+def test_equivalence_unknown_when_orders_agree_at_every_sample(field: FieldSpec) -> None:
+    # neither x = 3 nor x = 5 is a sample point, so every order is 0 on both sides
+    verdict = equivalence_check(A(("x - 3", 1), field=field), A(("x - 5", 1), field=field))
+    assert (verdict.status, verdict.witness_point, verdict.detail) == ("Unknown", None, "")
 
 
 def test_equivalence_zero_algebras() -> None:
@@ -451,6 +462,7 @@ def test_nu_bar_estimate_improves_on_nu() -> None:
     f = P("x*y")
     assert nu(alg, f, Fraction(8)) == Fraction(0)
     assert nu_bar_estimate(alg, f, n_max=2, cap=Fraction(4)) == Fraction(1)
+    assert nu_bar_estimate(alg, Polynomial.zero(QQ, XY)) == INFINITY
 
 
 @pytest.mark.parametrize(
