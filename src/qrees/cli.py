@@ -12,6 +12,7 @@ import sys
 
 from .algebra import QReesAlgebra
 from .charts import (
+    Chart,
     blowup_chart,
     coefficient_algebra,
     elimination_algebra,
@@ -23,7 +24,7 @@ from .errors import ProblemParseError, QreesError
 from .invariant import InvariantValue
 from .poly import format_polynomial, parse_polynomial, parse_rational
 from .problem import Problem, parse_problem
-from .resolve import DEFAULT_MAX_STEPS, resolve, root_chart
+from .resolve import DEFAULT_MAX_STEPS, resolve
 from .saturation import (
     DEFAULT_CAP,
     DEFAULT_N_MAX,
@@ -203,8 +204,9 @@ def cmd_eliminate(args) -> Output:
 
 
 def cmd_blowup(args) -> Output:
-    problem, alg = load(args)
-    _, parent = root_chart(problem.field, problem.variables, alg, problem.divisors)
+    # the parser has checked the divisors; a blowup needs no characteristic zero
+    problem, _ = load(args)
+    parent = Chart("0", problem.field, problem.variables, divisors=problem.divisors)
     center = tuple(v.strip() for v in args.center.split(","))
     child = blowup_chart(parent, center, args.chart_var, created=1)
     payload = {

@@ -111,8 +111,14 @@ def root_chart(
     divisors: tuple[DivisorRecord, ...],
 ) -> tuple[int, Chart]:
     """The chart "0" before any blowup, starting at the newest divisor's
-    creation step.  The algebra must live on the chart's field and
-    variables, and every divisor must be a distinct chart variable."""
+    creation step: the driver's one entry check.  The driver reads maximal
+    contact and rational points in characteristic zero only; the algebra
+    must live on the chart's field and variables, and every divisor must be
+    a distinct chart variable."""
+    if field.characteristic != 0:
+        raise UnsupportedCharacteristic(
+            "resolution is only implemented in characteristic zero"
+        )
     check_ring(algebra, field, variables, "algebra")
     divisors = tuple(divisors)
     seen_vars = set()
@@ -144,7 +150,10 @@ def analyze_chart(
 
     Equal ideals met during the analysis share one Groebner basis
     (`shared_bases`); inside `resolve`, they share it across every chart.
+    The zero algebra has no invariant (`resolve` never reaches one here).
     """
+    if tower[0].algebra.is_zero():
+        raise PreconditionError("the zero algebra has no finite invariant")
     field = chart.field
     levels = list(tower)
     top = levels[0]
@@ -454,16 +463,6 @@ def blow_leaf(leaf: Leaf, step: int) -> list[tuple[Chart, tuple[LevelState, ...]
 # driver
 
 
-def _require_characteristic_zero(field: FieldSpec) -> None:
-    """The one characteristic check of `resolve`, `fc_at_point` and
-    `max_locus_fc`, made up front: the driver reads maximal contact and
-    rational points as in characteristic zero."""
-    if field.characteristic != 0:
-        raise UnsupportedCharacteristic(
-            "resolution is only implemented in characteristic zero"
-        )
-
-
 @shared_bases()
 def resolve(
     field: FieldSpec,
@@ -483,10 +482,9 @@ def resolve(
     and no longer (`shared_bases`).
     """
     check_bound("max_steps", max_steps, 0)
-    _require_characteristic_zero(field)
+    start, root = root_chart(field, variables, algebra, divisors)
     if algebra.is_zero():
         raise PreconditionError("cannot resolve the zero algebra")
-    start, root = root_chart(field, variables, algebra, divisors)
     leaves: dict[str, Leaf] = {"0": _analyze_or_name(root, (LevelState(algebra),), start)}
 
     steps_json: list[dict] = []
@@ -574,9 +572,6 @@ def fc_at_point(
 ) -> InvariantValue:
     """The invariant at one rational point, computed as a fresh run: every
     divisor through the point counts as pre-existing."""
-    _require_characteristic_zero(field)
-    if algebra.is_zero():
-        raise PreconditionError("the zero algebra has no finite invariant")
     offset = {} if point is None else point_shift(variables, point)
     # divisors off the point are dropped; the rest, unknown names included,
     # go to root_chart for checking, and so does the ring before the shift
@@ -593,9 +588,6 @@ def max_locus_fc(
     divisors: tuple[DivisorRecord, ...] = (),
 ) -> tuple[InvariantValue, ClosedSet]:
     """The maximal invariant over the chart together with its center locus."""
-    _require_characteristic_zero(field)
-    if algebra.is_zero():
-        raise PreconditionError("the zero algebra has no finite invariant")
     start, chart = root_chart(field, variables, algebra, divisors)
     leaf = analyze_chart(chart, (LevelState(algebra),), start)
     if not leaf.center_vars:

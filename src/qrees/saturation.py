@@ -163,7 +163,12 @@ def equivalence_check(
     if contained(lg, rg) and contained(rg, lg):
         return EquivalenceVerdict("Equivalent")
 
+    seen = set()  # over F_p, distinct grid points can be one point of the field
     for point in algebra_sample_points(left.variables):
+        residues = tuple(left.field.coerce(c) for c in point)
+        if residues in seen:
+            continue
+        seen.add(residues)
         lo = left.ord_at_point(point)
         ro = right.ord_at_point(point)
         if lo != ro:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from qrees.algebra import QReesAlgebra
-from qrees.charts import DivisorRecord
+from qrees.charts import Chart, DivisorRecord
 import qrees
 from qrees.errors import (
     ChartSplitRequired,
@@ -296,7 +296,17 @@ def test_line_point_matches_squarefree_oracle() -> None:
     assert 50 < read < 250  # both verdicts are well exercised
 
 
-@pytest.mark.parametrize("query", [resolve, fc_at_point, max_locus_fc])
+def undivided_root_chart(field, variables, algebra):
+    """root_chart with no divisors, where every entry point makes its checks."""
+    return root_chart(field, variables, algebra, ())
+
+
+def analyze_root(field, variables, algebra):
+    """analyze_chart on the chart "0" with algebra as its whole tower."""
+    return analyze_chart(Chart("0", field, variables), (LevelState(algebra),), 0)
+
+
+@pytest.mark.parametrize("query", [resolve, fc_at_point, max_locus_fc, undivided_root_chart])
 def test_entry_points_reject_positive_characteristic(query) -> None:
     # the driver reads lines and maximal contact as in characteristic zero,
     # so over F_3 even the line x^2 is refused before it is read
@@ -355,7 +365,7 @@ def test_fc_at_point_rejects_text_and_bytes_points(point) -> None:
         fc_at_point(QQ, XY, A(("x^2 + (y - 1)^3", 2)), point=point)
 
 
-@pytest.mark.parametrize("query", [fc_at_point, max_locus_fc])
+@pytest.mark.parametrize("query", [fc_at_point, max_locus_fc, analyze_root])
 def test_queries_reject_zero_algebra_up_front(query) -> None:
     with rejected("the zero algebra has no finite invariant"):
         query(QQ, XY, QReesAlgebra(QQ, XY, ()))
@@ -489,6 +499,23 @@ def test_invariant_not_decreasing_is_typed(monkeypatch) -> None:
     assert [s["chart"] for s in trace["steps"]] == ["0"]
     root_fc = roots[0].value.to_json()
     assert trace["leaves"] and all(lf["fc"] == root_fc for lf in trace["leaves"])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InvariantNotDecreasing,
+    reason="ROADMAP item 2: the ceiling transform of a weight-3/2 generator "
+    "keeps the maximum from dropping",
+)
+@pytest.mark.parametrize(
+    "gens, variables",
+    [((("x^4", "3/2"), ("y^3", 1)), XY), ((("-x*y^3*z^3", "3/2"), ("z^2", 1)), XYZ)],
+    ids=["x4-y3", "xy3z3-z2"],
+)
+def test_two_generators_with_weight_3_2_resolve(gens, variables) -> None:
+    # both fail to decrease at step 2; the integer-graded transform, (f : 3/2)
+    # divided as (f^2 : 3), resolves them in 10 and 2 driver steps
+    assert resolve(QQ, variables, A(*gens, variables=variables))["status"] == "resolved"
 
 
 # -- pointwise invariants -------------------------------------------------------

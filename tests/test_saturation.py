@@ -26,7 +26,7 @@ from qrees.saturation import (
     nu_bar_estimate,
 )
 
-from kit import A, P, XY, XYZ, rejected
+from kit import A, P, XY, XYZ, record_calls, rejected
 from test_geometry import divide_by_power
 
 
@@ -438,10 +438,39 @@ def test_equivalence_detects_order_mismatch() -> None:
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec(7)], ids=["Q", "F_7"])
-def test_equivalence_unknown_when_orders_agree_at_every_sample(field: FieldSpec) -> None:
-    # neither x = 3 nor x = 5 is a sample point, so every order is 0 on both sides
+def test_equivalence_unknown_when_orders_agree_at_every_sample(
+    monkeypatch, field: FieldSpec
+) -> None:
+    # neither x = 3 nor x = 5 is a sample point, so every order is 0 on both
+    # sides; the 16 grid points stay distinct over Q and F_7, so each side
+    # orders all of them
+    orders = record_calls(monkeypatch, QReesAlgebra, "ord_at_point")
     verdict = equivalence_check(A(("x - 3", 1), field=field), A(("x - 5", 1), field=field))
     assert (verdict.status, verdict.witness_point, verdict.detail) == ("Unknown", None, "")
+    assert len(orders) == 32
+
+
+@pytest.mark.parametrize(
+    "field, calls, witness, detail",
+    [
+        # (0, -1) and (0, 2) are (0, 1) and (0, 0) over F_2
+        (F2, 8, (1, 1), "orders 1 and 0 disagree"),
+        # (0, 2) is (0, -1) over F_3
+        (F3, 10, (1, 1), "orders 0 and 1 disagree"),
+    ],
+    ids=["F_2", "F_3"],
+)
+def test_equivalence_orders_each_field_point_once(
+    monkeypatch, field: FieldSpec, calls: int, witness, detail: str
+) -> None:
+    orders = record_calls(monkeypatch, QReesAlgebra, "ord_at_point")
+    verdict = equivalence_check(
+        A(("x^2 + y^2", 2), field=field), A(("x^2 + x*y + y^2", 2), field=field)
+    )
+    assert (verdict.status, verdict.witness_point, verdict.detail) == (
+        "Inequivalent", witness, detail
+    )
+    assert len(orders) == calls
 
 
 def test_equivalence_zero_algebras() -> None:
